@@ -144,8 +144,6 @@ def cmd_train(args) -> int:
         raise ValueError("archive holds no training windows")
     arch = _arch_for(config, len(split.norm_stats.feature_names))
     n_members = config.ensemble.members
-    if n_members < 1:
-        raise ValueError("need at least one ensemble member")
     base_seed = config.ensemble.base_seed
     ckpt_dir = _out_dir(args, config, "checkpoint")
 

@@ -73,11 +73,33 @@ class TrainingConfig:
     patience: int = 3
     clip_norm: float = 5.0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
+        if not 0.0 <= self.beta1 < 1.0:
+            raise ValueError("beta1 must lie in [0, 1)")
+        if not 0.0 <= self.beta2 < 1.0:
+            raise ValueError("beta2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be > 0")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
+        if not self.clip_norm >= 0:
+            raise ValueError("clip_norm must be >= 0")
+
 
 @dataclass
 class EnsembleConfig:
     members: int = 15
     base_seed: int = 237
+
+    def __post_init__(self):
+        if self.members < 1:
+            raise ValueError("members must be >= 1")
 
 
 @dataclass
@@ -179,5 +201,7 @@ def load_config(path: str | Path | None = None,
     # re-run validation on sections whose fields may have been replaced
     config.preprocessing.__post_init__()
     config.architecture.__post_init__()
+    config.training.__post_init__()
+    config.ensemble.__post_init__()
     config.evaluation.__post_init__()
     return config

@@ -19,7 +19,7 @@ import numpy as np
 from .cmapss import NormStats, UnitSeries, WindowSample
 from .config import TrainingConfig
 from .errors import DivergenceError
-from .network import (Architecture, PnnParams, TrainHistory, _forward_batch,
+from .network import (Architecture, PnnParams, TrainHistory, forward_stacked,
                       train_pnn)
 
 logger = logging.getLogger(__name__)
@@ -193,28 +193,23 @@ def train_ensemble(arch: Architecture,
     return model, [r[1] for r in results]
 
 
-def _predict_members_batch(model: EnsembleModel,
-                           inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member forward over a batch [B, T, F] -> means/vars [M, B, T]."""
-    x = np.asarray(inputs, dtype=np.float64)
-    M = model.n_members
-    means = np.empty((M,) + x.shape[:2])
-    varis = np.empty_like(means)
-    for k, params in enumerate(model.members):
-        mu, var, _ = _forward_batch(params, x, keep_cache=False)
-        means[k] = mu
-        varis[k] = var
-    return means, varis
+def predict_members(model: EnsembleModel, seqs: Sequence[np.ndarray]
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every member over a ragged list of sequences [T_i, F] in one stacked
+    pass -> per sequence, in input order, member means/vars [M, T_i].
+
+    A reading may differ in the last bits with the sequences it is batched
+    with (BLAS summation order follows the batch shape); the same call
+    always returns the same bits.
+    """
+    arrays = {name: np.stack([p.arrays[name] for p in model.members])
+              for name in model.members[0].arrays}
+    return forward_stacked(model.architecture, arrays, seqs)
 
 
 def predict_ensemble(model: EnsembleModel, inputs: np.ndarray) -> EnsemblePrediction:
     """Run every member over one sequence [T, F] and aggregate."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected [time, features], got shape {x.shape}")
-    member_means, member_vars = _predict_members_batch(model, x[None])
-    member_means = member_means[:, 0]
-    member_vars = member_vars[:, 0]
+    [(member_means, member_vars)] = predict_members(model, [inputs])
     mu_star, var_star = aggregate(member_means, member_vars)
     return EnsemblePrediction(means=mu_star, variances=var_star,
                               member_means=member_means, member_vars=member_vars)
@@ -247,32 +242,34 @@ def dataset_uncertainty_profile(model: EnsembleModel,
     training window length and stride); units shorter than one window are
     skipped with a warning.
     """
-    rows: list[ProfileRow] = []
     for unit in units:
         _check_feature_space(model, unit)
-        feats = unit.features
-        if not per_window:
-            means, varis = _predict_members_batch(model, feats[None])
-            dec = decompose_uncertainty(means[:, 0, -1], varis[:, 0, -1])
+    rows: list[ProfileRow] = []
+    if not per_window:
+        preds = predict_members(model, [unit.features for unit in units])
+        for unit, (means, varis) in zip(units, preds):
+            dec = decompose_uncertainty(means[:, -1], varis[:, -1])
             rows.append(ProfileRow(unit.unit_id, int(unit.cycles[-1]),
                                    dec.aleatoric, dec.epistemic, dec.total))
-            continue
-        if model.preprocess is None:
-            raise ValueError("model carries no windowing settings; "
-                             "per-window profiling needs them")
-        length = int(model.preprocess["window_length"])
-        stride = int(model.preprocess["stride"])
+        return rows
+    if model.preprocess is None:
+        raise ValueError("model carries no windowing settings; "
+                         "per-window profiling needs them")
+    length = int(model.preprocess["window_length"])
+    stride = int(model.preprocess["stride"])
+    for unit in units:
+        feats = unit.features
         n = feats.shape[0]
         if n < length:
             logger.warning("unit %d has %d cycles, shorter than one %d-cycle "
                            "window; skipped in per-window profile",
                            unit.unit_id, n, length)
             continue
+        # one call per unit holds all of its windows, bounding memory
         starts = range(0, n - length + 1, stride)
-        stack = np.stack([feats[s:s + length] for s in starts])
-        means, varis = _predict_members_batch(model, stack)
-        for j, s in enumerate(starts):
-            dec = decompose_uncertainty(means[:, j, -1], varis[:, j, -1])
+        preds = predict_members(model, [feats[s:s + length] for s in starts])
+        for s, (means, varis) in zip(starts, preds):
+            dec = decompose_uncertainty(means[:, -1], varis[:, -1])
             rows.append(ProfileRow(unit.unit_id, int(unit.cycles[s + length - 1]),
                                    dec.aleatoric, dec.epistemic, dec.total))
     return rows

@@ -13,9 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .cmapss import UnitSeries
-from .ensemble import (EnsembleModel, _check_feature_space,
-                       _predict_members_batch, aggregate,
-                       decompose_uncertainty)
+from .ensemble import (EnsembleModel, _check_feature_space, aggregate,
+                       decompose_uncertainty, predict_members)
 
 # score_convention -> (a1 on the early/negative branch, a2 on the late branch).
 # "paper" puts the gentler divisor on the late branch (10 early / 13 late);
@@ -199,25 +198,26 @@ def unit_predictions(model: EnsembleModel,
                      per_step: bool = False) -> list[UnitPrediction]:
     """Evaluated predictions for units that carry a true final RUL.
 
-    Each unit's full history runs through the ensemble. Default: one row per
-    unit at its last cycle, target = the true final RUL as given. With
-    per_step, one row per cycle, the target extended backward by one cycle
-    of remaining life per step.
+    All units' full histories run through the ensemble in one stacked pass.
+    Default: one row per unit at its last cycle, target = the true final RUL
+    as given. With per_step, one row per cycle, the target extended backward
+    by one cycle of remaining life per step.
     """
-    rows: list[UnitPrediction] = []
     for unit in test_units:
         if unit.true_final_rul is None:
             raise ValueError(f"unit {unit.unit_id} carries no true RUL; "
                              "evaluation needs the RUL file")
         _check_feature_space(model, unit)
-        means, varis = _predict_members_batch(model, unit.features[None])
+    preds = predict_members(model, [unit.features for unit in test_units])
+    rows: list[UnitPrediction] = []
+    for unit, (means, varis) in zip(test_units, preds):
         if per_step:
             steps = range(unit.cycles.size)
         else:
             steps = [unit.cycles.size - 1]
         last_cycle = int(unit.cycles[-1])
         for i in steps:
-            m_i, v_i = means[:, 0, i], varis[:, 0, i]
+            m_i, v_i = means[:, i], varis[:, i]
             mu, var = aggregate(m_i, v_i)
             dec = decompose_uncertainty(m_i, v_i)
             lower, upper = interval_bounds(mu, var, alpha)

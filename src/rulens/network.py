@@ -228,12 +228,88 @@ def _forward_batch(params: PnnParams, inputs: np.ndarray, keep_cache: bool):
     return mu, var, cache
 
 
+def forward_stacked(arch: Architecture, arrays: dict[str, np.ndarray],
+                    seqs: Sequence[np.ndarray]
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Inference for M members at once over a ragged list of sequences.
+
+    arrays holds every parameter array stacked on a leading member axis
+    [M, ...]; seqs holds sequences [T_i, F]. Returns, in input order, one
+    (means, variances) pair of shape [M, T_i] per sequence.
+
+    Sequences are sorted by length, longest first (stable), and all layers
+    plus the Gaussian head advance one step at a time over the batch prefix
+    still active, with state [M, B_active, H]. The input projection is
+    computed per step, so nothing of size [M, B, T, 4H] is ever held.
+    Results match a per-member, per-sequence forward up to BLAS summation
+    order, which depends on the batch shape.
+    """
+    xs = [np.asarray(s, dtype=np.float64) for s in seqs]
+    for x in xs:
+        if x.ndim != 2:
+            raise ValueError(f"expected [time, features], got shape {x.shape}")
+        if x.shape[1] != arch.input_dim:
+            raise ValueError(f"input has {x.shape[1]} features, architecture "
+                             f"expects {arch.input_dim}")
+        if x.shape[0] < 1:
+            raise ValueError("need at least one time step")
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite values in network input")
+    if not xs:
+        return []
+
+    lengths = np.array([x.shape[0] for x in xs])
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    B, T = len(xs), int(sorted_lengths[0])
+    # number of sequences longer than t, i.e. the active prefix at step t
+    active = np.searchsorted(-sorted_lengths, -np.arange(T), side="left")
+    # time-major, so the active inputs at step t are one contiguous block
+    x_pad = np.zeros((T, B, arch.input_dim))
+    for j, i in enumerate(order):
+        x_pad[:lengths[i], j] = xs[i]
+
+    M = arrays["lstm0.w_x"].shape[0]
+    lstm = [(hidden, arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"],
+             arrays[f"lstm{k}.b"][:, None])
+            for k, hidden in enumerate(arch.recurrent_layers)]
+    dense = [(arrays[f"dense{k}.w"], arrays[f"dense{k}.b"][:, None])
+             for k in range(len(arch.dense_layers))]
+    hs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
+    cs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
+    mu = np.zeros((M, B, T))
+    raw = np.zeros((M, B, T))
+    for t in range(T):
+        b = active[t]
+        a = x_pad[t, :b]
+        for k, (hidden, w_x, w_h, bias) in enumerate(lstm):
+            # same association as _forward_batch: (x w_x + b) + h w_h
+            z = a @ w_x + bias
+            z += hs[k][:, :b] @ w_h
+            gates = expit(z)            # i, f, o read here, g below
+            g = np.tanh(z[..., 2 * hidden:3 * hidden])
+            c = gates[..., hidden:2 * hidden] * cs[k][:, :b]
+            c += gates[..., :hidden] * g
+            a = gates[..., 3 * hidden:] * np.tanh(c)
+            hs[k], cs[k] = a, c
+        for k, (w, bias) in enumerate(dense):
+            a = a @ w + bias
+            if k < len(dense) - 1:
+                a = np.tanh(a)
+        mu[:, :b, t] = a[..., 0]
+        raw[:, :b, t] = a[..., 1]
+    var = softplus(raw) + VAR_FLOOR
+
+    position = np.empty(B, dtype=np.intp)
+    position[order] = np.arange(B)
+    return [(mu[:, p, :n], var[:, p, :n])
+            for p, n in zip(position, lengths)]
+
+
 def forward(params: PnnParams, inputs: np.ndarray) -> GaussianSeqPrediction:
     """Predict per-time-step (mean, variance) for one sequence [T, F]."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected [time, features], got shape {x.shape}")
-    mu, var, _ = _forward_batch(params, x[None], keep_cache=False)
+    arrays = {name: a[None] for name, a in params.arrays.items()}
+    [(mu, var)] = forward_stacked(params.arch, arrays, [inputs])
     return GaussianSeqPrediction(means=mu[0], variances=var[0])
 
 

@@ -17,8 +17,8 @@ import yaml
 
 from conftest import cmapss_dir, fd001_files, needs_fd001, run_cli
 from rulens.config import TrainingConfig
-from rulens.ensemble import (_predict_members_batch, aggregate,
-                             decompose_uncertainty, train_ensemble)
+from rulens.ensemble import (aggregate, decompose_uncertainty, predict_members,
+                             train_ensemble)
 from rulens.metrics import interval_bounds, nasa_score, nmpiw, picp
 from rulens.network import Architecture, finite_diff_check, init_params
 
@@ -168,7 +168,9 @@ class TestCriterion5SyntheticCalibration:
         model, _ = train_ensemble(arch, (x_train, y_train), cfg,
                                   n_members=5, base_seed=902, threads=5)
 
-        means, varis = _predict_members_batch(model, x_test)
+        preds = predict_members(model, list(x_test))
+        means = np.stack([m for m, _ in preds], axis=1)
+        varis = np.stack([v for _, v in preds], axis=1)
         mu, var = aggregate(means, varis)
         sigma_hat = np.sqrt(var[:, -1])
         rho = spearmanr(sigma_hat, s_test[:, -1]).statistic

@@ -131,6 +131,20 @@ class TestTrain:
                        "--archive", tmp_path / "nowhere",
                        "--out", tmp_path / "ck") == 2
 
+    @pytest.mark.parametrize("field", ["batch_size", "max_epochs"])
+    def test_zero_training_setting_is_named_user_error(
+            self, trained_run, tmp_path, capsys, field):
+        cfg = yaml.safe_load(Path(trained_run["config"]).read_text())
+        cfg["training"][field] = 0
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "ck"
+        assert run_cli("train", "--config", path,
+                       "--archive", trained_run["archive"],
+                       "--out", out) == 2
+        assert f"{field} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="session")
 def evaluated_run(trained_run) -> dict[str, Path]:

@@ -354,8 +354,9 @@ class TestTrainLoop:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(30, 4, 2))
         y = np.zeros((30, 4))
-        cfg = TrainingConfig(max_epochs=100, early_stop_start=6, patience=3,
-                             learning_rate=0.0)
+        cfg = TrainingConfig(max_epochs=100, early_stop_start=6, patience=3)
+        # configs refuse lr=0, so freeze the parameters after construction
+        cfg.learning_rate = 0.0
         _, hist = train_pnn(Architecture(2, (3,), (2,)), (x, y), cfg, seed=3)
         assert hist.stop_reason == "early_stop"
         assert hist.stop_epoch >= cfg.early_stop_start
