@@ -9,7 +9,6 @@ FD001 files, the cross-dataset uncertainty comparison is included.
 """
 
 import argparse
-import os
 import time
 from pathlib import Path
 
@@ -32,8 +31,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", default="configs/fd001.yaml")
     ap.add_argument("--preset", default="",
                     help="config preset, e.g. 'desk' for the reduced profile")
-    ap.add_argument("--threads", type=int, default=max(os.cpu_count() or 1, 1),
-                    help="concurrent member training (default: cpu count)")
     ap.add_argument("--force", action="store_true",
                     help="overwrite existing archive/checkpoint")
     ap.add_argument("--resume", action="store_true",
@@ -53,8 +50,7 @@ def main(argv=None) -> int:
 
     _step("ingest", ["ingest", *shared, *flags])
     _step("train", ["train", *shared, *flags,
-                    "--archive", str(run_dir / "archive"),
-                    "--threads", str(args.threads)])
+                    "--archive", str(run_dir / "archive")])
     _step("evaluate", ["evaluate", *shared,
                        "--checkpoint", str(run_dir / "checkpoint"),
                        "--archive", str(run_dir / "archive"),

@@ -13,11 +13,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import TrainingConfig
 from .ensemble import EnsembleModel
 from .errors import DataIntegrityError
@@ -26,16 +26,6 @@ from .network import Architecture, PnnParams, TrainHistory
 FORMAT_VERSION = 1
 MEMBER_KIND = "pnn-member"
 ENSEMBLE_KIND = "pnn-ensemble"
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def member_path(ckpt_dir: Path | str, k: int) -> Path:
@@ -54,10 +44,14 @@ def _history_dict(history: TrainHistory) -> dict:
 
 
 def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
-                train_cfg: TrainingConfig) -> str:
-    """Write one member checkpoint; returns the payload checksum."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+                train_cfg: TrainingConfig,
+                data_fingerprint: str | None = None) -> str:
+    """Write one member checkpoint; returns the payload checksum.
+
+    The header records what the parameters were trained from (seed,
+    architecture, training config and the archive's data fingerprint), so
+    a resumed run can tell whether the member still applies.
+    """
     shapes = params.arch.param_shapes()
     payload = b"".join(
         np.ascontiguousarray(params.arrays[name], dtype="<f8").tobytes()
@@ -71,10 +65,11 @@ def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
         "param_names": list(shapes),
         "history": _history_dict(history),
         "train_config": dataclasses.asdict(train_cfg),
+        "data_fingerprint": data_fingerprint,
         "checksum": checksum,
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    _atomic_write_bytes(path, header + b"\n" + payload)
+    atomic_write(path, header + b"\n" + payload)
     return checksum
 
 
@@ -175,21 +170,9 @@ def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
         "config": config_echo,
     }
     manifest["fingerprint"] = ensemble_fingerprint(manifest)
-    _atomic_write_text(ckpt_dir / "ensemble.json",
-                       json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    atomic_write(ckpt_dir / "ensemble.json",
+                 json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest["fingerprint"]
-
-
-def save_ensemble(ckpt_dir: Path | str, model: EnsembleModel,
-                  histories: list[TrainHistory], train_cfg: TrainingConfig,
-                  config_echo: dict | None = None) -> str:
-    """Write all member files plus the manifest; returns the fingerprint."""
-    ckpt_dir = Path(ckpt_dir)
-    if len(histories) != model.n_members:
-        raise ValueError("one history per member required")
-    for k, (params, history) in enumerate(zip(model.members, histories)):
-        save_member(member_path(ckpt_dir, k), params, history, train_cfg)
-    return write_ensemble_manifest(ckpt_dir, model, train_cfg, config_echo)
 
 
 def load_ensemble(ckpt_dir: Path | str) -> tuple[EnsembleModel, dict]:

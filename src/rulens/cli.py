@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 internal/numeric failure, 2 user/input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -21,15 +21,16 @@ import numpy as np
 import yaml
 
 from . import cmapss
+from .atomic import atomic_write
 from .checkpoints import (load_ensemble, load_member, member_path,
                           save_member, write_ensemble_manifest)
 from .config import RunConfig, load_config
 from .ensemble import (EnsembleModel, dataset_uncertainty_profile,
-                       predict_ensemble)
+                       predict_ensemble, train_ensemble)
 from .errors import DataIntegrityError, DivergenceError, RulensError
 from .metrics import (interval_bounds, kde, report_from_predictions,
                       report_to_dict, report_to_text, unit_predictions)
-from .network import Architecture, train_pnn
+from .network import Architecture
 
 logger = logging.getLogger("rulens")
 
@@ -38,13 +39,6 @@ REPORT_VERSION = 1
 USER_ERRORS = (FileNotFoundError, FileExistsError, NotADirectoryError,
                IsADirectoryError, PermissionError, ValueError, KeyError,
                yaml.YAMLError)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _fmt(value) -> str:
@@ -60,11 +54,11 @@ def _write_tsv(path: Path, comments: list[str], header: list[str],
     lines.append("\t".join(header))
     for row in rows:
         lines.append("\t".join(_fmt(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _out_dir(args, config: RunConfig, default_leaf: str) -> Path:
@@ -131,20 +125,20 @@ def cmd_ingest(args) -> int:
 
 def _clear_checkpoint(ckpt_dir: Path) -> None:
     (ckpt_dir / "ensemble.json").unlink(missing_ok=True)
-    members = ckpt_dir / "members"
-    if members.is_dir():
-        for f in members.glob("member_*.ckpt"):
-            f.unlink()
+    for f in (ckpt_dir / "members").glob("member_*.ckpt"):
+        f.unlink()
 
 
 def cmd_train(args) -> int:
     config = _load_run_config(args)
     split, archive_manifest = cmapss.load_archive(args.archive)
-    if not split.train_windows:
+    windows = split.train_windows
+    if not windows:
         raise ValueError("archive holds no training windows")
     arch = _arch_for(config, len(split.norm_stats.feature_names))
     n_members = config.ensemble.members
     base_seed = config.ensemble.base_seed
+    data_fingerprint = archive_manifest["fingerprint"]
     ckpt_dir = _out_dir(args, config, "checkpoint")
 
     if (ckpt_dir / "ensemble.json").exists() and not (args.force or args.resume):
@@ -154,58 +148,45 @@ def cmd_train(args) -> int:
     if args.force:
         _clear_checkpoint(ckpt_dir)
 
-    inputs = np.stack([w.inputs for w in split.train_windows])
-    targets = np.stack([w.targets for w in split.train_windows])
     print(f"training {n_members} members (seeds {base_seed}.."
-          f"{base_seed + n_members - 1}) on {inputs.shape[0]} windows, "
+          f"{base_seed + n_members - 1}) on {len(windows)} windows, "
           f"architecture {arch.to_dict()}")
 
-    def run_member(k: int):
-        seed = base_seed + k
+    def reuse(k: int, seed: int):
+        """A finished member, if everything that determined it is unchanged."""
         path = member_path(ckpt_dir, k)
-        if args.resume and path.is_file():
-            try:
-                params, manifest = load_member(path)
-                if (manifest["seed"] == seed
-                        and manifest["architecture"] == arch.to_dict()):
-                    print(f"member {k}: reusing finished checkpoint")
-                    return params
-            except (DataIntegrityError, OSError) as exc:
-                logger.warning("member %d: cannot resume (%s); retraining", k, exc)
+        if not path.is_file():
+            return None
         try:
-            params, history = train_pnn(arch, (inputs, targets),
-                                        config.training, seed)
-        except DivergenceError as exc:
-            raise DivergenceError(f"member {k} (seed {seed}) diverged: {exc}",
-                                  sample_index=exc.sample_index,
-                                  epoch=exc.epoch, member=k) from None
-        save_member(path, params, history, config.training)
+            params, manifest = load_member(path)
+        except (DataIntegrityError, OSError) as exc:
+            logger.warning("member %d: cannot resume (%s); retraining", k, exc)
+            return None
+        expected = {"seed": seed, "architecture": arch.to_dict(),
+                    "train_config": dataclasses.asdict(config.training),
+                    "data_fingerprint": data_fingerprint}
+        stale = sorted(key for key, value in expected.items()
+                       if manifest.get(key) != value)
+        if stale:
+            logger.warning("member %d: checkpoint differs in %s; retraining",
+                           k, ", ".join(stale))
+            return None
+        print(f"member {k}: reusing finished checkpoint")
+        return params
+
+    def save(k: int, params, history) -> None:
+        save_member(member_path(ckpt_dir, k), params, history, config.training,
+                    data_fingerprint)
         print(f"member {k}: best loss {history.best_loss:.5f} at epoch "
               f"{history.best_epoch}, stopped ({history.stop_reason}) "
               f"after {history.stop_epoch} epochs")
-        return params
 
-    if args.threads > 1 and n_members > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(args.threads, n_members)) as pool:
-            members = list(pool.map(run_member, range(n_members)))
-    else:
-        members = [run_member(k) for k in range(n_members)]
-
-    model = EnsembleModel(
-        architecture=arch,
-        members=members,
-        base_seed=base_seed,
-        member_seeds=tuple(base_seed + k for k in range(n_members)),
+    model, _ = train_ensemble(
+        arch, (windows.inputs, windows.targets), config.training, n_members,
+        base_seed, resume=reuse if args.resume else None, progress=save,
         norm_stats=split.norm_stats,
-        preprocess={
-            "window_length": split.window_length,
-            "stride": split.stride,
-            "rul_cap": split.rul_cap,
-            "dropped_sensors": list(split.dropped_sensors),
-        },
-        data_fingerprint=archive_manifest["fingerprint"],
-    )
+        preprocess=_preprocess_dict(archive_manifest),
+        data_fingerprint=data_fingerprint)
     fingerprint = write_ensemble_manifest(ckpt_dir, model, config.training,
                                           config.resolved())
     print(f"checkpoint written to {ckpt_dir} (fingerprint {fingerprint[:12]})")
@@ -245,7 +226,7 @@ def cmd_evaluate(args) -> int:
     }
     for key, value in sorted((ev.reference or {}).items()):
         extra[f"reference_{key}"] = value
-    _atomic_write_text(out / "report.txt", report_to_text(report, extra))
+    atomic_write(out / "report.txt", report_to_text(report, extra))
     _write_json(out / "report.json", {
         "format_version": REPORT_VERSION,
         "kind": "rulens-evaluation",
@@ -408,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="overwrite existing outputs")
     shared.add_argument("--resume", action="store_true",
                         help="keep finished member checkpoints (train only)")
-    shared.add_argument("--threads", type=int, default=1,
-                        help="worker threads for member training")
     shared.add_argument("-v", "--verbose", action="store_true")
 
     parser = argparse.ArgumentParser(

@@ -13,13 +13,14 @@ import hashlib
 import io
 import json
 import logging
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .atomic import atomic_write
 from .config import PreprocessConfig
 from .errors import CmapssFormatError, DataIntegrityError
 
@@ -76,20 +77,41 @@ class NormStats:
 
 
 @dataclass
-class WindowSample:
-    """A fixed-length normalized slice of one unit plus per-step RUL targets."""
+class WindowView:
+    """Fixed-length windows over flat rows, picked by window start.
 
-    unit_id: int
-    end_cycle: int
-    inputs: np.ndarray       # [window_length, n_features]
-    targets: np.ndarray      # [window_length]
+    ``view`` is a sliding-window view (no copy) whose entry r is rows
+    r..r+L-1; ``starts`` lists the row offsets of the valid windows.
+    ``len()`` is the window count, and ``[idx]`` gathers windows idx into
+    a new array, so memory grows with the batch, not with the windows.
+    """
+
+    view: np.ndarray         # [n_rows - L + 1, L, ...]
+    starts: np.ndarray       # int64 row offsets
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.view[self.starts[idx]]
+
+
+@dataclass
+class TrainWindows:
+    """Normalized training windows and their capped per-step RUL targets."""
+
+    inputs: WindowView       # windows of [L, n_features]
+    targets: WindowView      # windows of [L]
+
+    def __len__(self) -> int:
+        return len(self.inputs)
 
 
 @dataclass
 class DatasetSplit:
     """Prepared train/test material plus the statistics that produced it."""
 
-    train_windows: list[WindowSample]
+    train_windows: TrainWindows
     train_units: list[UnitSeries]        # normalized, full history
     test_units: list[UnitSeries]         # normalized with the train stats
     norm_stats: NormStats
@@ -103,8 +125,6 @@ def _read_lines(text_source) -> Iterable[str]:
     if isinstance(text_source, (str, Path)):
         with open(text_source, "r") as fh:
             yield from fh
-    elif isinstance(text_source, io.IOBase) or hasattr(text_source, "read"):
-        yield from text_source
     else:
         yield from text_source
 
@@ -266,19 +286,6 @@ def apply_norm(units: Sequence[UnitSeries], stats: NormStats) -> list[UnitSeries
     return out
 
 
-def invert_norm(units: Sequence[UnitSeries], stats: NormStats) -> list[UnitSeries]:
-    """Inverse of apply_norm with the same stats (x * std + mean)."""
-    out = []
-    for unit in units:
-        _check_features(unit, stats)
-        raw = unit.features * stats.std + stats.mean
-        out.append(replace(
-            unit,
-            op_settings=np.ascontiguousarray(raw[:, :N_SETTINGS]),
-            sensors=np.ascontiguousarray(raw[:, N_SETTINGS:]),
-        ))
-    return out
-
 
 def make_rul_targets(unit: UnitSeries, rul_cap: int) -> np.ndarray:
     """Piecewise-linear target per cycle: min(rul_cap, last_cycle - cycle).
@@ -289,29 +296,38 @@ def make_rul_targets(unit: UnitSeries, rul_cap: int) -> np.ndarray:
     return np.minimum(float(rul_cap), remaining.astype(np.float64))
 
 
-def window_slices(unit: UnitSeries, targets: np.ndarray,
-                  window_length: int, stride: int) -> list[WindowSample]:
-    """Full-length sliding windows at offsets 0, stride, 2*stride, ...
+def _sliding(rows: np.ndarray, length: int) -> np.ndarray:
+    """[n - length + 1, length, ...] view whose entry r is rows r..r+length-1."""
+    if len(rows) < length:
+        return np.empty((0, length) + rows.shape[1:])
+    return np.moveaxis(sliding_window_view(rows, length, axis=0), -1, 1)
 
-    Yields floor((len - l) / s) + 1 windows when len >= l, else none.
-    Window inputs and targets are views into the unit arrays.
+
+def build_windows(units: Sequence[UnitSeries], window_length: int,
+                  stride: int, rul_cap: int) -> TrainWindows:
+    """Full-length windows at offsets 0, stride, 2*stride, ... of each unit.
+
+    A unit of n cycles gives floor((n - l) / s) + 1 windows when n >= l;
+    shorter units are skipped with a warning, and no window crosses from
+    one unit into the next. Windows are views into one flat copy of the
+    units' rows and targets.
     """
     if window_length < 1 or stride < 1:
         raise ValueError("window_length and stride must be >= 1")
-    n = len(unit)
-    if n < window_length:
-        return []
-    features = unit.features
-    samples = []
-    for start in range(0, n - window_length + 1, stride):
-        end = start + window_length
-        samples.append(WindowSample(
-            unit_id=unit.unit_id,
-            end_cycle=int(unit.cycles[end - 1]),
-            inputs=features[start:end],
-            targets=targets[start:end],
-        ))
-    return samples
+    starts, offset = [], 0
+    for unit in units:
+        n = len(unit)
+        if n < window_length:
+            logger.warning(
+                "skipping train unit %d: %d cycles < window length %d",
+                unit.unit_id, n, window_length)
+        starts.append(offset + np.arange(0, n - window_length + 1, stride))
+        offset += n
+    starts = np.concatenate(starts)
+    rows = np.vstack([u.features for u in units])
+    targets = np.concatenate([make_rul_targets(u, rul_cap) for u in units])
+    return TrainWindows(WindowView(_sliding(rows, window_length), starts),
+                        WindowView(_sliding(targets, window_length), starts))
 
 
 def prepare_split(train_units: Sequence[UnitSeries],
@@ -327,18 +343,9 @@ def prepare_split(train_units: Sequence[UnitSeries],
     stats = fit_norm_stats(train_sel, on_constant=cfg.constant_feature_policy)
     train_norm = apply_norm(train_sel, stats)
     test_norm = apply_norm(test_sel, stats)
-
-    windows: list[WindowSample] = []
-    for unit in train_norm:
-        if len(unit) < cfg.window_length:
-            logger.warning(
-                "skipping train unit %d: %d cycles < window length %d",
-                unit.unit_id, len(unit), cfg.window_length)
-            continue
-        targets = make_rul_targets(unit, cfg.rul_cap)
-        windows.extend(window_slices(unit, targets, cfg.window_length, cfg.stride))
     return DatasetSplit(
-        train_windows=windows,
+        train_windows=build_windows(train_norm, cfg.window_length, cfg.stride,
+                                    cfg.rul_cap),
         train_units=train_norm,
         test_units=test_norm,
         norm_stats=stats,
@@ -347,14 +354,6 @@ def prepare_split(train_units: Sequence[UnitSeries],
         rul_cap=cfg.rul_cap,
         dropped_sensors=cfg.dropped_sensors,
     )
-
-
-def load_dataset(train_file, test_file, rul_file, cfg: PreprocessConfig) -> DatasetSplit:
-    """Parse the three CMAPSS files and prepare a DatasetSplit."""
-    train_units = parse_cmapss(train_file)
-    test_units = parse_cmapss(test_file)
-    test_units = load_true_rul(rul_file, test_units)
-    return prepare_split(train_units, test_units, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +434,6 @@ def save_archive(split: DatasetSplit, directory, config_echo: dict,
     if manifest_path.exists() and not force:
         raise FileExistsError(
             f"archive already exists at {directory} (use force to overwrite)")
-    directory.mkdir(parents=True, exist_ok=True)
 
     train_ids, train_lengths, train_features, _ = _pack_units(split.train_units)
     test_ids, test_lengths, test_features, test_ruls = _pack_units(split.test_units)
@@ -454,21 +452,19 @@ def save_archive(split: DatasetSplit, directory, config_echo: dict,
         "fingerprint": split_fingerprint(split),
         "config": config_echo,
     }
-    tmp_arrays = directory / (ARCHIVE_ARRAYS + ".tmp")
-    with open(tmp_arrays, "wb") as fh:
-        np.savez(
-            fh,
-            norm_mean=split.norm_stats.mean,
-            norm_std=split.norm_stats.std,
-            train_ids=train_ids, train_lengths=train_lengths,
-            train_features=train_features,
-            test_ids=test_ids, test_lengths=test_lengths,
-            test_features=test_features, test_ruls=test_ruls,
-        )
-    os.replace(tmp_arrays, directory / ARCHIVE_ARRAYS)
-    tmp_manifest = directory / (ARCHIVE_MANIFEST + ".tmp")
-    tmp_manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp_manifest, manifest_path)
+    arrays = io.BytesIO()
+    np.savez(
+        arrays,
+        norm_mean=split.norm_stats.mean,
+        norm_std=split.norm_stats.std,
+        train_ids=train_ids, train_lengths=train_lengths,
+        train_features=train_features,
+        test_ids=test_ids, test_lengths=test_lengths,
+        test_features=test_features, test_ruls=test_ruls,
+    )
+    atomic_write(directory / ARCHIVE_ARRAYS, arrays.getvalue())
+    atomic_write(manifest_path,
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -500,14 +496,9 @@ def load_archive(directory) -> tuple[DatasetSplit, dict]:
     window_length = int(manifest["window_length"])
     stride = int(manifest["stride"])
     rul_cap = int(manifest["rul_cap"])
-    windows: list[WindowSample] = []
-    for unit in train_units:
-        if len(unit) < window_length:
-            continue
-        targets = make_rul_targets(unit, rul_cap)
-        windows.extend(window_slices(unit, targets, window_length, stride))
     split = DatasetSplit(
-        train_windows=windows,
+        train_windows=build_windows(train_units, window_length, stride,
+                                    rul_cap),
         train_units=train_units,
         test_units=test_units,
         norm_stats=stats,

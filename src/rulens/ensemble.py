@@ -10,13 +10,12 @@ epistemic part (the rest), both in nats with additive constants dropped.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmapss import NormStats, UnitSeries, WindowSample
+from .cmapss import NormStats, UnitSeries
 from .config import TrainingConfig
 from .errors import DivergenceError
 from .network import (Architecture, PnnParams, TrainHistory, forward_stacked,
@@ -137,60 +136,56 @@ def decompose_uncertainty(member_means: np.ndarray,
 
 
 def train_ensemble(arch: Architecture,
-                   train_windows: Sequence[WindowSample] | tuple[np.ndarray, np.ndarray],
+                   train_windows: tuple,
                    train_cfg: TrainingConfig,
                    n_members: int,
                    base_seed: int,
-                   threads: int = 1,
-                   progress: Callable[[int, TrainHistory], None] | None = None,
+                   resume: Callable[[int, int], PnnParams | None] | None = None,
+                   progress: Callable[[int, PnnParams, TrainHistory], None]
+                   | None = None,
                    norm_stats: NormStats | None = None,
                    preprocess: dict | None = None,
                    data_fingerprint: str | None = None,
-                   ) -> tuple[EnsembleModel, list[TrainHistory]]:
+                   ) -> tuple[EnsembleModel, list[TrainHistory | None]]:
     """Train n_members networks with seeds base_seed + k, k = 0..M-1.
 
-    Members are independent, so they may train on a thread pool; results are
-    assembled by member index, making the outcome identical for any thread
-    count. A diverging member raises DivergenceError naming the member.
-    The optional norm_stats / preprocess / data_fingerprint ride along on the
-    returned model so inference can re-create the model's input space.
+    train_windows is the (inputs, targets) pair train_pnn takes; a member
+    depends only on its seed and the data. resume(k, seed) may return
+    finished parameters, used as they are (history None). progress(k,
+    params, history) sees each newly trained member at once, so a caller
+    can persist it. A diverging member raises DivergenceError naming the
+    member. norm_stats / preprocess / data_fingerprint ride along on the
+    model so inference can re-create the model's input space.
     """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     seeds = [base_seed + k for k in range(n_members)]
-
-    def run(k: int) -> tuple[PnnParams, TrainHistory]:
-        try:
-            params, history = train_pnn(arch, train_windows, train_cfg, seeds[k])
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"member {k} (seed {seeds[k]}) diverged: {exc}",
-                sample_index=exc.sample_index, epoch=exc.epoch,
-                member=k) from None
-        logger.info("member %d (seed %d): best loss %.5f at epoch %d, %s after %d epochs",
-                    k, seeds[k], history.best_loss, history.best_epoch,
-                    history.stop_reason, history.stop_epoch)
-        if progress is not None:
-            progress(k, history)
-        return params, history
-
-    if threads == 1 or n_members == 1:
-        results = [run(k) for k in range(n_members)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, n_members)) as pool:
-            results = list(pool.map(run, range(n_members)))
+    members, histories = [], []
+    for k, seed in enumerate(seeds):
+        params = resume(k, seed) if resume is not None else None
+        history = None
+        if params is None:
+            try:
+                params, history = train_pnn(arch, train_windows, train_cfg, seed)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"member {k} (seed {seed}) diverged: {exc}",
+                    sample_index=exc.sample_index, epoch=exc.epoch,
+                    member=k) from None
+            if progress is not None:
+                progress(k, params, history)
+        members.append(params)
+        histories.append(history)
     model = EnsembleModel(
         architecture=arch,
-        members=[r[0] for r in results],
+        members=members,
         base_seed=base_seed,
         member_seeds=tuple(seeds),
         norm_stats=norm_stats,
         preprocess=preprocess,
         data_fingerprint=data_fingerprint,
     )
-    return model, [r[1] for r in results]
+    return model, histories
 
 
 def predict_members(model: EnsembleModel, seqs: Sequence[np.ndarray]
@@ -213,13 +208,6 @@ def predict_ensemble(model: EnsembleModel, inputs: np.ndarray) -> EnsemblePredic
     mu_star, var_star = aggregate(member_means, member_vars)
     return EnsemblePrediction(means=mu_star, variances=var_star,
                               member_means=member_means, member_vars=member_vars)
-
-
-def last_step_view(pred: EnsemblePrediction
-                   ) -> tuple[float, float, UncertaintyDecomposition]:
-    """(mixture mean, mixture variance, decomposition) at the final step."""
-    dec = decompose_uncertainty(pred.member_means[:, -1], pred.member_vars[:, -1])
-    return float(pred.means[-1]), float(pred.variances[-1]), dec
 
 
 def _check_feature_space(model: EnsembleModel, unit: UnitSeries) -> None:

@@ -256,16 +256,6 @@ def report_from_predictions(rows: Sequence[UnitPrediction], alpha: float,
         n=len(rows), alpha=alpha, score_convention=score_convention)
 
 
-def evaluate_on_test(model: EnsembleModel,
-                     test_units: Sequence[UnitSeries],
-                     alpha: float = 0.95,
-                     score_convention: str = "paper",
-                     per_step: bool = False) -> MetricReport:
-    """Per-unit last-step evaluation (or per-step with the flag)."""
-    rows = unit_predictions(model, test_units, alpha=alpha, per_step=per_step)
-    return report_from_predictions(rows, alpha, score_convention)
-
-
 _REPORT_FIELDS = ("rmse", "score", "picp", "nmpiw", "n", "alpha",
                   "score_convention")
 

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .cmapss import WindowSample
 from .config import TrainingConfig
 from .errors import DivergenceError
 
@@ -422,46 +421,6 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
     return {name: grads[name] for name in params.arrays}, loss
 
 
-def batch_loss(params: PnnParams, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean NLL over a batch, no gradients (finite-difference helper)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    mu, var, _ = _forward_batch(params, x, keep_cache=False)
-    return float(_nll_terms(mu, var, y).mean())
-
-
-def finite_diff_check(params: PnnParams, inputs: np.ndarray,
-                      targets: np.ndarray, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Perturbs every coordinate, so the parameter count is capped at 10,000.
-    Relative error per coordinate: |a - n| / max(1e-8, |a| + |n|).
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be strictly positive")
-    n_params = params.arch.n_params()
-    if n_params > 10_000:
-        raise ValueError(f"{n_params} parameters; finite differences capped at 10000")
-    analytic, _ = grad(params, inputs, targets)
-    work = params.copy()
-    worst = 0.0
-    for name, arr in work.arrays.items():
-        flat = arr.ravel()
-        g_flat = analytic[name].ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + epsilon
-            up = batch_loss(work, inputs, targets)
-            flat[j] = orig - epsilon
-            down = batch_loss(work, inputs, targets)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            a = g_flat[j]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, err)
-    return worst
-
-
 def init_adam(params: PnnParams, cfg: TrainingConfig) -> OptimizerState:
     zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
     return OptimizerState(
@@ -506,20 +465,13 @@ def clip_global_norm(grads: dict[str, np.ndarray],
     return grads, total
 
 
-def _stack_windows(windows) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(windows, tuple) and len(windows) == 2:
-        return (np.asarray(windows[0], dtype=np.float64),
-                np.asarray(windows[1], dtype=np.float64))
-    inputs = np.stack([w.inputs for w in windows]).astype(np.float64)
-    targets = np.stack([w.targets for w in windows]).astype(np.float64)
-    return inputs, targets
-
-
-def train_pnn(arch: Architecture,
-              train_windows: Sequence[WindowSample] | tuple[np.ndarray, np.ndarray],
-              cfg: TrainingConfig,
+def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
               seed: int) -> tuple[PnnParams, TrainHistory]:
     """Train one member with Adam on shuffled mini-batches.
+
+    train_windows is (inputs, targets); each supports len() and indexing by
+    an index array, giving [B, T, F] and [B, T]. Numpy arrays qualify, and
+    so do the gathering views of cmapss.TrainWindows.
 
     Deterministic: the parameter draw and the per-epoch shuffle stream both
     derive from the seed, so (seed, data, config) fully determines the
@@ -528,8 +480,8 @@ def train_pnn(arch: Architecture,
     without a new best training loss; the returned parameters are the
     best-loss snapshot.
     """
-    inputs, targets = _stack_windows(train_windows)
-    n = inputs.shape[0]
+    inputs, targets = train_windows
+    n = len(inputs)
     if n == 0:
         raise ValueError("no training windows")
 

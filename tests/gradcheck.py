@@ -1,0 +1,49 @@
+"""Finite-difference oracle for the hand-derived gradients in rulens.network.
+
+Shared by the gradient tests and acceptance criterion 1; it is the check
+on grad, not part of the library.
+"""
+
+import numpy as np
+
+from rulens.network import PnnParams, _forward_batch, _nll_terms, grad
+
+
+def batch_loss(params: PnnParams, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean NLL over a batch, no gradients (finite-difference helper)."""
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    mu, var, _ = _forward_batch(params, x, keep_cache=False)
+    return float(_nll_terms(mu, var, y).mean())
+
+
+def finite_diff_check(params: PnnParams, inputs: np.ndarray,
+                      targets: np.ndarray, epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Perturbs every coordinate, so the parameter count is capped at 10,000.
+    Relative error per coordinate: |a - n| / max(1e-8, |a| + |n|).
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be strictly positive")
+    n_params = params.arch.n_params()
+    if n_params > 10_000:
+        raise ValueError(f"{n_params} parameters; finite differences capped at 10000")
+    analytic, _ = grad(params, inputs, targets)
+    work = params.copy()
+    worst = 0.0
+    for name, arr in work.arrays.items():
+        flat = arr.ravel()
+        g_flat = analytic[name].ravel()
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + epsilon
+            up = batch_loss(work, inputs, targets)
+            flat[j] = orig - epsilon
+            down = batch_loss(work, inputs, targets)
+            flat[j] = orig
+            numeric = (up - down) / (2.0 * epsilon)
+            a = g_flat[j]
+            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            worst = max(worst, err)
+    return worst

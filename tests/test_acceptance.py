@@ -20,7 +20,8 @@ from rulens.config import TrainingConfig
 from rulens.ensemble import (aggregate, decompose_uncertainty, predict_members,
                              train_ensemble)
 from rulens.metrics import interval_bounds, nasa_score, nmpiw, picp
-from rulens.network import Architecture, finite_diff_check, init_params
+from gradcheck import finite_diff_check
+from rulens.network import Architecture, init_params
 
 
 class TestCriterion1GradientCorrectness:
@@ -166,7 +167,7 @@ class TestCriterion5SyntheticCalibration:
         arch = Architecture(2, (12,), (2,))
         cfg = TrainingConfig(max_epochs=30, early_stop_start=20, patience=3)
         model, _ = train_ensemble(arch, (x_train, y_train), cfg,
-                                  n_members=5, base_seed=902, threads=5)
+                                  n_members=5, base_seed=902)
 
         preds = predict_members(model, list(x_test))
         means = np.stack([m for m, _ in preds], axis=1)
@@ -209,7 +210,7 @@ def fd001_desk_run(tmp_path_factory):
     start = time.monotonic()
     assert run_cli("ingest", "--config", config, "--preset", "desk") == 0
     assert run_cli("train", "--config", config, "--preset", "desk",
-                   "--archive", run_dir / "archive", "--threads", "5") == 0
+                   "--archive", run_dir / "archive") == 0
     return {"config": config, "run_dir": run_dir,
             "train_seconds": time.monotonic() - start}
 
@@ -236,8 +237,7 @@ class TestCriterion6Fd001Reproduction:
         run_dir = tmp_path / "run"
         assert run_cli("ingest", "--config", config) == 0
         assert run_cli("train", "--config", config,
-                       "--archive", run_dir / "archive",
-                       "--threads", str(os.cpu_count() or 4)) == 0
+                       "--archive", run_dir / "archive") == 0
         assert run_cli("evaluate", "--config", config,
                        "--checkpoint", run_dir / "checkpoint",
                        "--archive", run_dir / "archive") == 0

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rulens.checkpoints import (ensemble_fingerprint, load_ensemble,
-                                load_member, member_path, save_ensemble,
-                                save_member, write_ensemble_manifest)
+                                load_member, member_path, save_member,
+                                write_ensemble_manifest)
 from rulens.cmapss import NormStats
 from rulens.config import TrainingConfig
 from rulens.ensemble import train_ensemble
@@ -44,6 +44,14 @@ def small_ensemble():
     return model, hists
 
 
+def save_ensemble(ckpt_dir, model, hists, train_cfg, config_echo=None):
+    """Member files, then the manifest: the order the train command uses."""
+    for k, (params, history) in enumerate(zip(model.members, hists)):
+        save_member(member_path(ckpt_dir, k), params, history, train_cfg,
+                    model.data_fingerprint)
+    return write_ensemble_manifest(ckpt_dir, model, train_cfg, config_echo)
+
+
 class TestMemberRoundTrip:
     def test_params_bit_exact(self, trained, tmp_path):
         params, history = trained
@@ -58,6 +66,17 @@ class TestMemberRoundTrip:
         assert manifest["history"]["stop_reason"] == history.stop_reason
         assert manifest["history"]["epoch_losses"] == list(history.epoch_losses)
         assert manifest["train_config"]["max_epochs"] == CFG.max_epochs
+        assert manifest["data_fingerprint"] is None
+
+    def test_header_records_data_fingerprint(self, trained, tmp_path):
+        params, history = trained
+        path = tmp_path / "m.ckpt"
+        checksum = save_member(path, params, history, CFG, "ab" * 32)
+        _, manifest = load_member(path)
+        assert manifest["data_fingerprint"] == "ab" * 32
+        # the header is outside the payload checksum
+        assert checksum == save_member(tmp_path / "n.ckpt", params, history,
+                                       CFG)
 
     def test_repeat_saves_byte_identical(self, trained, tmp_path):
         params, history = trained
@@ -188,11 +207,6 @@ class TestEnsembleCheckpoint:
         assert fp != ensemble_fingerprint(
             dict(base, member_checksums=["aa", "bb", "ff"]))
         assert fp != ensemble_fingerprint(dict(base, data_fingerprint="e" * 64))
-
-    def test_history_count_guard(self, small_ensemble, tmp_path):
-        model, hists = small_ensemble
-        with pytest.raises(ValueError, match="history"):
-            save_ensemble(tmp_path, model, hists[:-1], CFG)
 
     def test_member_seed_mismatch_detected(self, small_ensemble, tmp_path):
         model, hists = small_ensemble

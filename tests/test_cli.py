@@ -4,10 +4,15 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from conftest import run_cli
+from rulens.checkpoints import load_member, member_path
+from rulens.cmapss import load_archive
+from rulens.config import load_config
+from rulens.network import Architecture, train_pnn
 from rulens.synthetic import write_synthetic_dataset
 
 
@@ -22,7 +27,6 @@ def _tsv_rows(path: Path) -> list[list[str]]:
 
 
 def _unit_ids(archive: Path, split: str) -> list[int]:
-    import numpy as np
     with np.load(archive / "arrays.npz") as arrays:
         return [int(u) for u in arrays[f"{split}_ids"]]
 
@@ -115,15 +119,79 @@ class TestTrain:
         assert manifest["n_members"] == 2
         assert manifest["member_seeds"] == [237, 238]
 
-    def test_threads_do_not_change_artifacts(self, trained_run, tmp_path):
-        out = tmp_path / "threaded"
+    def test_member_files_match_train_pnn_alone(self, trained_run):
+        # results do not depend on the execution layout: member k's payload
+        # is what train_pnn gives for seed base_seed + k on its own, over
+        # the archive's windows stacked into plain arrays
+        config = load_config(trained_run["config"])
+        split, _ = load_archive(trained_run["archive"])
+        every = np.arange(len(split.train_windows))
+        data = (split.train_windows.inputs[every],
+                split.train_windows.targets[every])
+        arch = Architecture(len(split.norm_stats.feature_names),
+                            config.architecture.recurrent_layers,
+                            config.architecture.dense_layers)
+        for k in range(config.ensemble.members):
+            solo, history = train_pnn(arch, data, config.training,
+                                      config.ensemble.base_seed + k)
+            payload = b"".join(solo.arrays[name].astype("<f8").tobytes()
+                               for name in arch.param_shapes())
+            path = member_path(trained_run["checkpoint"], k)
+            assert path.read_bytes().split(b"\n", 1)[1] == payload
+            _, manifest = load_member(path)
+            assert manifest["history"]["epoch_losses"] == history.epoch_losses
+
+    @pytest.mark.parametrize("change", ["max_epochs", "rul_cap"])
+    def test_resume_retrains_members_from_other_settings(
+            self, trained_run, tmp_path, capsys, caplog, change):
+        # a finished member is reused only if seed, architecture, training
+        # config and the archive's data fingerprint all still match
+        cfg = yaml.safe_load(Path(trained_run["config"]).read_text())
+        archive = trained_run["archive"]
+        if change == "max_epochs":
+            cfg["training"]["max_epochs"] += 1
+        else:
+            cfg["preprocessing"]["rul_cap"] += 10
+        config = tmp_path / "changed.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        if change == "rul_cap":
+            archive = tmp_path / "archive"
+            assert run_cli("ingest", "--config", config, "--out", archive) == 0
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run["checkpoint"], ckpt)
+        capsys.readouterr()
+        assert run_cli("train", "--config", config, "--archive", archive,
+                       "--out", ckpt, "--resume") == 0
+        assert "reusing" not in capsys.readouterr().out
+        assert caplog.text.count("retraining") == 3
+        fingerprint = _read_json(archive / "manifest.json")["fingerprint"]
+        for k in range(3):
+            _, manifest = load_member(member_path(ckpt, k))
+            assert manifest["data_fingerprint"] == fingerprint
+            assert manifest["train_config"]["max_epochs"] == \
+                cfg["training"]["max_epochs"]
+        assert _read_json(ckpt / "ensemble.json")["data_fingerprint"] == \
+            fingerprint
+
+    def test_resume_retrains_member_without_data_fingerprint(
+            self, trained_run, tmp_path, capsys, caplog):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run["checkpoint"], ckpt)
+        member = member_path(ckpt, 1)
+        keep = member.read_bytes()
+        header, payload = keep.split(b"\n", 1)
+        manifest = json.loads(header)
+        del manifest["data_fingerprint"]
+        member.write_bytes(json.dumps(manifest, sort_keys=True).encode()
+                           + b"\n" + payload)
         assert run_cli("train", "--config", trained_run["config"],
                        "--archive", trained_run["archive"],
-                       "--out", out, "--threads", "3") == 0
-        ckpt = trained_run["checkpoint"]
-        for name in ("member_000.ckpt", "member_001.ckpt", "member_002.ckpt"):
-            assert (out / "members" / name).read_bytes() == \
-                (ckpt / "members" / name).read_bytes()
+                       "--out", ckpt, "--resume") == 0
+        out = capsys.readouterr().out
+        assert "member 0: reusing" in out and "member 2: reusing" in out
+        assert "member 1: reusing" not in out
+        assert "member 1: checkpoint differs in data_fingerprint" in caplog.text
+        assert member.read_bytes() == keep
 
     def test_missing_archive_is_user_error(self, trained_run, tmp_path,
                                            capsys):

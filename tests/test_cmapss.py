@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulens.cmapss import (N_SENSORS, NormStats, UnitSeries, apply_norm,
-                           drop_sensors, fit_norm_stats, format_cmapss,
-                           invert_norm, load_archive, load_dataset,
-                           load_true_rul, make_rul_targets, norm_fingerprint,
-                           parse_cmapss, prepare_split, save_archive,
-                           split_fingerprint, window_slices)
+                           build_windows, drop_sensors, fit_norm_stats,
+                           format_cmapss, load_archive, load_true_rul,
+                           make_rul_targets, norm_fingerprint, parse_cmapss,
+                           prepare_split, save_archive, split_fingerprint)
 from rulens.config import PreprocessConfig
 from rulens.errors import CmapssFormatError, DataIntegrityError
 from rulens.synthetic import CONSTANT_SENSORS, make_synthetic_units
@@ -197,8 +196,9 @@ class TestNormStats:
     def test_invert_norm_identity(self, seed):
         unit = _unit(30, seed=seed)
         stats = fit_norm_stats([unit])
-        back = invert_norm(apply_norm([unit], stats), stats)[0]
-        assert np.allclose(back.features, unit.features, rtol=1e-12, atol=1e-9)
+        normed = apply_norm([unit], stats)[0]
+        back = normed.features * stats.std + stats.mean
+        assert np.allclose(back, unit.features, rtol=1e-12, atol=1e-9)
 
 
 class TestRulTargets:
@@ -223,44 +223,69 @@ class TestRulTargets:
         assert targets[-1] == 0.0
 
 
+def _blank(n: int, unit_id: int = 1) -> UnitSeries:
+    return UnitSeries(unit_id, np.arange(1, n + 1),
+                      np.zeros((n, 3)), np.zeros((n, 1)), (1,))
+
+
 class TestWindows:
     def test_spec_counts(self):
         for n, expect in ((105, 6), (100, 1), (99, 0)):
-            unit = _unit(n)
-            wins = window_slices(unit, make_rul_targets(unit, 128), 100, 1)
-            assert len(wins) == expect
+            assert len(build_windows([_unit(n)], 100, 1, 128)) == expect
 
     def test_window_contents_are_views_with_correct_slices(self):
         unit = _unit(40)
         targets = make_rul_targets(unit, 10)
-        wins = window_slices(unit, targets, 30, 2)
+        wins = build_windows([unit], 30, 2, 10)
         assert len(wins) == 6
-        assert wins[0].end_cycle == 30 and wins[-1].end_cycle == 40
-        assert np.array_equal(wins[1].inputs, unit.features[2:32])
-        assert np.array_equal(wins[1].targets, targets[2:32])
+        assert list(wins.inputs.starts) == [0, 2, 4, 6, 8, 10]
+        assert not wins.inputs.view.flags.owndata
+        assert np.array_equal(wins.inputs[1], unit.features[2:32])
+        assert np.array_equal(wins.targets[1], targets[2:32])
+        assert np.array_equal(wins.inputs[np.array([5])][0],
+                              unit.features[10:40])
+        batch = wins.inputs[np.array([4, 1])]
+        assert batch.shape == (2, 30, 24) and batch.flags.c_contiguous
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 200))
     def test_count_formula_matches_enumeration(self, n, length, stride):
-        unit = _unit(min(n, 3))  # placeholder arrays; only lengths matter
-        unit = UnitSeries(1, np.arange(1, n + 1),
-                          np.zeros((n, 3)), np.zeros((n, 1)), (1,))
-        wins = window_slices(unit, np.zeros(n), length, stride)
+        wins = build_windows([_blank(n)], length, stride, 128)
         if n < length:
-            assert wins == []
+            assert len(wins) == 0
         else:
             assert len(wins) == (n - length) // stride + 1
             assert len(wins) == len(range(0, n - length + 1, stride))
 
     def test_exhaustive_small_cases(self):
         for n in range(1, 41):
-            unit = UnitSeries(1, np.arange(1, n + 1),
-                              np.zeros((n, 3)), np.zeros((n, 1)), (1,))
+            unit = _blank(n)
             for length in range(1, 41):
                 for stride in range(1, 41):
-                    count = len(window_slices(unit, np.zeros(n), length, stride))
+                    count = len(build_windows([unit], length, stride, 128))
                     expect = (n - length) // stride + 1 if n >= length else 0
                     assert count == expect
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=5),
+           st.integers(1, 12), st.integers(1, 4))
+    def test_no_window_crosses_a_unit(self, lengths, length, stride):
+        units = [_unit(n, unit_id=k + 1, seed=k) for k, n in enumerate(lengths)]
+        wins = build_windows(units, length, stride, 7)
+        expected_x, expected_y = [], []
+        for unit in units:
+            targets = make_rul_targets(unit, 7)
+            for s in range(0, len(unit) - length + 1, stride):
+                expected_x.append(unit.features[s:s + length])
+                expected_y.append(targets[s:s + length])
+        assert len(wins) == len(expected_x)
+        for k in range(len(wins)):
+            assert np.array_equal(wins.inputs[k], expected_x[k])
+            assert np.array_equal(wins.targets[k], expected_y[k])
+
+    def test_bad_settings_rejected(self):
+        with pytest.raises(ValueError, match="stride"):
+            build_windows([_unit(5)], 2, 0, 10)
 
 
 class TestPrepareSplit:
@@ -272,7 +297,7 @@ class TestPrepareSplit:
         assert len(split.norm_stats.feature_names) == 18
         # constant columns of the synthetic set mirror the real pattern
         assert set(split.norm_stats.constant_features) == {"setting_3"}
-        assert all(w.inputs.shape == (30, 18) for w in split.train_windows)
+        assert split.train_windows.inputs.view.shape[1:] == (30, 18)
         expected = sum(len(u) - 30 + 1 for u in train)
         assert len(split.train_windows) == expected
         # test units normalized with train stats, stats finite
@@ -287,7 +312,10 @@ class TestPrepareSplit:
         with caplog.at_level("WARNING"):
             split = prepare_split(train, [], cfg)
         assert "unit 99" in caplog.text
-        assert all(w.unit_id != 99 for w in split.train_windows)
+        # unit 99 holds the first 10 rows; no window starts inside it
+        starts = split.train_windows.inputs.starts
+        assert starts.min() >= 10
+        assert len(starts) == sum(max(0, len(u) - 29) for u in train[1:])
 
     def test_constant_policy_error_propagates(self):
         train = make_synthetic_units(2, seed=4, min_len=40, max_len=50)
@@ -301,8 +329,9 @@ class TestArchive:
     @pytest.fixture()
     def split(self, synth_dataset):
         cfg = PreprocessConfig(window_length=30, rul_cap=50)
-        return load_dataset(synth_dataset["train"], synth_dataset["test"],
-                            synth_dataset["rul"], cfg)
+        test = load_true_rul(synth_dataset["rul"],
+                             parse_cmapss(synth_dataset["test"]))
+        return prepare_split(parse_cmapss(synth_dataset["train"]), test, cfg)
 
     def test_round_trip(self, split, tmp_path):
         manifest = save_archive(split, tmp_path / "arc", {"demo": 1})
@@ -310,11 +339,20 @@ class TestArchive:
         assert manifest["fingerprint"] == manifest2["fingerprint"]
         assert split_fingerprint(again) == split_fingerprint(split)
         assert len(again.train_windows) == len(split.train_windows)
-        assert np.array_equal(again.train_windows[0].inputs,
-                              split.train_windows[0].inputs)
+        assert np.array_equal(again.train_windows.inputs[0],
+                              split.train_windows.inputs[0])
         assert [u.true_final_rul for u in again.test_units] == \
                [u.true_final_rul for u in split.test_units]
         assert np.array_equal(again.norm_stats.mean, split.norm_stats.mean)
+
+    def test_loaded_windows_equal_prepared_windows(self, split, tmp_path):
+        save_archive(split, tmp_path / "arc", {})
+        again, _ = load_archive(tmp_path / "arc")
+        ours, theirs = split.train_windows, again.train_windows
+        assert np.array_equal(ours.inputs.starts, theirs.inputs.starts)
+        every = np.arange(len(ours))
+        assert np.array_equal(ours.inputs[every], theirs.inputs[every])
+        assert np.array_equal(ours.targets[every], theirs.targets[every])
 
     def test_overwrite_guard(self, split, tmp_path):
         save_archive(split, tmp_path / "arc", {})

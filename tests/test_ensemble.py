@@ -10,10 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from rulens.cmapss import NormStats, UnitSeries
 from rulens.config import TrainingConfig
-from rulens.ensemble import (EnsembleModel, EnsemblePrediction, aggregate,
+from rulens.ensemble import (EnsembleModel, aggregate,
                              dataset_uncertainty_profile, decompose_uncertainty,
-                             last_step_view, member_mean, predict_ensemble,
-                             train_ensemble)
+                             member_mean, predict_ensemble, train_ensemble)
 from rulens.errors import DivergenceError
 from rulens.network import Architecture, forward, init_params, train_pnn
 
@@ -182,16 +181,36 @@ class TestTrainEnsemble:
             assert all(np.array_equal(pa.arrays[k], pb.arrays[k])
                        for k in pa.arrays)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_each_member_matches_train_pnn_alone(self):
+        # a member depends on its seed and the data only, not on the
+        # members trained before it
         data = _toy_data()
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
-        seq, seq_h = train_ensemble(ARCH, data, cfg, n_members=4, base_seed=3)
-        par, par_h = train_ensemble(ARCH, data, cfg, n_members=4, base_seed=3,
-                                    threads=4)
-        for pa, pb in zip(seq.members, par.members):
-            assert all(np.array_equal(pa.arrays[k], pb.arrays[k])
-                       for k in pa.arrays)
-        assert [h.epoch_losses for h in seq_h] == [h.epoch_losses for h in par_h]
+        model, hists = train_ensemble(ARCH, data, cfg, n_members=4,
+                                      base_seed=3)
+        for k in (3, 1):
+            solo, solo_hist = train_pnn(ARCH, data, cfg, seed=3 + k)
+            assert all(np.array_equal(model.members[k].arrays[name],
+                                      solo.arrays[name]) for name in solo.arrays)
+            assert hists[k].epoch_losses == solo_hist.epoch_losses
+
+    def test_resume_hook_skips_finished_members(self):
+        data = _toy_data(n=8)
+        cfg = TrainingConfig(max_epochs=1, batch_size=8)
+        done = init_params(ARCH, seed=51)
+        asked, trained = [], []
+
+        def resume(k, seed):
+            asked.append((k, seed))
+            return done if k == 1 else None
+
+        model, hists = train_ensemble(
+            ARCH, data, cfg, n_members=3, base_seed=50, resume=resume,
+            progress=lambda k, p, h: trained.append(k))
+        assert asked == [(0, 50), (1, 51), (2, 52)]
+        assert trained == [0, 2]
+        assert model.members[1] is done and hists[1] is None
+        assert hists[0].stop_epoch == hists[2].stop_epoch == 1
 
     def test_divergence_names_member(self):
         x, y = _toy_data(n=8)
@@ -207,17 +226,16 @@ class TestTrainEnsemble:
         data = _toy_data(n=8)
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
         seen = []
-        train_ensemble(ARCH, data, cfg, n_members=3, base_seed=9,
-                       progress=lambda k, h: seen.append((k, h.stop_epoch)))
-        assert sorted(seen) == [(0, 1), (1, 1), (2, 1)]
+        model, _ = train_ensemble(
+            ARCH, data, cfg, n_members=3, base_seed=9,
+            progress=lambda k, p, h: seen.append((k, p, h.stop_epoch)))
+        assert seen == [(k, model.members[k], 1) for k in range(3)]
 
     def test_argument_guards(self):
         data = _toy_data(n=4)
         cfg = TrainingConfig(max_epochs=1)
         with pytest.raises(ValueError):
             train_ensemble(ARCH, data, cfg, n_members=0, base_seed=0)
-        with pytest.raises(ValueError):
-            train_ensemble(ARCH, data, cfg, n_members=2, base_seed=0, threads=0)
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +272,8 @@ class TestPredictEnsemble:
         single = forward(params, x)
         assert np.array_equal(pred.means, single.means)
         assert np.array_equal(pred.variances, single.variances)
-        _, _, dec = last_step_view(pred)
+        dec = decompose_uncertainty(pred.member_means[:, -1],
+                                    pred.member_vars[:, -1])
         assert dec.epistemic == 0.0
 
     def test_rejects_batched_input(self, tiny_model):
@@ -263,25 +282,26 @@ class TestPredictEnsemble:
 
 
 class TestLastStepView:
-    def test_single_step_identity(self):
-        pred = EnsemblePrediction(
-            means=np.array([1.5]), variances=np.array([2.5]),
-            member_means=np.array([[1.0], [2.0]]),
-            member_vars=np.array([[2.0], [3.0]]))
-        mu, var, dec = last_step_view(pred)
-        assert mu == 1.5 and var == 2.5
-        direct = decompose_uncertainty(np.array([1.0, 2.0]),
-                                       np.array([2.0, 3.0]))
-        assert dec == direct
+    def test_single_step_identity(self, profile_model):
+        # a one-cycle unit: its profile row is the decomposition of the
+        # members' only step
+        unit = _make_unit(4, 1, seed=3)
+        [row] = dataset_uncertainty_profile(profile_model, [unit])
+        pred = predict_ensemble(profile_model, unit.features)
+        direct = decompose_uncertainty(pred.member_means[:, 0],
+                                       pred.member_vars[:, 0])
+        assert (row.unit_id, row.end_cycle) == (4, 1)
+        assert (row.aleatoric, row.epistemic, row.total) == \
+            (direct.aleatoric, direct.epistemic, direct.total)
 
     def test_constant_over_time_matches_any_step(self):
         member_means = np.tile([[0.0], [2.0]], (1, 4))
         member_vars = np.ones((2, 4))
         mu, var = aggregate(member_means, member_vars)
-        pred = EnsemblePrediction(mu, var, member_means, member_vars)
-        mu_last, var_last, dec = last_step_view(pred)
-        assert mu_last == mu[0] and var_last == var[0]
-        assert dec.epistemic == pytest.approx(np.log(2.0), rel=1e-12)
+        dec = decompose_uncertainty(member_means, member_vars)
+        assert np.all(mu == mu[-1]) and np.all(var == var[-1])
+        assert np.all(dec.epistemic == dec.epistemic[-1])
+        assert dec.epistemic[-1] == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def _make_unit(unit_id, n_cycles, seed, n_sensors=1):
@@ -318,7 +338,8 @@ class TestDatasetUncertaintyProfile:
         assert [r.end_cycle for r in rows] == [8, 6]
         # rows must agree with the one-sequence prediction path
         pred = predict_ensemble(profile_model, units[0].features)
-        _, _, dec = last_step_view(pred)
+        dec = decompose_uncertainty(pred.member_means[:, -1],
+                                    pred.member_vars[:, -1])
         assert rows[0].epistemic == pytest.approx(dec.epistemic, rel=1e-12)
         assert rows[0].aleatoric == pytest.approx(dec.aleatoric, rel=1e-12)
         assert rows[0].total == pytest.approx(dec.total, rel=1e-12)

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from rulens.cmapss import UnitSeries
 from rulens.config import TrainingConfig
 from rulens.ensemble import train_ensemble
-from rulens.metrics import (SCORE_CONSTANTS, UnitPrediction, evaluate_on_test,
-                            interval_bounds, kde, nasa_score, nmpiw,
-                            normal_quantile, picp, report_from_predictions,
-                            report_to_dict, report_to_text, rmse,
-                            unit_predictions)
+from rulens.metrics import (SCORE_CONSTANTS, UnitPrediction, interval_bounds,
+                            kde, nasa_score, nmpiw, normal_quantile, picp,
+                            report_from_predictions, report_to_dict,
+                            report_to_text, rmse, unit_predictions)
 from rulens.network import Architecture
 
 E_MINUS_1 = np.e - 1.0
@@ -361,7 +360,8 @@ class TestEvaluateOnTest:
 
     def test_report_end_to_end(self, eval_model):
         units = [_test_unit(i, 6 + i, 10 * i, seed=i) for i in range(1, 5)]
-        rep = evaluate_on_test(eval_model, units, alpha=0.95)
+        rows = unit_predictions(eval_model, units, alpha=0.95)
+        rep = report_from_predictions(rows, 0.95)
         assert rep.n == 4
         assert rep.rmse > 0
         assert 0.0 <= rep.picp <= 1.0

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import batch_loss, finite_diff_check
+from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
 from rulens.config import TrainingConfig
 from rulens.errors import DivergenceError
 from rulens.network import (VAR_FLOOR, Architecture, GaussianSeqPrediction,
-                            PnnParams, adam_step, batch_loss, clip_global_norm,
-                            finite_diff_check, forward, gaussian_nll, grad,
-                            init_adam, init_params, train_pnn)
+                            PnnParams, adam_step, clip_global_norm, forward,
+                            gaussian_nll, grad, init_adam, init_params,
+                            train_pnn)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -383,15 +385,25 @@ class TestTrainLoop:
             train_pnn(Architecture(2, (3,), (2,)), (x, y), cfg, seed=0)
         assert err.value.epoch == 1
 
-    def test_accepts_window_samples(self):
-        from rulens.cmapss import WindowSample
-        x, y = self._data(n=8)
-        windows = [WindowSample(1, i, x[i], y[i]) for i in range(8)]
-        cfg = TrainingConfig(max_epochs=2, batch_size=4)
-        params, hist = train_pnn(Architecture(2, (3,), (2,)), windows, cfg, 7)
-        direct, hist2 = train_pnn(Architecture(2, (3,), (2,)), (x, y), cfg, 7)
+    def test_gathered_views_match_stacked_arrays(self):
+        # windows gathered from the sliding views train bit-identically to
+        # the same windows stacked into [N, T, F] / [N, T] arrays
+        rng = np.random.default_rng(8)
+        units = [UnitSeries(uid, np.arange(1, n + 1), rng.normal(size=(n, 3)),
+                            rng.normal(size=(n, 2)), (2, 3))
+                 for uid, n in ((1, 14), (2, 4), (3, 11))]
+        windows = build_windows(units, 6, 1, 7)
+        spans = [(u, s) for u in units for s in range(len(u) - 5)]
+        x = np.stack([u.features[s:s + 6] for u, s in spans])
+        y = np.stack([make_rul_targets(u, 7)[s:s + 6] for u, s in spans])
+        assert x.shape == (15, 6, 5) and len(windows) == 15
+        arch = Architecture(5, (3,), (2,))
+        cfg = TrainingConfig(max_epochs=3, batch_size=4)
+        params, hist = train_pnn(arch, (windows.inputs, windows.targets), cfg, 7)
+        direct, hist2 = train_pnn(arch, (x, y), cfg, 7)
         assert all(np.array_equal(params.arrays[k], direct.arrays[k])
                    for k in params.arrays)
+        assert hist.epoch_losses == hist2.epoch_losses
 
     def test_batch_loss_matches_grad_loss(self):
         x, y = self._data(n=6)
