@@ -111,7 +111,6 @@ class TrainWindows:
 class DatasetSplit:
     """Prepared train/test material plus the statistics that produced it."""
 
-    train_windows: TrainWindows
     train_units: list[UnitSeries]        # normalized, full history
     test_units: list[UnitSeries]         # normalized with the train stats
     norm_stats: NormStats
@@ -119,6 +118,13 @@ class DatasetSplit:
     stride: int
     rul_cap: int
     dropped_sensors: tuple[int, ...]
+
+    @property
+    def train_windows(self) -> TrainWindows:
+        """Training windows, built from train_units on each access, so only
+        the code that reads them pays for them."""
+        return build_windows(self.train_units, self.window_length,
+                             self.stride, self.rul_cap)
 
 
 def _read_lines(text_source) -> Iterable[str]:
@@ -265,18 +271,20 @@ def fit_norm_stats(train_units: Sequence[UnitSeries],
                      constant_features=tuple(constant))
 
 
-def _check_features(unit: UnitSeries, stats: NormStats) -> None:
+def check_features(unit: UnitSeries, stats: NormStats) -> None:
+    """Refuse a unit whose feature layout is not the one stats were fit on."""
     if unit.feature_names != stats.feature_names:
         raise DataIntegrityError(
             f"unit {unit.unit_id} feature layout {unit.feature_names} does not "
-            f"match normalization stats {stats.feature_names}")
+            f"match normalization stats {stats.feature_names}; drop sensors "
+            "and normalize with the model's stats first")
 
 
 def apply_norm(units: Sequence[UnitSeries], stats: NormStats) -> list[UnitSeries]:
     """Replace every value by (x - mean) / std using the fitted stats."""
     out = []
     for unit in units:
-        _check_features(unit, stats)
+        check_features(unit, stats)
         normed = (unit.features - stats.mean) / stats.std
         out.append(replace(
             unit,
@@ -336,7 +344,6 @@ def prepare_split(train_units: Sequence[UnitSeries],
     """Run the full preprocessing chain and assemble a DatasetSplit.
 
     Test units are normalized with the training stats, never their own.
-    Training units shorter than the window are skipped with a warning.
     """
     train_sel = drop_sensors(train_units, cfg.dropped_sensors)
     test_sel = drop_sensors(test_units, cfg.dropped_sensors)
@@ -344,8 +351,6 @@ def prepare_split(train_units: Sequence[UnitSeries],
     train_norm = apply_norm(train_sel, stats)
     test_norm = apply_norm(test_sel, stats)
     return DatasetSplit(
-        train_windows=build_windows(train_norm, cfg.window_length, cfg.stride,
-                                    cfg.rul_cap),
         train_units=train_norm,
         test_units=test_norm,
         norm_stats=stats,
@@ -469,7 +474,7 @@ def save_archive(split: DatasetSplit, directory, config_echo: dict,
 
 
 def load_archive(directory) -> tuple[DatasetSplit, dict]:
-    """Load an archive and regenerate training windows from the stored units."""
+    """Load an archive's units and statistics."""
     directory = Path(directory)
     manifest_path = directory / ARCHIVE_MANIFEST
     if not manifest_path.exists():
@@ -493,18 +498,13 @@ def load_archive(directory) -> tuple[DatasetSplit, dict]:
             arrays["test_ids"], arrays["test_lengths"],
             arrays["test_features"], arrays["test_ruls"], feature_names)
 
-    window_length = int(manifest["window_length"])
-    stride = int(manifest["stride"])
-    rul_cap = int(manifest["rul_cap"])
     split = DatasetSplit(
-        train_windows=build_windows(train_units, window_length, stride,
-                                    rul_cap),
         train_units=train_units,
         test_units=test_units,
         norm_stats=stats,
-        window_length=window_length,
-        stride=stride,
-        rul_cap=rul_cap,
+        window_length=int(manifest["window_length"]),
+        stride=int(manifest["stride"]),
+        rul_cap=int(manifest["rul_cap"]),
         dropped_sensors=tuple(manifest["dropped_sensors"]),
     )
     if split_fingerprint(split) != manifest["fingerprint"]:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmapss import NormStats, UnitSeries
+from .cmapss import NormStats, UnitSeries, check_features
 from .config import TrainingConfig
 from .errors import DivergenceError
 from .network import (Architecture, PnnParams, TrainHistory, forward_stacked,
@@ -73,15 +73,20 @@ class EnsemblePrediction:
 
 @dataclass
 class UncertaintyDecomposition:
-    """Log-variance split in nats (constants dropped).
+    """Log-variance split in nats (constants dropped), with the mixture
+    moments it splits.
 
     total == aleatoric + epistemic by construction; epistemic is zero for a
     degenerate ensemble and nonnegative up to float rounding otherwise.
+    mean and variance are the mixture moments of aggregate; total is
+    log(variance).
     """
 
     aleatoric: float | np.ndarray
     epistemic: float | np.ndarray
     total: float | np.ndarray
+    mean: float | np.ndarray
+    variance: float | np.ndarray
 
 
 @dataclass
@@ -124,15 +129,17 @@ def decompose_uncertainty(member_means: np.ndarray,
     epistemic = total - aleatoric. Accepts [M] for a single reading or
     [M, ...] for vectorized use; outputs drop the member axis.
     """
-    _, var_star = aggregate(member_means, member_vars)
+    mu_star, var_star = aggregate(member_means, member_vars)
     v = np.asarray(member_vars, dtype=np.float64)
     aleatoric = member_mean(np.log(v))
     total = np.log(var_star)
     epistemic = total - aleatoric
     if np.ndim(total) == 0:
         return UncertaintyDecomposition(float(aleatoric), float(epistemic),
-                                        float(total))
-    return UncertaintyDecomposition(aleatoric, epistemic, total)
+                                        float(total), float(mu_star),
+                                        float(var_star))
+    return UncertaintyDecomposition(aleatoric, epistemic, total, mu_star,
+                                    var_star)
 
 
 def train_ensemble(arch: Architecture,
@@ -210,16 +217,6 @@ def predict_ensemble(model: EnsembleModel, inputs: np.ndarray) -> EnsemblePredic
                               member_means=member_means, member_vars=member_vars)
 
 
-def _check_feature_space(model: EnsembleModel, unit: UnitSeries) -> None:
-    if model.norm_stats is not None:
-        expected = model.norm_stats.feature_names
-        if tuple(unit.feature_names) != tuple(expected):
-            raise ValueError(
-                f"unit {unit.unit_id} feature layout {unit.feature_names} does "
-                f"not match the model's {list(expected)}; drop sensors and "
-                "normalize with the model's stats first")
-
-
 def dataset_uncertainty_profile(model: EnsembleModel,
                                 units: Sequence[UnitSeries],
                                 per_window: bool = False) -> list[ProfileRow]:
@@ -230,8 +227,9 @@ def dataset_uncertainty_profile(model: EnsembleModel,
     training window length and stride); units shorter than one window are
     skipped with a warning.
     """
-    for unit in units:
-        _check_feature_space(model, unit)
+    if model.norm_stats is not None:
+        for unit in units:
+            check_features(unit, model.norm_stats)
     rows: list[ProfileRow] = []
     if not per_window:
         preds = predict_members(model, [unit.features for unit in units])

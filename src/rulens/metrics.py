@@ -12,9 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cmapss import UnitSeries
-from .ensemble import (EnsembleModel, _check_feature_space, aggregate,
-                       decompose_uncertainty, predict_members)
+from .cmapss import UnitSeries, check_features
+from .ensemble import EnsembleModel, decompose_uncertainty, predict_members
 
 # score_convention -> (a1 on the early/negative branch, a2 on the late branch).
 # "paper" puts the gentler divisor on the late branch (10 early / 13 late);
@@ -207,7 +206,8 @@ def unit_predictions(model: EnsembleModel,
         if unit.true_final_rul is None:
             raise ValueError(f"unit {unit.unit_id} carries no true RUL; "
                              "evaluation needs the RUL file")
-        _check_feature_space(model, unit)
+        if model.norm_stats is not None:
+            check_features(unit, model.norm_stats)
     preds = predict_members(model, [unit.features for unit in test_units])
     rows: list[UnitPrediction] = []
     for unit, (means, varis) in zip(test_units, preds):
@@ -217,9 +217,8 @@ def unit_predictions(model: EnsembleModel,
             steps = [unit.cycles.size - 1]
         last_cycle = int(unit.cycles[-1])
         for i in steps:
-            m_i, v_i = means[:, i], varis[:, i]
-            mu, var = aggregate(m_i, v_i)
-            dec = decompose_uncertainty(m_i, v_i)
+            dec = decompose_uncertainty(means[:, i], varis[:, i])
+            mu, var = dec.mean, dec.variance
             lower, upper = interval_bounds(mu, var, alpha)
             cycle = int(unit.cycles[i])
             target = float(unit.true_final_rul + (last_cycle - cycle))

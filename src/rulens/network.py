@@ -155,76 +155,84 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _forward_batch(params: PnnParams, inputs: np.ndarray, keep_cache: bool):
-    """Forward pass over a batch [B, T, F] -> (mu [B, T], var [B, T], cache).
-
-    Recurrent state starts at zero. The cache holds everything the backward
-    pass needs (gates, cell states, dense activations).
-    """
-    arch = params.arch
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"expected [batch, time, features], got shape {x.shape}")
-    B, T, F = x.shape
-    if F != arch.input_dim:
-        raise ValueError(f"input has {F} features, architecture expects {arch.input_dim}")
-    if T < 1:
+def _check_input(arch: Architecture, x: np.ndarray) -> None:
+    """Feature width, length and finiteness of inputs [..., T, F]."""
+    if x.shape[-1] != arch.input_dim:
+        raise ValueError(f"input has {x.shape[-1]} features, architecture "
+                         f"expects {arch.input_dim}")
+    if x.shape[-2] < 1:
         raise ValueError("need at least one time step")
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in network input")
 
-    cache: dict = {"inputs": x, "lstm": [], "dense": []} if keep_cache else None
-    layer_in = x
-    for k, hidden in enumerate(arch.recurrent_layers):
-        w_x = params.arrays[f"lstm{k}.w_x"]
-        w_h = params.arrays[f"lstm{k}.w_h"]
-        b = params.arrays[f"lstm{k}.b"]
-        # input contribution for every step in one matmul
-        zx = layer_in.reshape(B * T, -1) @ w_x
-        zx = zx.reshape(B, T, 4 * hidden) + b
-        hs = np.zeros((B, T + 1, hidden))
-        cs = np.zeros((B, T + 1, hidden))
-        gi = np.empty((B, T, hidden))
-        gf = np.empty((B, T, hidden))
-        gg = np.empty((B, T, hidden))
-        go = np.empty((B, T, hidden))
-        tc = np.empty((B, T, hidden))
-        h = hs[:, 0]
-        c = cs[:, 0]
-        for t in range(T):
-            z = zx[:, t] + h @ w_h
-            gi[:, t] = expit(z[:, :hidden])
-            gf[:, t] = expit(z[:, hidden:2 * hidden])
-            gg[:, t] = np.tanh(z[:, 2 * hidden:3 * hidden])
-            go[:, t] = expit(z[:, 3 * hidden:])
-            c = gf[:, t] * c + gi[:, t] * gg[:, t]
-            tc[:, t] = np.tanh(c)
-            h = go[:, t] * tc[:, t]
-            hs[:, t + 1] = h
-            cs[:, t + 1] = c
-        if keep_cache:
-            cache["lstm"].append({
-                "in": layer_in, "hs": hs, "cs": cs,
-                "i": gi, "f": gf, "g": gg, "o": go, "tc": tc,
-            })
-        layer_in = hs[:, 1:]
 
-    a = layer_in.reshape(B * T, -1)
-    n_dense = len(arch.dense_layers)
-    for k in range(n_dense):
-        w = params.arrays[f"dense{k}.w"]
-        b = params.arrays[f"dense{k}.b"]
-        if keep_cache:
-            cache["dense"].append(a)
-        z = a @ w + b
-        a = np.tanh(z) if k < n_dense - 1 else z
+def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
+         active: np.ndarray, tape: dict | None = None
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """The one forward time-step loop, shared by training and inference.
 
-    mu = a[:, 0].reshape(B, T)
-    raw = a[:, 1].reshape(B, T)
-    var = softplus(raw) + VAR_FLOOR
-    if keep_cache:
-        cache["raw"] = raw
-    return mu, var, cache
+    x is time-major [T, B, F] with rows sorted so that the first active[t]
+    are the sequences still running at step t; arrays holds every parameter
+    stacked on a leading member axis [M, ...]. All layers plus the Gaussian
+    head advance one step at a time with state [M, active[t], H], and the
+    input projection is computed per step, so nothing of size [M, B, T, 4H]
+    is held unless recorded. Returns mean and variance [M, B, T].
+
+    Given a tape (a dict), it also records what backpropagation through
+    time needs: per LSTM layer the gates [T, M, B, 4H] (g block after
+    tanh), h and c [T + 1, M, B, H] from the zero initial state, and
+    tanh(c) [T, M, B, H]; per dense layer its input [T, M, B, width]; and
+    the raw variance output [M, B, T].
+    """
+    T, B, _ = x.shape
+    M = arrays["lstm0.w_x"].shape[0]
+    lstm = [(hidden, arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"],
+             arrays[f"lstm{k}.b"][:, None])
+            for k, hidden in enumerate(arch.recurrent_layers)]
+    dense = [(arrays[f"dense{k}.w"], arrays[f"dense{k}.b"][:, None])
+             for k in range(len(arch.dense_layers))]
+    hs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
+    cs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
+    mu = np.zeros((M, B, T))
+    raw = np.zeros((M, B, T))
+    if tape is not None:
+        tape["lstm"] = [{"gates": np.zeros((T, M, B, 4 * hidden)),
+                         "h": np.zeros((T + 1, M, B, hidden)),
+                         "c": np.zeros((T + 1, M, B, hidden)),
+                         "tc": np.zeros((T, M, B, hidden))}
+                        for hidden, *_ in lstm]
+        tape["dense"] = [np.zeros((T, M, B, w.shape[1])) for w, _ in dense]
+        tape["raw"] = raw
+    for t in range(T):
+        b = active[t]
+        a = x[t, :b]
+        for k, (hidden, w_x, w_h, bias) in enumerate(lstm):
+            # association (x w_x + b) + h w_h
+            z = a @ w_x + bias
+            z += hs[k][:, :b] @ w_h
+            gates = expit(z)            # i, f, o; g is replaced by tanh
+            g = gates[..., 2 * hidden:3 * hidden]
+            np.tanh(z[..., 2 * hidden:3 * hidden], out=g)
+            c = gates[..., hidden:2 * hidden] * cs[k][:, :b]
+            c += gates[..., :hidden] * g
+            tc = np.tanh(c)
+            a = gates[..., 3 * hidden:] * tc
+            hs[k], cs[k] = a, c
+            if tape is not None:
+                rec = tape["lstm"][k]
+                rec["gates"][t, :, :b] = gates
+                rec["h"][t + 1, :, :b] = a
+                rec["c"][t + 1, :, :b] = c
+                rec["tc"][t, :, :b] = tc
+        for k, (w, bias) in enumerate(dense):
+            if tape is not None:
+                tape["dense"][k][t, :, :b] = a
+            a = a @ w + bias
+            if k < len(dense) - 1:
+                a = np.tanh(a)
+        mu[:, :b, t] = a[..., 0]
+        raw[:, :b, t] = a[..., 1]
+    return mu, softplus(raw) + VAR_FLOOR
 
 
 def forward_stacked(arch: Architecture, arrays: dict[str, np.ndarray],
@@ -236,24 +244,17 @@ def forward_stacked(arch: Architecture, arrays: dict[str, np.ndarray],
     [M, ...]; seqs holds sequences [T_i, F]. Returns, in input order, one
     (means, variances) pair of shape [M, T_i] per sequence.
 
-    Sequences are sorted by length, longest first (stable), and all layers
-    plus the Gaussian head advance one step at a time over the batch prefix
-    still active, with state [M, B_active, H]. The input projection is
-    computed per step, so nothing of size [M, B, T, 4H] is ever held.
-    Results match a per-member, per-sequence forward up to BLAS summation
-    order, which depends on the batch shape.
+    Sequences are sorted by length, longest first (stable), padded into a
+    time-major batch and run through the shared step loop, which advances
+    only the batch prefix still active. Results match a per-member,
+    per-sequence forward up to BLAS summation order, which depends on the
+    batch shape.
     """
     xs = [np.asarray(s, dtype=np.float64) for s in seqs]
     for x in xs:
         if x.ndim != 2:
             raise ValueError(f"expected [time, features], got shape {x.shape}")
-        if x.shape[1] != arch.input_dim:
-            raise ValueError(f"input has {x.shape[1]} features, architecture "
-                             f"expects {arch.input_dim}")
-        if x.shape[0] < 1:
-            raise ValueError("need at least one time step")
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite values in network input")
+        _check_input(arch, x)
     if not xs:
         return []
 
@@ -267,37 +268,7 @@ def forward_stacked(arch: Architecture, arrays: dict[str, np.ndarray],
     x_pad = np.zeros((T, B, arch.input_dim))
     for j, i in enumerate(order):
         x_pad[:lengths[i], j] = xs[i]
-
-    M = arrays["lstm0.w_x"].shape[0]
-    lstm = [(hidden, arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"],
-             arrays[f"lstm{k}.b"][:, None])
-            for k, hidden in enumerate(arch.recurrent_layers)]
-    dense = [(arrays[f"dense{k}.w"], arrays[f"dense{k}.b"][:, None])
-             for k in range(len(arch.dense_layers))]
-    hs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
-    cs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
-    mu = np.zeros((M, B, T))
-    raw = np.zeros((M, B, T))
-    for t in range(T):
-        b = active[t]
-        a = x_pad[t, :b]
-        for k, (hidden, w_x, w_h, bias) in enumerate(lstm):
-            # same association as _forward_batch: (x w_x + b) + h w_h
-            z = a @ w_x + bias
-            z += hs[k][:, :b] @ w_h
-            gates = expit(z)            # i, f, o read here, g below
-            g = np.tanh(z[..., 2 * hidden:3 * hidden])
-            c = gates[..., hidden:2 * hidden] * cs[k][:, :b]
-            c += gates[..., :hidden] * g
-            a = gates[..., 3 * hidden:] * np.tanh(c)
-            hs[k], cs[k] = a, c
-        for k, (w, bias) in enumerate(dense):
-            a = a @ w + bias
-            if k < len(dense) - 1:
-                a = np.tanh(a)
-        mu[:, :b, t] = a[..., 0]
-        raw[:, :b, t] = a[..., 1]
-    var = softplus(raw) + VAR_FLOOR
+    mu, var = _run(arch, arrays, x_pad, active)
 
     position = np.empty(B, dtype=np.intp)
     position[order] = np.arange(B)
@@ -339,6 +310,11 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
     inputs: [B, T, F], targets: [B, T]. Returns (grads, loss) where grads
     mirrors the parameter arrays. Raises DivergenceError with the offending
     sample index if any per-sample loss is non-finite.
+
+    The forward pass is the inference step loop with M = 1, recorded on a
+    tape. Products over the B * T (sample, step) rows, the weight-gradient
+    sums among them, run on sample-major rows, so their summation order
+    does not follow the time-major layout of the forward.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -347,8 +323,14 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
     B, T, _ = x.shape
     if B < 1:
         raise ValueError("batch must be nonempty")
+    arch = params.arch
+    _check_input(arch, x)
 
-    mu, var, cache = _forward_batch(params, x, keep_cache=True)
+    tape: dict = {}
+    arrays = {name: a[None] for name, a in params.arrays.items()}
+    x_time_major = np.ascontiguousarray(x.transpose(1, 0, 2))
+    mu, var = _run(arch, arrays, x_time_major, np.full(T, B), tape)
+    mu, var, raw = mu[0], var[0], tape["raw"][0]
     terms = _nll_terms(mu, var, y)
     per_sample = terms.mean(axis=1)
     if not np.isfinite(per_sample).all():
@@ -357,12 +339,15 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
             f"non-finite loss for sample {bad} in batch", sample_index=bad)
     loss = float(per_sample.mean())
 
-    arch = params.arch
+    def rows(a: np.ndarray) -> np.ndarray:
+        """Time-major [T, B, W] -> sample-major rows [B * T, W]."""
+        return a.transpose(1, 0, 2).reshape(B * T, -1)
+
     scale = 1.0 / (B * T)
     resid = mu - y
     dmu = resid / var * scale
     dvar = (var - resid ** 2) / (2.0 * var ** 2) * scale
-    draw = dvar * expit(cache["raw"])          # d softplus(s)/ds = sigmoid(s)
+    draw = dvar * expit(raw)                   # d softplus(s)/ds = sigmoid(s)
 
     grads: dict[str, np.ndarray] = {}
     d_out = np.empty((B * T, 2))
@@ -370,50 +355,50 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
     d_out[:, 1] = draw.ravel()
 
     # dense stack, top down
+    dense_in = [rows(a[:, 0]) for a in tape["dense"]]
     n_dense = len(arch.dense_layers)
     d_a = d_out
     for k in range(n_dense - 1, -1, -1):
-        a_in = cache["dense"][k]
         if k < n_dense - 1:
-            # d_a arrived through tanh(z_k); its output was cached as the
-            # input of layer k+1
-            act = cache["dense"][k + 1]
-            d_a = d_a * (1.0 - act ** 2)
-        grads[f"dense{k}.w"] = a_in.T @ d_a
+            # d_a arrived through tanh(z_k); its output is the input of
+            # layer k+1
+            d_a = d_a * (1.0 - dense_in[k + 1] ** 2)
+        grads[f"dense{k}.w"] = dense_in[k].T @ d_a
         grads[f"dense{k}.b"] = d_a.sum(axis=0)
         d_a = d_a @ params.arrays[f"dense{k}.w"].T
 
-    d_h_top = d_a.reshape(B, T, arch.recurrent_layers[-1])
+    d_above = d_a.reshape(B, T, arch.recurrent_layers[-1])
 
     # LSTM stack, top down, exact backpropagation through time
-    d_above = d_h_top
     for k in range(len(arch.recurrent_layers) - 1, -1, -1):
-        lc = cache["lstm"][k]
+        rec = tape["lstm"][k]
         hidden = arch.recurrent_layers[k]
         w_x = params.arrays[f"lstm{k}.w_x"]
         w_h = params.arrays[f"lstm{k}.w_h"]
-        gi, gf, gg, go, tc = lc["i"], lc["f"], lc["g"], lc["o"], lc["tc"]
-        cs = lc["cs"]
+        gates, hs, cs, tc = (rec[key][:, 0] for key in ("gates", "h", "c", "tc"))
+        gi, gf, gg, go = (gates[..., j * hidden:(j + 1) * hidden]
+                          for j in range(4))
         d_z = np.empty((B, T, 4 * hidden))
         dh_carry = np.zeros((B, hidden))
         dc_carry = np.zeros((B, hidden))
         for t in range(T - 1, -1, -1):
             dh = d_above[:, t] + dh_carry
-            d_o = dh * tc[:, t]
-            dc = dc_carry + dh * go[:, t] * (1.0 - tc[:, t] ** 2)
-            d_i = dc * gg[:, t]
-            d_g = dc * gi[:, t]
-            d_f = dc * cs[:, t]                      # c_{t-1}
-            d_z[:, t, :hidden] = d_i * gi[:, t] * (1.0 - gi[:, t])
-            d_z[:, t, hidden:2 * hidden] = d_f * gf[:, t] * (1.0 - gf[:, t])
-            d_z[:, t, 2 * hidden:3 * hidden] = d_g * (1.0 - gg[:, t] ** 2)
-            d_z[:, t, 3 * hidden:] = d_o * go[:, t] * (1.0 - go[:, t])
+            d_o = dh * tc[t]
+            dc = dc_carry + dh * go[t] * (1.0 - tc[t] ** 2)
+            d_i = dc * gg[t]
+            d_g = dc * gi[t]
+            d_f = dc * cs[t]                      # c_{t-1}
+            d_z[:, t, :hidden] = d_i * gi[t] * (1.0 - gi[t])
+            d_z[:, t, hidden:2 * hidden] = d_f * gf[t] * (1.0 - gf[t])
+            d_z[:, t, 2 * hidden:3 * hidden] = d_g * (1.0 - gg[t] ** 2)
+            d_z[:, t, 3 * hidden:] = d_o * go[t] * (1.0 - go[t])
             dh_carry = d_z[:, t] @ w_h.T
-            dc_carry = dc * gf[:, t]
+            dc_carry = dc * gf[t]
         flat_dz = d_z.reshape(B * T, 4 * hidden)
-        layer_in = lc["in"]
-        grads[f"lstm{k}.w_x"] = layer_in.reshape(B * T, -1).T @ flat_dz
-        grads[f"lstm{k}.w_h"] = lc["hs"][:, :T].reshape(B * T, hidden).T @ flat_dz
+        layer_in = x.reshape(B * T, -1) if k == 0 else \
+            rows(tape["lstm"][k - 1]["h"][1:, 0])
+        grads[f"lstm{k}.w_x"] = layer_in.T @ flat_dz
+        grads[f"lstm{k}.w_h"] = rows(hs[:T]).T @ flat_dz
         grads[f"lstm{k}.b"] = flat_dz.sum(axis=0)
         if k > 0:
             d_above = (flat_dz @ w_x.T).reshape(B, T, -1)

@@ -6,15 +6,22 @@ on grad, not part of the library.
 
 import numpy as np
 
-from rulens.network import PnnParams, _forward_batch, _nll_terms, grad
+from rulens.network import PnnParams, _nll_terms, forward_stacked, grad
+
+
+def batch_forward(params: PnnParams, inputs: np.ndarray):
+    """The inference forward for one member over a batch [B, T, F] ->
+    (mu, var), each [B, T]."""
+    arrays = {name: a[None] for name, a in params.arrays.items()}
+    preds = forward_stacked(params.arch, arrays, list(inputs))
+    return (np.concatenate([m for m, _ in preds]),
+            np.concatenate([v for _, v in preds]))
 
 
 def batch_loss(params: PnnParams, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean NLL over a batch, no gradients (finite-difference helper)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    mu, var, _ = _forward_batch(params, x, keep_cache=False)
-    return float(_nll_terms(mu, var, y).mean())
+    mu, var = batch_forward(params, inputs)
+    return float(_nll_terms(mu, var, np.asarray(targets, dtype=np.float64)).mean())
 
 
 def finite_diff_check(params: PnnParams, inputs: np.ndarray,

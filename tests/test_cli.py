@@ -10,7 +10,7 @@ import yaml
 
 from conftest import run_cli
 from rulens.checkpoints import load_member, member_path
-from rulens.cmapss import load_archive
+from rulens.cmapss import load_archive, parse_cmapss
 from rulens.config import load_config
 from rulens.network import Architecture, train_pnn
 from rulens.synthetic import write_synthetic_dataset
@@ -400,6 +400,47 @@ class TestPredict:
                        "--unit", "9999", "--out", tmp_path / "t") == 2
         err = capsys.readouterr().err
         assert "9999" in err and "available ids" in err
+
+
+class TestShortTrainUnit:
+    def test_only_ingest_and_train_warn_about_skipped_units(self, tmp_path,
+                                                            caplog):
+        # training windows are built where they are used, so evaluate and
+        # predict neither build them nor repeat the short-unit warning
+        data = write_synthetic_dataset(tmp_path / "data", n_train_units=4,
+                                       n_test_units=3, seed=10, min_len=20,
+                                       max_len=60)
+        assert min(len(u) for u in parse_cmapss(data["train"])) < 30
+        cfg_path = tmp_path / "short.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "data": {"train_file": str(data["train"]),
+                     "test_file": str(data["test"]),
+                     "rul_file": str(data["rul"])},
+            "preprocessing": {"window_length": 30, "rul_cap": 50},
+            "architecture": {"recurrent_layers": [4], "dense_layers": [2]},
+            "training": {"max_epochs": 1},
+            "ensemble": {"members": 1, "base_seed": 1},
+            "output_dir": str(tmp_path / "run")}))
+        archive = tmp_path / "run" / "archive"
+        checkpoint = tmp_path / "run" / "checkpoint"
+        warning = "skipping train unit"
+        with caplog.at_level("WARNING"):
+            assert run_cli("ingest", "--config", cfg_path) == 0
+            assert warning in caplog.text
+            caplog.clear()
+            assert run_cli("train", "--config", cfg_path,
+                           "--archive", archive) == 0
+            assert warning in caplog.text
+            caplog.clear()
+            assert run_cli("evaluate", "--config", cfg_path,
+                           "--checkpoint", checkpoint, "--archive", archive,
+                           "--per-unit") == 0
+            unit_id = _unit_ids(archive, "test")[0]
+            assert run_cli("predict", "--config", cfg_path,
+                           "--checkpoint", checkpoint, "--archive", archive,
+                           "--unit", str(unit_id),
+                           "--out", tmp_path / "traces") == 0
+        assert warning not in caplog.text
 
 
 class TestNoRulWorkflow:

@@ -309,11 +309,11 @@ class TestPrepareSplit:
                               train[0].sensors[:10], train[0].sensor_ids)
         cfg = PreprocessConfig(window_length=30, rul_cap=20,
                                dropped_sensors=(1, 5, 10, 16, 18, 19))
+        split = prepare_split(train, [], cfg)
         with caplog.at_level("WARNING"):
-            split = prepare_split(train, [], cfg)
+            starts = split.train_windows.inputs.starts
         assert "unit 99" in caplog.text
         # unit 99 holds the first 10 rows; no window starts inside it
-        starts = split.train_windows.inputs.starts
         assert starts.min() >= 10
         assert len(starts) == sum(max(0, len(u) - 29) for u in train[1:])
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import batch_loss, finite_diff_check
+from gradcheck import batch_forward, batch_loss, finite_diff_check
 from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
 from rulens.config import TrainingConfig
 from rulens.errors import DivergenceError
@@ -96,9 +96,7 @@ class TestForward:
         assert np.allclose(pred.variances, np.log(2.0) + VAR_FLOOR)
 
     def test_causality_prefix_invariance(self):
-        # prefix outputs must match the full run at shared steps; tolerance
-        # is rounding-level only (the input projection is batched over T, so
-        # BLAS blocking can flip last bits between differently sized calls)
+        # prefix outputs must match the full run at shared steps
         params = init_params(Architecture(3, (4, 3), (2,)), seed=5)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 3))
@@ -111,7 +109,6 @@ class TestForward:
 
     def test_future_edits_do_not_change_past_outputs(self):
         # editing inputs at times > t leaves the prediction at t bit-identical
-        # (same sequence length, so the batched projection takes one code path)
         params = init_params(Architecture(3, (4, 3), (2,)), seed=5)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 3))
@@ -124,15 +121,13 @@ class TestForward:
 
     def test_variance_positive_over_many_draws(self):
         # 10^4 random (net, input) draws including saturating magnitudes
-        from rulens.network import _forward_batch
-
         rng = np.random.default_rng(99)
         for _ in range(10):
             params = init_params(Architecture(3, (4,), (2,)),
                                  seed=int(rng.integers(0, 2**31)))
             scale = rng.choice([0.3, 3.0, 300.0])
             x = rng.normal(scale=scale, size=(1000, 6, 3))
-            mu, var, _ = _forward_batch(params, x, keep_cache=False)
+            mu, var = batch_forward(params, x)
             assert np.isfinite(mu).all()
             assert np.isfinite(var).all()
             assert np.all(var > 0)
@@ -254,6 +249,21 @@ class TestGrad:
         assert l1 == pytest.approx(l2)
         for k in g1:
             assert np.allclose(g1[k], g2[k])
+
+    @pytest.mark.parametrize("batch", [1, 7, 18, 32])
+    def test_loss_equals_inference_nll_bit_for_bit(self, batch):
+        # training and inference share one forward: grad's loss is the mean
+        # NLL of forward_stacked on the same windows, to the last bit, at
+        # batch sizes where BLAS takes remainder or gemv paths too
+        params = init_params(Architecture(18, (32, 16), (2,)), seed=3)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(batch, 100, 18))
+        y = rng.uniform(0.0, 120.0, size=(batch, 100))
+        _, loss = grad(params, x, y)
+        mu, var = batch_forward(params, x)
+        nll = np.mean([gaussian_nll(GaussianSeqPrediction(m, v), t)
+                       for m, v, t in zip(mu, var, y)])
+        assert loss == nll
 
     def test_divergence_reports_sample_index(self):
         arch = Architecture(2, (3,), (2,))
