@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .config import TrainingConfig
 from .errors import DivergenceError
@@ -155,6 +154,20 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) into a fresh array, leaving x untouched.
+
+    exp(-x) overflows to inf for x below about -709.8, where the exact value
+    is below 5.6e-309; 1 / inf then gives exactly 0, so the overflow is
+    expected and silenced.
+    """
+    out = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def _check_input(arch: Architecture, x: np.ndarray) -> None:
     """Feature width, length and finiteness of inputs [..., T, F]."""
     if x.shape[-1] != arch.input_dim:
@@ -210,7 +223,7 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
             # association (x w_x + b) + h w_h
             z = a @ w_x + bias
             z += hs[k][:, :b] @ w_h
-            gates = expit(z)            # i, f, o; g is replaced by tanh
+            gates = sigmoid(z)          # i, f, o; g is replaced by tanh
             g = gates[..., 2 * hidden:3 * hidden]
             np.tanh(z[..., 2 * hidden:3 * hidden], out=g)
             c = gates[..., hidden:2 * hidden] * cs[k][:, :b]
@@ -347,7 +360,7 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
     resid = mu - y
     dmu = resid / var * scale
     dvar = (var - resid ** 2) / (2.0 * var ** 2) * scale
-    draw = dvar * expit(raw)                   # d softplus(s)/ds = sigmoid(s)
+    draw = dvar * sigmoid(raw)                  # d softplus(s)/ds = sigmoid(s)
 
     grads: dict[str, np.ndarray] = {}
     d_out = np.empty((B * T, 2))

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior on a small synthetic run."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -464,3 +467,14 @@ class TestNoRulWorkflow:
                        "--archive", archive)
         assert code == 2
         assert "RUL" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        # a fresh interpreter, since this test process has scipy loaded
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, rulens.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

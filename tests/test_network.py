@@ -1,5 +1,7 @@
 """Numerical core: init, forward, NLL, exact gradients, Adam, training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from rulens.errors import DivergenceError
 from rulens.network import (VAR_FLOOR, Architecture, GaussianSeqPrediction,
                             PnnParams, adam_step, clip_global_norm, forward,
                             gaussian_nll, grad, init_adam, init_params,
-                            train_pnn)
+                            sigmoid, train_pnn)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -180,6 +182,45 @@ class TestNll:
         pred = GaussianSeqPrediction(np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             gaussian_nll(pred, np.zeros(2))
+
+
+class TestSigmoid:
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(11)
+        draws = [rng.normal(scale=s, size=2000)
+                 for s in (0.1, 1.0, 3.0, 10.0, 30.0, 100.0, 800.0)]
+        edges = np.array([0.0, -0.0, 709.0, -709.0, 745.0, -745.0,
+                          1e308, -1e308])
+        return np.concatenate(draws + [edges])
+
+    def test_matches_expit_oracle(self):
+        # scipy used purely as an independent oracle; the two exp kernels
+        # may differ by an ulp, which the reciprocal keeps below 1e-15
+        expit = pytest.importorskip("scipy.special").expit
+        x = self._inputs()
+        got, ref = sigmoid(x), expit(x)
+        # atol 0: where the oracle gives exactly 0 (x <= -745) so must this
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+    def test_range_and_monotone(self):
+        x = np.sort(self._inputs())
+        y = sigmoid(x)
+        assert ((y >= 0.0) & (y <= 1.0)).all()
+        assert (np.diff(y) >= 0.0).all()
+        assert sigmoid(np.array([-1e308]))[0] == 0.0
+        assert sigmoid(np.array([1e308]))[0] == 1.0
+
+    def test_no_floating_point_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigmoid(self._inputs())
+
+    def test_input_untouched(self):
+        x = self._inputs()
+        before = x.copy()
+        assert sigmoid(x) is not x
+        assert x.tobytes() == before.tobytes()   # -0.0 keeps its sign
 
 
 def random_small_net(rng):
