@@ -31,10 +31,12 @@ def main(argv=None) -> int:
     ap.add_argument("--config", default="configs/fd001.yaml")
     ap.add_argument("--preset", default="",
                     help="config preset, e.g. 'desk' for the reduced profile")
-    ap.add_argument("--force", action="store_true",
-                    help="overwrite existing archive/checkpoint")
-    ap.add_argument("--resume", action="store_true",
-                    help="reuse finished member checkpoints")
+    existing = ap.add_mutually_exclusive_group()
+    existing.add_argument("--force", action="store_true",
+                          help="overwrite the existing archive and checkpoint")
+    existing.add_argument("--resume", action="store_true",
+                          help="re-ingest (deterministic, same fingerprint) "
+                               "and reuse finished member checkpoints")
     ap.add_argument("--trace-unit", type=int, default=34,
                     help="test unit for the per-cycle prediction trace")
     args = ap.parse_args(argv)
@@ -45,11 +47,12 @@ def main(argv=None) -> int:
     shared = ["--config", args.config]
     if args.preset:
         shared += ["--preset", args.preset]
-    flags = (["--force"] if args.force else []) + \
-            (["--resume"] if args.resume else [])
+    ingest_flags = ["--force"] if args.force or args.resume else []
+    train_flags = (["--force"] if args.force else
+                   ["--resume"] if args.resume else [])
 
-    _step("ingest", ["ingest", *shared, *flags])
-    _step("train", ["train", *shared, *flags,
+    _step("ingest", ["ingest", *shared, *ingest_flags])
+    _step("train", ["train", *shared, *train_flags,
                     "--archive", str(run_dir / "archive")])
     _step("evaluate", ["evaluate", *shared,
                        "--checkpoint", str(run_dir / "checkpoint"),

@@ -5,7 +5,7 @@ from .cmapss import (DatasetSplit, NormStats, TrainWindows, UnitSeries,
                      WindowView, apply_norm, build_windows, drop_sensors,
                      fit_norm_stats, format_cmapss, load_archive,
                      load_true_rul, make_rul_targets, norm_fingerprint,
-                     parse_cmapss, prepare_split, save_archive)
+                     parse_cmapss, prepare_split, save_archive, window_starts)
 from .checkpoints import load_ensemble, load_member, save_member
 from .config import (ArchitectureConfig, DataPaths, EnsembleConfig,
                      EvaluationConfig, PreprocessConfig, RunConfig,
@@ -19,8 +19,7 @@ from .errors import (CmapssFormatError, DataIntegrityError, DivergenceError,
 from .metrics import (DensityCurve, MetricReport, UnitPrediction,
                       interval_bounds, kde, nasa_score, nmpiw,
                       normal_quantile, picp, rmse, unit_predictions)
-from .network import (Architecture, GaussianSeqPrediction, PnnParams,
-                      TrainHistory, forward, gaussian_nll, grad, init_params,
-                      train_pnn)
+from .network import (Architecture, PnnParams, TrainHistory, grad,
+                      init_params, train_pnn)
 
 __version__ = "0.1.0"

@@ -69,7 +69,7 @@ def _out_dir(args, config: RunConfig, default_leaf: str) -> Path:
 
 def _load_run_config(args) -> RunConfig:
     overrides = {}
-    if getattr(args, "members", None):
+    if getattr(args, "members", None) is not None:
         overrides["ensemble"] = {"members": args.members}
     return load_config(args.config, preset=args.preset or None,
                        overrides=overrides or None)
@@ -348,15 +348,10 @@ def cmd_predict(args) -> int:
     pred = predict_ensemble(model, unit.features)
     lower, upper = interval_bounds(pred.means, pred.variances,
                                    config.evaluation.alpha)
-    cap = split.rul_cap
-    last = int(unit.cycles[-1])
-    if args.split == "train":
-        target = np.minimum(cap, last - unit.cycles).astype(np.float64)
-    elif unit.true_final_rul is not None:
-        target = np.minimum(
-            cap, unit.true_final_rul + (last - unit.cycles)).astype(np.float64)
-    else:
+    if args.split == "test" and unit.true_final_rul is None:
         target = np.full(len(unit.cycles), np.nan)
+    else:
+        target = cmapss.make_rul_targets(unit, split.rul_cap)
 
     out = _out_dir(args, config, "traces")
     trace_path = out / f"{args.split}_unit_{args.unit}.tsv"
@@ -383,12 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "reduced-scale smoke profile)")
     shared.add_argument("--out", help="output directory (overrides the "
                                       "config's output_dir layout)")
-    shared.add_argument("--members", type=int,
-                        help="override the number of ensemble members")
-    shared.add_argument("--force", action="store_true",
-                        help="overwrite existing outputs")
-    shared.add_argument("--resume", action="store_true",
-                        help="keep finished member checkpoints (train only)")
     shared.add_argument("-v", "--verbose", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -399,11 +388,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[shared],
                        help="parse, normalize and window the raw data files")
+    p.add_argument("--force", action="store_true",
+                   help="overwrite an existing archive")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", parents=[shared],
                        help="train the ensemble on an ingested archive")
     p.add_argument("--archive", required=True, help="ingested dataset archive")
+    p.add_argument("--members", type=int,
+                   help="override the number of ensemble members")
+    existing = p.add_mutually_exclusive_group()
+    existing.add_argument("--force", action="store_true",
+                          help="clear an existing checkpoint and retrain "
+                               "every member")
+    existing.add_argument("--resume", action="store_true",
+                          help="keep finished members whose inputs are "
+                               "unchanged")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[shared],

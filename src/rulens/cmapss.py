@@ -39,8 +39,7 @@ class UnitSeries:
 
     unit_id: int
     cycles: np.ndarray                   # int, consecutive from 1
-    op_settings: np.ndarray              # [n_cycles, 3]
-    sensors: np.ndarray                  # [n_cycles, len(sensor_ids)]
+    features: np.ndarray                 # [n_cycles, 3 + len(sensor_ids)]
     sensor_ids: tuple[int, ...] = tuple(range(1, N_SENSORS + 1))
     true_final_rul: int | None = None    # test sets only
 
@@ -50,11 +49,6 @@ class UnitSeries:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return SETTING_NAMES + tuple(f"sensor_{i}" for i in self.sensor_ids)
-
-    @property
-    def features(self) -> np.ndarray:
-        """[n_cycles, n_features] matrix: settings first, then sensors."""
-        return np.hstack([self.op_settings, self.sensors])
 
 
 @dataclass
@@ -70,10 +64,6 @@ class NormStats:
     def __post_init__(self):
         if np.any(self.std <= 0):
             raise DataIntegrityError("NormStats std must be strictly positive")
-
-    @property
-    def feature_index_map(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.feature_names)}
 
 
 @dataclass
@@ -171,8 +161,7 @@ def parse_cmapss(text_source) -> list[UnitSeries]:
         units.append(UnitSeries(
             unit_id=unit_id,
             cycles=expected,
-            op_settings=np.ascontiguousarray(rows[:, 2:2 + N_SETTINGS]),
-            sensors=np.ascontiguousarray(rows[:, 2 + N_SETTINGS:]),
+            features=np.ascontiguousarray(rows[:, 2:]),
         ))
     return units
 
@@ -189,8 +178,7 @@ def format_cmapss(units: Sequence[UnitSeries]) -> str:
             raise ValueError("only full 21-sensor units serialize to 26 columns")
         for i, cycle in enumerate(unit.cycles):
             fields = [str(unit.unit_id), str(int(cycle))]
-            fields += [repr(float(v)) for v in unit.op_settings[i]]
-            fields += [repr(float(v)) for v in unit.sensors[i]]
+            fields += [repr(float(v)) for v in unit.features[i]]
             lines.append(" ".join(fields))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -230,11 +218,11 @@ def drop_sensors(units: Sequence[UnitSeries],
     out = []
     for unit in units:
         keep = [k for k, sid in enumerate(unit.sensor_ids) if sid not in drop]
-        out.append(replace(
-            unit,
-            sensors=np.ascontiguousarray(unit.sensors[:, keep]),
-            sensor_ids=tuple(unit.sensor_ids[k] for k in keep),
-        ))
+        columns = list(range(N_SETTINGS)) + [N_SETTINGS + k for k in keep]
+        # take, not [:, columns]: that gives a Fortran-ordered copy, and the
+        # fitted stats' bits follow the summation order of the layout
+        out.append(replace(unit, features=unit.features.take(columns, axis=1),
+                           sensor_ids=tuple(unit.sensor_ids[k] for k in keep)))
     return out
 
 
@@ -282,26 +270,24 @@ def check_features(unit: UnitSeries, stats: NormStats) -> None:
 
 def apply_norm(units: Sequence[UnitSeries], stats: NormStats) -> list[UnitSeries]:
     """Replace every value by (x - mean) / std using the fitted stats."""
-    out = []
     for unit in units:
         check_features(unit, stats)
-        normed = (unit.features - stats.mean) / stats.std
-        out.append(replace(
-            unit,
-            op_settings=np.ascontiguousarray(normed[:, :N_SETTINGS]),
-            sensors=np.ascontiguousarray(normed[:, N_SETTINGS:]),
-        ))
-    return out
+    return [replace(unit, features=(unit.features - stats.mean) / stats.std)
+            for unit in units]
 
 
+def make_rul_targets(unit: UnitSeries, rul_cap: int | None) -> np.ndarray:
+    """Piecewise-linear RUL target per cycle, as float64.
 
-def make_rul_targets(unit: UnitSeries, rul_cap: int) -> np.ndarray:
-    """Piecewise-linear target per cycle: min(rul_cap, last_cycle - cycle).
-
-    Assumes a run-to-failure unit whose last recorded cycle is the failure.
+    The remaining life at each cycle is the unit's true final RUL (0 for a
+    run-to-failure unit, whose last recorded cycle is the failure) plus the
+    cycles left to its last one, capped at rul_cap unless rul_cap is None.
     """
-    remaining = unit.cycles[-1] - unit.cycles
-    return np.minimum(float(rul_cap), remaining.astype(np.float64))
+    remaining = (unit.true_final_rul or 0) + (unit.cycles[-1] - unit.cycles)
+    remaining = remaining.astype(np.float64)
+    if rul_cap is None:
+        return remaining
+    return np.minimum(float(rul_cap), remaining)
 
 
 def _sliding(rows: np.ndarray, length: int) -> np.ndarray:
@@ -311,27 +297,38 @@ def _sliding(rows: np.ndarray, length: int) -> np.ndarray:
     return np.moveaxis(sliding_window_view(rows, length, axis=0), -1, 1)
 
 
-def build_windows(units: Sequence[UnitSeries], window_length: int,
-                  stride: int, rul_cap: int) -> TrainWindows:
-    """Full-length windows at offsets 0, stride, 2*stride, ... of each unit.
+def window_starts(units: Sequence[UnitSeries], window_length: int,
+                  stride: int, split: str) -> list[np.ndarray]:
+    """Per unit, the offsets 0, stride, 2*stride, ... of its full-length
+    windows.
 
-    A unit of n cycles gives floor((n - l) / s) + 1 windows when n >= l;
-    shorter units are skipped with a warning, and no window crosses from
-    one unit into the next. Windows are views into one flat copy of the
-    units' rows and targets.
+    A unit of n cycles gives floor((n - l) / s) + 1 windows when n >= l; a
+    shorter unit gets none and a warning naming its split.
     """
     if window_length < 1 or stride < 1:
         raise ValueError("window_length and stride must be >= 1")
-    starts, offset = [], 0
+    starts = []
     for unit in units:
         n = len(unit)
         if n < window_length:
             logger.warning(
-                "skipping train unit %d: %d cycles < window length %d",
-                unit.unit_id, n, window_length)
-        starts.append(offset + np.arange(0, n - window_length + 1, stride))
-        offset += n
-    starts = np.concatenate(starts)
+                "skipping %s unit %d: %d cycles < window length %d",
+                split, unit.unit_id, n, window_length)
+        starts.append(np.arange(0, n - window_length + 1, stride))
+    return starts
+
+
+def build_windows(units: Sequence[UnitSeries], window_length: int,
+                  stride: int, rul_cap: int) -> TrainWindows:
+    """Training windows at the window_starts offsets, with capped targets.
+
+    No window crosses from one unit into the next. Windows are views into
+    one flat copy of the units' rows and targets.
+    """
+    offsets = np.cumsum([0] + [len(unit) for unit in units])
+    starts = np.concatenate([
+        offset + s for offset, s in
+        zip(offsets, window_starts(units, window_length, stride, "train"))])
     rows = np.vstack([u.features for u in units])
     targets = np.concatenate([make_rul_targets(u, rul_cap) for u in units])
     return TrainWindows(WindowView(_sliding(rows, window_length), starts),
@@ -412,23 +409,12 @@ def _pack_units(units: Sequence[UnitSeries]):
 
 
 def _unpack_units(ids, lengths, features, ruls, feature_names) -> list[UnitSeries]:
-    units = []
-    offset = 0
     sensor_ids = tuple(int(n.split("_", 1)[1]) for n in feature_names[N_SETTINGS:])
-    for k in range(len(ids)):
-        n = int(lengths[k])
-        block = features[offset:offset + n]
-        offset += n
-        rul = None if np.isnan(ruls[k]) else int(ruls[k])
-        units.append(UnitSeries(
-            unit_id=int(ids[k]),
-            cycles=np.arange(1, n + 1),
-            op_settings=np.ascontiguousarray(block[:, :N_SETTINGS]),
-            sensors=np.ascontiguousarray(block[:, N_SETTINGS:]),
-            sensor_ids=sensor_ids,
-            true_final_rul=rul,
-        ))
-    return units
+    ends = np.cumsum(lengths)
+    return [UnitSeries(unit_id=int(uid), cycles=np.arange(1, end - start + 1),
+                       features=features[start:end], sensor_ids=sensor_ids,
+                       true_final_rul=None if np.isnan(rul) else int(rul))
+            for uid, start, end, rul in zip(ids, ends - lengths, ends, ruls)]
 
 
 def save_archive(split: DatasetSplit, directory, config_echo: dict,

@@ -161,19 +161,47 @@ def _merge_section(obj: Any, overrides: dict[str, Any], path: str) -> None:
                 raise ValueError(f"config section '{path}.{key}' must be a mapping")
             _merge_section(current, value, f"{path}.{key}")
         else:
-            setattr(obj, key, type_coerce(current, value))
+            setattr(obj, key, type_coerce(current, value, f"{path}.{key}"))
 
 
-def type_coerce(current: Any, value: Any) -> Any:
-    if isinstance(current, tuple) and isinstance(value, (list, tuple)):
-        return tuple(value)
-    if isinstance(current, bool):
-        return bool(value)
-    if isinstance(current, int) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    return value
+_EXPECTED = {tuple: "a list of integers", bool: "true or false",
+             int: "an integer", float: "a number", str: "a string"}
+
+
+def type_coerce(current: Any, value: Any, key: str) -> Any:
+    """value as the type of the field's current value, or a ValueError
+    naming key when it cannot be taken as written. Tuple fields hold
+    integers, and the one field without a default type (reference) takes
+    null or a mapping of numbers. A string is read as a number, since
+    YAML 1.1 loads a bare 1e-3 (no dot) as a string."""
+    if isinstance(current, tuple):
+        if isinstance(value, (list, tuple)):
+            return tuple(type_coerce(0, v, key) for v in value)
+    elif isinstance(current, bool):
+        if isinstance(value, bool):
+            return value
+    elif isinstance(current, (int, float)):
+        number = value
+        if isinstance(value, str):
+            try:
+                number = float(value)
+            except ValueError:
+                pass
+        if isinstance(number, (int, float)) and not isinstance(number, bool):
+            if isinstance(current, float):
+                return float(number)
+            if float(number).is_integer():
+                return int(number)
+    elif isinstance(current, str):
+        if isinstance(value, str):
+            return value
+    elif value is None:
+        return value
+    elif isinstance(value, dict):
+        return {str(k): type_coerce(0.0, v, f"{key}.{k}")
+                for k, v in value.items()}
+    expected = _EXPECTED.get(type(current), "a mapping")
+    raise ValueError(f"config key '{key}' must be {expected}, got {value!r}")
 
 
 def load_config(path: str | Path | None = None,
@@ -190,6 +218,9 @@ def load_config(path: str | Path | None = None,
             raw = {}
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path} must contain a mapping")
+        if "preset" in raw:
+            raise ValueError("config key 'config.preset' is not read from a "
+                             "file; pass --preset instead")
         _merge_section(config, raw, "config")
     if preset:
         if preset not in PRESETS:
@@ -199,9 +230,7 @@ def load_config(path: str | Path | None = None,
     if overrides:
         _merge_section(config, overrides, "override")
     # re-run validation on sections whose fields may have been replaced
-    config.preprocessing.__post_init__()
-    config.architecture.__post_init__()
-    config.training.__post_init__()
-    config.ensemble.__post_init__()
-    config.evaluation.__post_init__()
+    for section in (config.preprocessing, config.architecture,
+                    config.training, config.ensemble, config.evaluation):
+        section.__post_init__()
     return config

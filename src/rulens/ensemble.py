@@ -9,19 +9,16 @@ epistemic part (the rest), both in nats with additive constants dropped.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cmapss import NormStats, UnitSeries, check_features
+from .cmapss import NormStats, UnitSeries, check_features, window_starts
 from .config import TrainingConfig
 from .errors import DivergenceError
 from .network import (Architecture, PnnParams, TrainHistory, forward_stacked,
                       train_pnn)
-
-logger = logging.getLogger(__name__)
 
 
 def member_mean(values: np.ndarray) -> np.ndarray:
@@ -223,9 +220,9 @@ def dataset_uncertainty_profile(model: EnsembleModel,
     """Uncertainty readings over a dataset already in model feature space.
 
     Default: one row per unit, decomposed at the last step of its full
-    history. With per_window, one row per sliding window (the model's
-    training window length and stride); units shorter than one window are
-    skipped with a warning.
+    history. With per_window, one row per window of cmapss.window_starts at
+    the model's training window length and stride, which skips (and warns
+    about) units shorter than one window.
     """
     if model.norm_stats is not None:
         for unit in units:
@@ -242,18 +239,12 @@ def dataset_uncertainty_profile(model: EnsembleModel,
         raise ValueError("model carries no windowing settings; "
                          "per-window profiling needs them")
     length = int(model.preprocess["window_length"])
-    stride = int(model.preprocess["stride"])
-    for unit in units:
-        feats = unit.features
-        n = feats.shape[0]
-        if n < length:
-            logger.warning("unit %d has %d cycles, shorter than one %d-cycle "
-                           "window; skipped in per-window profile",
-                           unit.unit_id, n, length)
-            continue
+    all_starts = window_starts(units, length, int(model.preprocess["stride"]),
+                               "test")
+    for unit, starts in zip(units, all_starts):
         # one call per unit holds all of its windows, bounding memory
-        starts = range(0, n - length + 1, stride)
-        preds = predict_members(model, [feats[s:s + length] for s in starts])
+        preds = predict_members(
+            model, [unit.features[s:s + length] for s in starts])
         for s, (means, varis) in zip(starts, preds):
             dec = decompose_uncertainty(means[:, -1], varis[:, -1])
             rows.append(ProfileRow(unit.unit_id, int(unit.cycles[s + length - 1]),

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cmapss import UnitSeries, check_features
+from .cmapss import UnitSeries, check_features, make_rul_targets
 from .ensemble import EnsembleModel, decompose_uncertainty, predict_members
 
 # score_convention -> (a1 on the early/negative branch, a2 on the late branch).
@@ -200,7 +200,7 @@ def unit_predictions(model: EnsembleModel,
     All units' full histories run through the ensemble in one stacked pass.
     Default: one row per unit at its last cycle, target = the true final RUL
     as given. With per_step, one row per cycle, the target extended backward
-    by one cycle of remaining life per step.
+    by one cycle of remaining life per step (make_rul_targets, uncapped).
     """
     for unit in test_units:
         if unit.true_final_rul is None:
@@ -211,19 +211,15 @@ def unit_predictions(model: EnsembleModel,
     preds = predict_members(model, [unit.features for unit in test_units])
     rows: list[UnitPrediction] = []
     for unit, (means, varis) in zip(test_units, preds):
-        if per_step:
-            steps = range(unit.cycles.size)
-        else:
-            steps = [unit.cycles.size - 1]
-        last_cycle = int(unit.cycles[-1])
+        steps = range(unit.cycles.size) if per_step else [unit.cycles.size - 1]
+        targets = make_rul_targets(unit, None)
         for i in steps:
             dec = decompose_uncertainty(means[:, i], varis[:, i])
             mu, var = dec.mean, dec.variance
             lower, upper = interval_bounds(mu, var, alpha)
-            cycle = int(unit.cycles[i])
-            target = float(unit.true_final_rul + (last_cycle - cycle))
+            target = float(targets[i])
             rows.append(UnitPrediction(
-                unit_id=unit.unit_id, cycle=cycle, target=target,
+                unit_id=unit.unit_id, cycle=int(unit.cycles[i]), target=target,
                 mean=float(mu), sigma=float(np.sqrt(var)),
                 lower=float(lower), upper=float(upper),
                 covered=bool(lower <= target <= upper),

@@ -97,14 +97,6 @@ class PnnParams:
 
 
 @dataclass
-class GaussianSeqPrediction:
-    """Per-time-step Gaussian RUL prediction for one input sequence."""
-
-    means: np.ndarray       # [T]
-    variances: np.ndarray   # [T], strictly positive
-
-
-@dataclass
 class OptimizerState:
     """Adam accumulators; shapes mirror the parameter arrays."""
 
@@ -289,32 +281,12 @@ def forward_stacked(arch: Architecture, arrays: dict[str, np.ndarray],
             for p, n in zip(position, lengths)]
 
 
-def forward(params: PnnParams, inputs: np.ndarray) -> GaussianSeqPrediction:
-    """Predict per-time-step (mean, variance) for one sequence [T, F]."""
-    arrays = {name: a[None] for name, a in params.arrays.items()}
-    [(mu, var)] = forward_stacked(params.arch, arrays, [inputs])
-    return GaussianSeqPrediction(means=mu[0], variances=var[0])
-
-
 def _nll_terms(mu: np.ndarray, var: np.ndarray, targets: np.ndarray) -> np.ndarray:
     # overflow to inf is fine here: callers detect non-finite losses and
     # report divergence
     with np.errstate(over="ignore"):
         resid = mu - targets
         return 0.5 * np.log(var) + resid ** 2 / (2.0 * var) + HALF_LOG_2PI
-
-
-def gaussian_nll(pred: GaussianSeqPrediction, targets: np.ndarray) -> float:
-    """Gaussian negative log likelihood, averaged over the time steps.
-
-    Includes the 1/2 log(2 pi) constant so values are comparable across tools.
-    """
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != pred.means.shape:
-        raise ValueError("prediction and target lengths differ")
-    if np.any(pred.variances <= 0):
-        raise ValueError("variances must be strictly positive")
-    return float(np.mean(_nll_terms(pred.means, pred.variances, targets)))
 
 
 def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cmapss import N_SENSORS, UnitSeries, format_cmapss
+from .cmapss import N_SENSORS, N_SETTINGS, UnitSeries, format_cmapss
 
 CONSTANT_SENSORS = {1: 518.67, 5: 14.62, 10: 1.3, 16: 0.03, 18: 2388.0, 19: 100.0}
 
@@ -43,26 +43,20 @@ def make_synthetic_units(n_units: int, seed: int,
         frac = np.arange(1, length + 1) / length
         wear = frac ** rng.uniform(1.5, 3.0)
 
-        ops = np.empty((length, 3))
-        ops[:, 0] = rng.normal(0.0, 0.002, length) + 0.4 * regime_shift
-        ops[:, 1] = rng.normal(0.0, 0.0003, length) + 0.1 * regime_shift
-        ops[:, 2] = 100.0
-
-        sensors = np.empty((length, N_SENSORS))
+        features = np.empty((length, N_SETTINGS + N_SENSORS))
+        features[:, 0] = rng.normal(0.0, 0.002, length) + 0.4 * regime_shift
+        features[:, 1] = rng.normal(0.0, 0.0003, length) + 0.1 * regime_shift
+        features[:, 2] = 100.0
         for sid in range(1, N_SENSORS + 1):
-            col = sid - 1
+            col = N_SETTINGS + sid - 1
             if sid in CONSTANT_SENSORS:
-                sensors[:, col] = CONSTANT_SENSORS[sid]
+                features[:, col] = CONSTANT_SENSORS[sid]
                 continue
             drift = 2.5 * regime_shift * np.sign(_AMPS[sid])
-            sensors[:, col] = (_BASES[sid] + drift + _AMPS[sid] * wear
-                               + rng.normal(0.0, noise, length))
-        units.append(UnitSeries(
-            unit_id=uid,
-            cycles=np.arange(1, length + 1),
-            op_settings=ops,
-            sensors=sensors,
-        ))
+            features[:, col] = (_BASES[sid] + drift + _AMPS[sid] * wear
+                                + rng.normal(0.0, noise, length))
+        units.append(UnitSeries(unit_id=uid, cycles=np.arange(1, length + 1),
+                                features=features))
     return units
 
 
@@ -78,8 +72,7 @@ def truncate_for_test(units: list[UnitSeries], seed: int,
         out.append(UnitSeries(
             unit_id=unit.unit_id,
             cycles=unit.cycles[:keep],
-            op_settings=unit.op_settings[:keep],
-            sensors=unit.sensors[:keep],
+            features=unit.features[:keep],
             sensor_ids=unit.sensor_ids,
             true_final_rul=length - keep,
         ))

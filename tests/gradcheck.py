@@ -1,12 +1,43 @@
-"""Finite-difference oracle for the hand-derived gradients in rulens.network.
+"""Test oracles for rulens.network: a single-sequence forward, the
+Gaussian NLL, and the finite-difference check on the hand-derived gradients.
 
-Shared by the gradient tests and acceptance criterion 1; it is the check
-on grad, not part of the library.
+Shared by the network, ensemble and gradient tests and acceptance
+criterion 1; they check the library, they are not part of it.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from rulens.network import PnnParams, _nll_terms, forward_stacked, grad
+
+
+@dataclass
+class GaussianSeqPrediction:
+    """Per-time-step Gaussian RUL prediction for one input sequence."""
+
+    means: np.ndarray       # [T]
+    variances: np.ndarray   # [T], strictly positive
+
+
+def forward(params: PnnParams, inputs: np.ndarray) -> GaussianSeqPrediction:
+    """Predict per-time-step (mean, variance) for one sequence [T, F]."""
+    arrays = {name: a[None] for name, a in params.arrays.items()}
+    [(mu, var)] = forward_stacked(params.arch, arrays, [inputs])
+    return GaussianSeqPrediction(means=mu[0], variances=var[0])
+
+
+def gaussian_nll(pred: GaussianSeqPrediction, targets: np.ndarray) -> float:
+    """Gaussian negative log likelihood, averaged over the time steps.
+
+    Includes the 1/2 log(2 pi) constant so values are comparable across tools.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != pred.means.shape:
+        raise ValueError("prediction and target lengths differ")
+    if np.any(pred.variances <= 0):
+        raise ValueError("variances must be strictly positive")
+    return float(np.mean(_nll_terms(pred.means, pred.variances, targets)))
 
 
 def batch_forward(params: PnnParams, inputs: np.ndarray):

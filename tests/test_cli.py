@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -56,6 +57,16 @@ class TestIngest:
         assert run_cli("ingest", "--config", trained_run["config"],
                        "--force") == 0
         assert (archive / "manifest.json").read_bytes() == before
+
+    def test_config_value_of_wrong_type_is_named_user_error(
+            self, trained_run, tmp_path, capsys):
+        cfg = yaml.safe_load(Path(trained_run["config"]).read_text())
+        cfg["preprocessing"]["dropped_sensors"] = 5
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert run_cli("ingest", "--config", path,
+                       "--out", tmp_path / "arc") == 2
+        assert "dropped_sensors" in capsys.readouterr().err
 
     def test_missing_data_file_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
@@ -201,6 +212,15 @@ class TestTrain:
         assert run_cli("train", "--config", trained_run["config"],
                        "--archive", tmp_path / "nowhere",
                        "--out", tmp_path / "ck") == 2
+
+    def test_zero_members_flag_is_named_user_error(self, trained_run,
+                                                   tmp_path, capsys):
+        out = tmp_path / "ck"
+        assert run_cli("train", "--config", trained_run["config"],
+                       "--archive", trained_run["archive"],
+                       "--out", out, "--members", "0") == 2
+        assert "members must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["batch_size", "max_epochs"])
     def test_zero_training_setting_is_named_user_error(
@@ -444,6 +464,89 @@ class TestShortTrainUnit:
                            "--unit", str(unit_id),
                            "--out", tmp_path / "traces") == 0
         assert warning not in caplog.text
+
+
+def _base_argv(command: str, run: dict, out: Path) -> list:
+    test_file = yaml.safe_load(run["config"].read_text())["data"]["test_file"]
+    return {
+        "ingest": ["ingest", "--config", run["config"]],
+        "evaluate": ["evaluate", "--config", run["config"],
+                     "--checkpoint", run["checkpoint"],
+                     "--archive", run["archive"]],
+        "uncertainty": ["uncertainty", "--config", run["config"],
+                        "--checkpoint", run["checkpoint"],
+                        "--test", f"indist={test_file}"],
+        "predict": ["predict", "--config", run["config"],
+                    "--checkpoint", run["checkpoint"],
+                    "--archive", run["archive"], "--unit", "1"],
+    }[command] + ["--out", out]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("ingest", "--resume"), ("ingest", "--members=2"),
+        ("evaluate", "--members=7"), ("evaluate", "--force"),
+        ("evaluate", "--resume"), ("uncertainty", "--members=2"),
+        ("uncertainty", "--force"), ("predict", "--resume"),
+    ])
+    def test_command_refuses_flags_it_does_not_read(
+            self, trained_run, tmp_path, capsys, command, flag):
+        # a flag the command does not read would be ignored silently:
+        # evaluate --members 7 would echo members: 7 in its report beside
+        # the checkpoint's real member count
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*_base_argv(command, trained_run, out), flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_force_and_resume_are_exclusive(self, trained_run,
+                                                  capsys):
+        # --force would clear the finished members --resume asks to keep
+        ckpt = trained_run["checkpoint"]
+        files = sorted(p for p in ckpt.rglob("*") if p.is_file())
+        before = [p.stat().st_mtime_ns for p in files]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--config", trained_run["config"],
+                    "--archive", trained_run["archive"], "--force",
+                    "--resume")
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert [p.stat().st_mtime_ns for p in files] == before
+
+
+class TestRunScript:
+    def test_resume_reingests_and_reuses_finished_members(
+            self, synth_dataset, tmp_path, capsys):
+        # ingest takes no --resume: the script re-ingests with --force,
+        # which gives the same fingerprint, so train --resume keeps members
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "data": {"train_file": str(synth_dataset["train"]),
+                     "test_file": str(synth_dataset["test"]),
+                     "rul_file": str(synth_dataset["rul"])},
+            "preprocessing": {"window_length": 30, "rul_cap": 50},
+            "architecture": {"recurrent_layers": [4], "dense_layers": [2]},
+            "training": {"max_epochs": 1},
+            "ensemble": {"members": 2, "base_seed": 3},
+            "output_dir": str(tmp_path / "run")}))
+        script = Path(__file__).resolve().parent.parent / "scripts" / \
+            "run_fd001.py"
+        main = runpy.run_path(str(script))["main"]
+        argv = ["--config", str(cfg), "--trace-unit", "1"]
+        assert main(argv) == 0
+        member = tmp_path / "run" / "checkpoint" / "members" / "member_000.ckpt"
+        trained = member.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "member 0: reusing finished checkpoint" in out
+        assert "member 1: reusing finished checkpoint" in out
+        assert member.read_bytes() == trained
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--resume", "--force"])
+        assert exc.value.code == 2
 
 
 class TestNoRulWorkflow:

@@ -1,6 +1,7 @@
 """Parsing, feature selection, normalization, targets, windows, archives."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from rulens.cmapss import (N_SENSORS, NormStats, UnitSeries, apply_norm,
                            build_windows, drop_sensors, fit_norm_stats,
                            format_cmapss, load_archive, load_true_rul,
                            make_rul_targets, norm_fingerprint, parse_cmapss,
-                           prepare_split, save_archive, split_fingerprint)
+                           prepare_split, save_archive, split_fingerprint,
+                           window_starts)
 from rulens.config import PreprocessConfig
 from rulens.errors import CmapssFormatError, DataIntegrityError
 from rulens.synthetic import CONSTANT_SENSORS, make_synthetic_units
@@ -23,8 +25,8 @@ def _unit(n_cycles: int, unit_id: int = 1, seed: int = 0,
     return UnitSeries(
         unit_id=unit_id,
         cycles=np.arange(1, n_cycles + 1),
-        op_settings=rng.normal(size=(n_cycles, 3)),
-        sensors=rng.normal(size=(n_cycles, n_sensors)),
+        features=np.hstack([rng.normal(size=(n_cycles, 3)),
+                            rng.normal(size=(n_cycles, n_sensors))]),
         sensor_ids=tuple(range(1, n_sensors + 1)),
     )
 
@@ -37,14 +39,24 @@ def _row(unit: int, cycle: int, fill: float = 0.5) -> list[float]:
     return [unit, cycle] + [fill] * 24
 
 
+class TestUnitSeries:
+    def test_features_is_the_stored_matrix(self):
+        # one stored [n_cycles, 3 + n_sensors] matrix, not a copy per read
+        unit = _unit(4, n_sensors=2)
+        assert unit.features is unit.features
+        assert unit.features.shape == (4, 5)
+        parsed = parse_cmapss(io.StringIO(_text_for([_row(1, 1)])))[0]
+        assert parsed.features is parsed.features
+
+
 class TestParse:
     def test_two_units_grouped_and_ordered(self):
         text = _text_for([_row(2, 1), _row(1, 1), _row(1, 2)])
         units = parse_cmapss(io.StringIO(text))
         assert [u.unit_id for u in units] == [1, 2]
         assert len(units[0]) == 2 and len(units[1]) == 1
-        assert units[0].op_settings.shape == (2, 3)
-        assert units[0].sensors.shape == (2, 21)
+        assert units[0].features.shape == (2, 24)
+        assert units[0].features[:, :3].shape == (2, 3)
 
     def test_empty_input_gives_empty_list(self):
         assert parse_cmapss(io.StringIO("")) == []
@@ -74,7 +86,7 @@ class TestParse:
         row = _row(1, 1)
         row[5] = "1.5e-3"
         units = parse_cmapss(io.StringIO(_text_for([row])))
-        assert units[0].sensors[0, 0] == pytest.approx(1.5e-3)
+        assert units[0].features[0, 3] == pytest.approx(1.5e-3)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1,
@@ -83,15 +95,15 @@ class TestParse:
         rng = np.random.default_rng(seed)
         units = [
             UnitSeries(unit_id=k + 1, cycles=np.arange(1, n + 1),
-                       op_settings=rng.normal(size=(n, 3)) * 100,
-                       sensors=rng.normal(size=(n, N_SENSORS)) * 1000)
+                       features=np.hstack([rng.normal(size=(n, 3)) * 100,
+                                           rng.normal(size=(n, N_SENSORS)) * 1000]))
             for k, n in enumerate(lengths)]
         again = parse_cmapss(io.StringIO(format_cmapss(units)))
         assert len(again) == len(units)
         for a, b in zip(units, again):
             assert a.unit_id == b.unit_id
-            assert np.array_equal(a.op_settings, b.op_settings)
-            assert np.array_equal(a.sensors, b.sensors)
+            assert np.array_equal(a.features[:, :3], b.features[:, :3])
+            assert np.array_equal(a.features[:, 3:], b.features[:, 3:])
 
 
 class TestTrueRul:
@@ -121,14 +133,14 @@ class TestTrueRul:
 class TestDropSensors:
     def test_default_drop_retains_15(self):
         out = drop_sensors([_unit(5)], (1, 5, 10, 16, 18, 19))
-        assert out[0].sensors.shape == (5, 15)
+        assert out[0].features[:, 3:].shape == (5, 15)
         assert 1 not in out[0].sensor_ids and 19 not in out[0].sensor_ids
         assert out[0].sensor_ids == (2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 15,
                                      17, 20, 21)
 
     def test_empty_drop_is_identity(self):
         out = drop_sensors([_unit(5)], ())
-        assert out[0].sensors.shape == (5, 21)
+        assert out[0].features[:, 3:].shape == (5, 21)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="22"):
@@ -143,47 +155,45 @@ class TestDropSensors:
 class TestNormStats:
     def test_population_convention(self):
         unit = _unit(3, n_sensors=1)
-        unit.sensors[:, 0] = [1.0, 2.0, 3.0]
+        unit.features[:, 3] = [1.0, 2.0, 3.0]
         stats = fit_norm_stats([unit])
-        j = stats.feature_index_map["sensor_1"]
+        j = stats.feature_names.index("sensor_1")
         assert stats.mean[j] == pytest.approx(2.0)
         assert stats.std[j] == pytest.approx(np.sqrt(2.0 / 3.0))
 
     def test_constant_feature_error_names_feature(self):
         unit = _unit(4, n_sensors=2)
-        unit.sensors[:, 1] = 7.0
+        unit.features[:, 4] = 7.0
         with pytest.raises(DataIntegrityError, match="sensor_2"):
             fit_norm_stats([unit], on_constant="error")
 
     def test_constant_feature_zero_policy(self):
         unit = _unit(4, n_sensors=2)
-        unit.sensors[:, 1] = 7.0
+        unit.features[:, 4] = 7.0
         stats = fit_norm_stats([unit], on_constant="zero")
         assert stats.constant_features == ("sensor_2",)
-        j = stats.feature_index_map["sensor_2"]
+        j = stats.feature_names.index("sensor_2")
         assert stats.std[j] == 1.0
         normed = apply_norm([unit], stats)[0]
-        assert np.all(normed.sensors[:, 1] == 0.0)
+        assert np.all(normed.features[:, 4] == 0.0)
 
     def test_centering_and_unit_scaling(self):
         unit = _unit(50, seed=3)
         stats = fit_norm_stats([unit])
-        at_mean = UnitSeries(1, np.array([1]), stats.mean[None, :3],
-                             stats.mean[None, 3:],
+        at_mean = UnitSeries(1, np.array([1]), stats.mean[None, :],
                              sensor_ids=unit.sensor_ids)
         assert np.allclose(apply_norm([at_mean], stats)[0].features, 0.0)
         one_sigma = UnitSeries(1, np.array([1]),
-                               (stats.mean + stats.std)[None, :3],
-                               (stats.mean + stats.std)[None, 3:],
+                               (stats.mean + stats.std)[None, :],
                                sensor_ids=unit.sensor_ids)
         assert np.allclose(apply_norm([one_sigma], stats)[0].features, 1.0)
 
     def test_train_stats_leave_test_mean_off_zero(self):
         train, test = _unit(80, seed=1), _unit(80, unit_id=2, seed=2)
-        test.sensors += 5.0
+        test.features[:, 3:] += 5.0
         stats = fit_norm_stats([train])
         normed = apply_norm([test], stats)[0]
-        assert abs(normed.sensors.mean()) > 0.5
+        assert abs(normed.features[:, 3:].mean()) > 0.5
 
     def test_layout_mismatch_rejected(self):
         stats = fit_norm_stats([_unit(10)])
@@ -214,6 +224,19 @@ class TestRulTargets:
     def test_zero_cap_degenerates(self):
         assert np.all(make_rul_targets(_unit(10), 0) == 0.0)
 
+    def test_test_unit_extends_true_rul_capped_and_uncapped(self):
+        # 10 recorded cycles and 5 more to failure: 14 .. 5 remaining
+        unit = replace(_unit(10), true_final_rul=5)
+        uncapped = make_rul_targets(unit, None)
+        capped = make_rul_targets(unit, 8)
+        assert uncapped.dtype == capped.dtype == np.float64
+        assert np.array_equal(uncapped, np.arange(14, 4, -1))
+        assert np.array_equal(capped, [8.0] * 7 + [7.0, 6.0, 5.0])
+
+    def test_run_to_failure_unit_uncapped_counts_to_zero(self):
+        assert np.array_equal(make_rul_targets(_unit(6), None),
+                              np.arange(5, -1, -1))
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 400), st.integers(0, 200))
     def test_targets_nonincreasing_and_bounded(self, n, cap):
@@ -224,8 +247,23 @@ class TestRulTargets:
 
 
 def _blank(n: int, unit_id: int = 1) -> UnitSeries:
-    return UnitSeries(unit_id, np.arange(1, n + 1),
-                      np.zeros((n, 3)), np.zeros((n, 1)), (1,))
+    return UnitSeries(unit_id, np.arange(1, n + 1), np.zeros((n, 4)), (1,))
+
+
+class TestWindowStarts:
+    def test_offsets_per_unit_and_one_warning_per_short_unit(self, caplog):
+        units = [_blank(9, 1), _blank(3, 2), _blank(12, 3)]
+        with caplog.at_level("WARNING", logger="rulens.cmapss"):
+            starts = window_starts(units, 5, 2, "test")
+        assert [s.tolist() for s in starts] == [[0, 2, 4], [], [0, 2, 4, 6]]
+        [record] = caplog.records
+        assert record.name == "rulens.cmapss"
+        assert record.getMessage() == \
+            "skipping test unit 2: 3 cycles < window length 5"
+
+    def test_bad_settings_rejected(self):
+        with pytest.raises(ValueError, match="window_length"):
+            window_starts([_blank(5)], 0, 1, "test")
 
 
 class TestWindows:
@@ -305,8 +343,8 @@ class TestPrepareSplit:
 
     def test_short_train_units_skipped_with_warning(self, caplog):
         train = make_synthetic_units(3, seed=3, min_len=25, max_len=60)
-        train[0] = UnitSeries(99, np.arange(1, 11), train[0].op_settings[:10],
-                              train[0].sensors[:10], train[0].sensor_ids)
+        train[0] = UnitSeries(99, np.arange(1, 11), train[0].features[:10],
+                              train[0].sensor_ids)
         cfg = PreprocessConfig(window_length=30, rul_cap=20,
                                dropped_sensors=(1, 5, 10, 16, 18, 19))
         split = prepare_split(train, [], cfg)
@@ -377,7 +415,7 @@ class TestArchive:
     def test_synthetic_constant_columns_match_declared(self, synth_dataset):
         units = parse_cmapss(synth_dataset["train"])
         for sid, value in CONSTANT_SENSORS.items():
-            col = np.concatenate([u.sensors[:, sid - 1] for u in units])
+            col = np.concatenate([u.features[:, 2 + sid] for u in units])
             assert np.all(col == value)
-        op3 = np.concatenate([u.op_settings[:, 2] for u in units])
+        op3 = np.concatenate([u.features[:, 2] for u in units])
         assert np.all(op3 == 100.0)

@@ -1,7 +1,8 @@
-"""Config validation: out-of-range training and ensemble settings are refused
-at load time with an error that names the field."""
+"""Config validation: out-of-range settings and values that cannot be taken
+as written are refused at load time with an error that names the field."""
 
 import pytest
+import yaml
 
 from rulens.config import EnsembleConfig, TrainingConfig, load_config
 
@@ -46,3 +47,70 @@ def test_boundary_values_accepted():
         "ensemble": {"members": 1}})
     assert cfg.training.clip_norm == 0.0
     assert cfg.ensemble.members == 1
+
+
+def _load(tmp_path, raw):
+    """load_config over a file holding raw, YAML text or a mapping."""
+    path = tmp_path / "c.yaml"
+    path.write_text(raw if isinstance(raw, str) else yaml.safe_dump(raw))
+    return load_config(path)
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("ensemble", "members", 2.7),
+    ("training", "batch_size", 31.9),
+    ("ensemble", "members", True),
+    ("training", "learning_rate", "fast"),
+    ("architecture", "recurrent_layers", [8.5, 4]),
+])
+def test_number_not_taken_as_written_refused(tmp_path, section, field, value):
+    # a fraction is refused, not truncated; a bool is not a number
+    with pytest.raises(ValueError, match=f"{section}.{field}"):
+        _load(tmp_path, {section: {field: value}})
+
+
+def test_string_for_bool_refused(tmp_path):
+    # a quoted "false" is a string, and bool("false") is True
+    with pytest.raises(ValueError, match="evaluation.per_window"):
+        _load(tmp_path, {"evaluation": {"per_window": "false"}})
+
+
+def test_scalar_for_list_refused(tmp_path):
+    # a user error naming the key, not a TypeError from inside
+    with pytest.raises(ValueError, match="preprocessing.dropped_sensors"):
+        _load(tmp_path, {"preprocessing": {"dropped_sensors": 5}})
+
+
+def test_non_string_for_string_refused(tmp_path):
+    with pytest.raises(ValueError, match="output_dir"):
+        _load(tmp_path, {"output_dir": 5})
+
+
+def test_non_mapping_reference_refused(tmp_path):
+    with pytest.raises(ValueError, match="evaluation.reference"):
+        _load(tmp_path, {"evaluation": {"reference": [1, 2]}})
+    with pytest.raises(ValueError, match="evaluation.reference.rmse"):
+        _load(tmp_path, {"evaluation": {"reference": {"rmse": "abc"}}})
+
+
+def test_preset_key_in_file_refused(tmp_path):
+    # a file's preset would be echoed but never applied
+    with pytest.raises(ValueError, match="--preset"):
+        _load(tmp_path, {"preset": "desk"})
+
+
+def test_values_taken_as_written_keep_their_meaning(tmp_path):
+    cfg = _load(tmp_path, "\n".join([
+        "ensemble: {members: 4.0}",
+        "training: {learning_rate: 1e-3, clip_norm: 2}",  # YAML 1.1: '1e-3'
+        "preprocessing: {dropped_sensors: [19, 1.0]}",
+        "evaluation: {per_window: true, reference: {rmse: 15}}",
+        ""]))
+    assert cfg.ensemble.members == 4 and type(cfg.ensemble.members) is int
+    assert cfg.training.learning_rate == 0.001
+    assert cfg.training.clip_norm == 2.0
+    assert type(cfg.training.clip_norm) is float
+    assert cfg.preprocessing.dropped_sensors == (1, 19)
+    assert cfg.evaluation.per_window is True
+    assert cfg.evaluation.reference == {"rmse": 15.0}
+    assert load_config(preset="desk").ensemble.members == 5

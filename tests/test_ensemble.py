@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rulens.cmapss import NormStats, UnitSeries
+from gradcheck import forward
+from rulens import ensemble
+from rulens.cmapss import NormStats, UnitSeries, build_windows
 from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, aggregate,
                              dataset_uncertainty_profile, decompose_uncertainty,
-                             member_mean, predict_ensemble, train_ensemble)
+                             member_mean, predict_ensemble, predict_members,
+                             train_ensemble)
 from rulens.errors import DivergenceError
-from rulens.network import Architecture, forward, init_params, train_pnn
+from rulens.network import Architecture, init_params, train_pnn
 
 ARCH = Architecture(2, (3,), (2,))
 
@@ -309,8 +312,8 @@ def _make_unit(unit_id, n_cycles, seed, n_sensors=1):
     return UnitSeries(
         unit_id=unit_id,
         cycles=np.arange(1, n_cycles + 1),
-        op_settings=rng.normal(size=(n_cycles, 3)),
-        sensors=rng.normal(size=(n_cycles, n_sensors)),
+        features=np.hstack([rng.normal(size=(n_cycles, 3)),
+                            rng.normal(size=(n_cycles, n_sensors))]),
         sensor_ids=tuple(range(2, 2 + n_sensors)),
     )
 
@@ -364,6 +367,28 @@ class TestDatasetUncertaintyProfile:
                                                per_window=True)
         assert [r.unit_id for r in rows] == [6]
         assert any("unit 5" in rec.getMessage() for rec in caplog.records)
+
+    def test_per_window_reads_exactly_the_build_windows_windows(
+            self, profile_model, monkeypatch):
+        # the readings use the windows training builds from the same units:
+        # same starts, same rows, the short unit skipped
+        units = [_make_unit(1, 9, seed=6), _make_unit(2, 3, seed=7),
+                 _make_unit(3, 12, seed=8)]
+        seen = []
+
+        def recording(model, seqs):
+            seen.extend(seqs)
+            return predict_members(model, seqs)
+
+        monkeypatch.setattr(ensemble, "predict_members", recording)
+        rows = dataset_uncertainty_profile(profile_model, units,
+                                           per_window=True)
+        windows = build_windows(units, 5, 2, 128)
+        assert len(seen) == len(rows) == len(windows) == 7
+        for k, seq in enumerate(seen):
+            assert np.array_equal(seq, windows.inputs[k])
+        assert [(r.unit_id, r.end_cycle) for r in rows] == \
+            [(1, 5), (1, 7), (1, 9), (3, 5), (3, 7), (3, 9), (3, 11)]
 
     def test_per_window_requires_window_settings(self):
         params = init_params(Architecture(4, (3,), (2,)), seed=0)

@@ -120,8 +120,8 @@ def test_ragged_input_validation():
 def _unit(unit_id, n_cycles, seed, true_rul=None):
     rng = np.random.default_rng(seed)
     return UnitSeries(unit_id=unit_id, cycles=np.arange(1, n_cycles + 1),
-                      op_settings=rng.normal(size=(n_cycles, 2)),
-                      sensors=rng.normal(size=(n_cycles, 1)),
+                      features=np.hstack([rng.normal(size=(n_cycles, 2)),
+                                          rng.normal(size=(n_cycles, 1))]),
                       sensor_ids=(2,), true_final_rul=true_rul)
 
 

@@ -335,8 +335,8 @@ def _test_unit(unit_id, n_cycles, true_rul, seed):
     rng = np.random.default_rng(seed)
     return UnitSeries(unit_id=unit_id,
                       cycles=np.arange(1, n_cycles + 1),
-                      op_settings=rng.normal(size=(n_cycles, 3)),
-                      sensors=rng.normal(size=(n_cycles, 1)),
+                      features=np.hstack([rng.normal(size=(n_cycles, 3)),
+                                          rng.normal(size=(n_cycles, 1))]),
                       sensor_ids=(2,),
                       true_final_rul=true_rul)
 

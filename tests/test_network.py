@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import batch_forward, batch_loss, finite_diff_check
+from gradcheck import (GaussianSeqPrediction, batch_forward, batch_loss,
+                       finite_diff_check, forward, gaussian_nll)
 from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
 from rulens.config import TrainingConfig
 from rulens.errors import DivergenceError
-from rulens.network import (VAR_FLOOR, Architecture, GaussianSeqPrediction,
-                            PnnParams, adam_step, clip_global_norm, forward,
-                            gaussian_nll, grad, init_adam, init_params,
+from rulens.network import (VAR_FLOOR, Architecture, PnnParams, adam_step,
+                            clip_global_norm, grad, init_adam, init_params,
                             sigmoid, train_pnn)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -440,8 +440,9 @@ class TestTrainLoop:
         # windows gathered from the sliding views train bit-identically to
         # the same windows stacked into [N, T, F] / [N, T] arrays
         rng = np.random.default_rng(8)
-        units = [UnitSeries(uid, np.arange(1, n + 1), rng.normal(size=(n, 3)),
-                            rng.normal(size=(n, 2)), (2, 3))
+        units = [UnitSeries(uid, np.arange(1, n + 1),
+                            np.hstack([rng.normal(size=(n, 3)),
+                                       rng.normal(size=(n, 2))]), (2, 3))
                  for uid, n in ((1, 14), (2, 4), (3, 11))]
         windows = build_windows(units, 6, 1, 7)
         spans = [(u, s) for u in units for s in range(len(u) - 5)]
