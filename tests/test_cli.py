@@ -35,6 +35,18 @@ def _unit_ids(archive: Path, split: str) -> list[int]:
         return [int(u) for u in arrays[f"{split}_ids"]]
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_env(**blas: str) -> dict[str, str]:
+    """This process's environment for a fresh interpreter, with src/
+    importable and the BLAS thread variables only as given: this process
+    imported rulens.cli, which may have set one of them."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**env, **blas, "PYTHONPATH": str(src)}
+
+
 class TestIngest:
     def test_writes_archive(self, trained_run):
         archive = trained_run["archive"]
@@ -235,6 +247,39 @@ class TestTrain:
                        "--out", out) == 2
         assert f"{field} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_member_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        """A member trained by the CLI with the BLAS thread variables unset
+        equals one trained with OPENBLAS_NUM_THREADS=1. With OpenBLAS's
+        default thread count the gradients of a batch like this one (18
+        windows of 100 steps, layers [32, 16]) differ in their last bits
+        between one and two threads. On a 1-core machine both children run
+        one thread anyway, so there this test cannot fail."""
+        # two 108-cycle units: 18 windows of 100, one batch of 32
+        data = write_synthetic_dataset(tmp_path / "data", n_train_units=2,
+                                       n_test_units=1, seed=7, min_len=108,
+                                       max_len=108)
+        config = tmp_path / "run.yaml"
+        config.write_text(yaml.safe_dump({
+            "data": {"train_file": str(data["train"]),
+                     "test_file": str(data["test"])},
+            "preprocessing": {"window_length": 100},
+            "training": {"max_epochs": 1},
+            "ensemble": {"members": 1},
+            "output_dir": str(tmp_path / "run")}))
+        archive = tmp_path / "run" / "archive"
+        assert run_cli("ingest", "--config", config) == 0
+        members = []
+        for name, blas in (("unset", {}),
+                           ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "rulens.cli", "train",
+                            "--config", str(config), "--archive",
+                            str(archive), "--out", str(out)],
+                           env=_child_env(**blas), check=True,
+                           capture_output=True)
+            members.append(member_path(out, 0).read_bytes())
+        assert members[0] == members[1]
 
 
 @pytest.fixture(scope="session")
@@ -573,11 +618,30 @@ class TestNoRulWorkflow:
 
 
 class TestImport:
+    def _probe(self, code: str, **blas: str) -> str:
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=_child_env(**blas), capture_output=True,
+                             text=True, check=True)
+        return out.stdout.strip()
+
     def test_cli_import_does_not_load_scipy(self):
         # a fresh interpreter, since this test process has scipy loaded
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
         probe = "import sys, rulens.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert self._probe(probe) == "False"
+
+    def test_package_import_does_not_load_numpy(self):
+        # so that rulens.cli can pick the BLAS thread count before numpy
+        # loads OpenBLAS, also under `python -m rulens.cli`
+        probe = "import sys, rulens; print('numpy' in sys.modules)"
+        assert self._probe(probe) == "False"
+
+    BLAS_PROBE = ("import os, rulens.cli; "
+                  f"print([os.environ.get(k) for k in {BLAS_THREADS!r}])")
+
+    def test_cli_import_sets_one_blas_thread(self):
+        assert self._probe(self.BLAS_PROBE) == "['1', None]"
+
+    @pytest.mark.parametrize("name", BLAS_THREADS)
+    def test_caller_blas_thread_setting_is_kept(self, name):
+        expected = ["3" if k == name else None for k in BLAS_THREADS]
+        assert self._probe(self.BLAS_PROBE, **{name: "3"}) == str(expected)

@@ -362,11 +362,12 @@ class TestDatasetUncertaintyProfile:
                                                        caplog):
         short = _make_unit(5, 3, seed=3)
         ok = _make_unit(6, 5, seed=4)
-        with caplog.at_level(logging.WARNING, logger="rulens.ensemble"):
+        with caplog.at_level(logging.WARNING, logger="rulens.cmapss"):
             rows = dataset_uncertainty_profile(profile_model, [short, ok],
                                                per_window=True)
         assert [r.unit_id for r in rows] == [6]
-        assert any("unit 5" in rec.getMessage() for rec in caplog.records)
+        assert [rec.name for rec in caplog.records
+                if "unit 5" in rec.getMessage()] == ["rulens.cmapss"]
 
     def test_per_window_reads_exactly_the_build_windows_windows(
             self, profile_model, monkeypatch):
