@@ -171,6 +171,18 @@ def _check_input(arch: Architecture, x: np.ndarray) -> None:
         raise ValueError("non-finite values in network input")
 
 
+def _buffer(buffers: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """buffers[name], reallocated (uninitialized) only when its shape changes.
+
+    What the previous user wrote stays in it, so callers overwrite every
+    element they read.
+    """
+    buf = buffers.get(name)
+    if buf is None or buf.shape != shape:
+        buf = buffers[name] = np.empty(shape)
+    return buf
+
+
 def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
          active: np.ndarray, tape: dict | None = None
          ) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +195,14 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
     input projection is computed per step, so nothing of size [M, B, T, 4H]
     is held unless recorded. Returns mean and variance [M, B, T].
 
-    Given a tape (a dict), it also records what backpropagation through
-    time needs: per LSTM layer the gates [T, M, B, 4H] (g block after
-    tanh), h and c [T + 1, M, B, H] from the zero initial state, and
-    tanh(c) [T, M, B, H]; per dense layer its input [T, M, B, width]; and
-    the raw variance output [M, B, T].
+    Given a tape (a dict of buffers, see _buffer), it also records what
+    backpropagation through time needs: per LSTM layer k the gates
+    "lstm{k}.gates" [T, M, B, 4H] (g block after tanh), h and c
+    "lstm{k}.h", "lstm{k}.c" [T + 1, M, B, H] from the zero initial state,
+    and tanh(c) "lstm{k}.tc" [T, M, B, H]; per dense layer k its input
+    "dense{k}.in" [T, M, B, width]; and the raw variance output "raw"
+    [M, B, T]. The tape is overwritten, not zeroed, so recording one needs
+    the full batch at every step.
     """
     T, B, _ = x.shape
     M = arrays["lstm0.w_x"].shape[0]
@@ -199,15 +214,22 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
     hs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
     cs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
     mu = np.zeros((M, B, T))
-    raw = np.zeros((M, B, T))
-    if tape is not None:
-        tape["lstm"] = [{"gates": np.zeros((T, M, B, 4 * hidden)),
-                         "h": np.zeros((T + 1, M, B, hidden)),
-                         "c": np.zeros((T + 1, M, B, hidden)),
-                         "tc": np.zeros((T, M, B, hidden))}
-                        for hidden, *_ in lstm]
-        tape["dense"] = [np.zeros((T, M, B, w.shape[1])) for w, _ in dense]
-        tape["raw"] = raw
+    if tape is None:
+        raw = np.zeros((M, B, T))
+    else:
+        assert (active == B).all(), "a tape needs the full batch at every step"
+        recs = [{key: _buffer(tape, f"lstm{k}.{key}", (n, M, B, width))
+                 for key, n, width in (("gates", T, 4 * hidden),
+                                       ("h", T + 1, hidden),
+                                       ("c", T + 1, hidden),
+                                       ("tc", T, hidden))}
+                for k, (hidden, *_) in enumerate(lstm)]
+        for rec in recs:
+            rec["h"][0] = 0.0
+            rec["c"][0] = 0.0
+        dense_in = [_buffer(tape, f"dense{k}.in", (T, M, B, w.shape[1]))
+                    for k, (w, _) in enumerate(dense)]
+        raw = _buffer(tape, "raw", (M, B, T))
     for t in range(T):
         b = active[t]
         a = x[t, :b]
@@ -224,14 +246,14 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
             a = gates[..., 3 * hidden:] * tc
             hs[k], cs[k] = a, c
             if tape is not None:
-                rec = tape["lstm"][k]
-                rec["gates"][t, :, :b] = gates
-                rec["h"][t + 1, :, :b] = a
-                rec["c"][t + 1, :, :b] = c
-                rec["tc"][t, :, :b] = tc
+                rec = recs[k]
+                rec["gates"][t] = gates
+                rec["h"][t + 1] = a
+                rec["c"][t + 1] = c
+                rec["tc"][t] = tc
         for k, (w, bias) in enumerate(dense):
             if tape is not None:
-                tape["dense"][k][t, :, :b] = a
+                dense_in[k][t] = a
             a = a @ w + bias
             if k < len(dense) - 1:
                 a = np.tanh(a)
@@ -289,7 +311,8 @@ def _nll_terms(mu: np.ndarray, var: np.ndarray, targets: np.ndarray) -> np.ndarr
         return 0.5 * np.log(var) + resid ** 2 / (2.0 * var) + HALF_LOG_2PI
 
 
-def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
+def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
+         buffers: dict | None = None):
     """Exact gradients of the mean batch NLL for a batch of sequences.
 
     inputs: [B, T, F], targets: [B, T]. Returns (grads, loss) where grads
@@ -300,22 +323,30 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
     tape. Products over the B * T (sample, step) rows, the weight-gradient
     sums among them, run on sample-major rows, so their summation order
     does not follow the time-major layout of the forward.
+
+    buffers, a dict the caller keeps between calls, holds the tape and the
+    per-batch work arrays, so repeated calls of one shape allocate them
+    once. Each call overwrites what the previous one left there; nothing
+    returned aliases them, and the results are the same bits as with a
+    fresh dict, which is what buffers=None uses.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 3 or y.shape != x.shape[:2]:
         raise ValueError("expected inputs [B, T, F] with matching targets [B, T]")
-    B, T, _ = x.shape
+    B, T, F = x.shape
     if B < 1:
         raise ValueError("batch must be nonempty")
     arch = params.arch
     _check_input(arch, x)
+    if buffers is None:
+        buffers = {}
 
-    tape: dict = {}
     arrays = {name: a[None] for name, a in params.arrays.items()}
-    x_time_major = np.ascontiguousarray(x.transpose(1, 0, 2))
-    mu, var = _run(arch, arrays, x_time_major, np.full(T, B), tape)
-    mu, var, raw = mu[0], var[0], tape["raw"][0]
+    x_time_major = _buffer(buffers, "x", (T, B, F))
+    np.copyto(x_time_major, x.transpose(1, 0, 2))
+    mu, var = _run(arch, arrays, x_time_major, np.full(T, B), buffers)
+    mu, var, raw = mu[0], var[0], buffers["raw"][0]
     terms = _nll_terms(mu, var, y)
     per_sample = terms.mean(axis=1)
     if not np.isfinite(per_sample).all():
@@ -324,9 +355,28 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
             f"non-finite loss for sample {bad} in batch", sample_index=bad)
     loss = float(per_sample.mean())
 
+    # each role has one buffer for all layers, sized for the widest of them
+    widest = max(arch.recurrent_layers)
+    d_z_buf = _buffer(buffers, "d_z", (B * T * 4 * widest,))
+    d_above_buf = _buffer(buffers, "d_above", (B * T * widest,))
+    rows_buf = _buffer(buffers, "rows", (B * T * max(
+        arch.recurrent_layers + arch.dense_layers[:-1]),))
+
+    def head(buf: np.ndarray, *shape: int) -> np.ndarray:
+        """The leading elements of a flat buffer, as an array of shape."""
+        return buf[:int(np.prod(shape))].reshape(shape)
+
     def rows(a: np.ndarray) -> np.ndarray:
-        """Time-major [T, B, W] -> sample-major rows [B * T, W]."""
-        return a.transpose(1, 0, 2).reshape(B * T, -1)
+        """Time-major [T, B, W] -> sample-major rows [B * T, W], written
+        over the previous rows."""
+        out = head(rows_buf, B, T, a.shape[-1])
+        np.copyto(out, a.transpose(1, 0, 2))
+        return out.reshape(B * T, -1)
+
+    def above(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """d @ w.T, the gradient reaching the layer below, as [B, T, W]."""
+        out = head(d_above_buf, B * T, w.shape[0])
+        return np.matmul(d, w.T, out=out).reshape(B, T, -1)
 
     scale = 1.0 / (B * T)
     resid = mu - y
@@ -340,30 +390,28 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
     d_out[:, 1] = draw.ravel()
 
     # dense stack, top down
-    dense_in = [rows(a[:, 0]) for a in tape["dense"]]
-    n_dense = len(arch.dense_layers)
     d_a = d_out
-    for k in range(n_dense - 1, -1, -1):
-        if k < n_dense - 1:
-            # d_a arrived through tanh(z_k); its output is the input of
-            # layer k+1
-            d_a = d_a * (1.0 - dense_in[k + 1] ** 2)
-        grads[f"dense{k}.w"] = dense_in[k].T @ d_a
+    for k in range(len(arch.dense_layers) - 1, -1, -1):
+        dense_in = rows(buffers[f"dense{k}.in"][:, 0])
+        w = params.arrays[f"dense{k}.w"]
+        grads[f"dense{k}.w"] = dense_in.T @ d_a
         grads[f"dense{k}.b"] = d_a.sum(axis=0)
-        d_a = d_a @ params.arrays[f"dense{k}.w"].T
-
-    d_above = d_a.reshape(B, T, arch.recurrent_layers[-1])
+        if k > 0:
+            # through tanh(z_{k-1}), whose output is the input of layer k
+            d_a = d_a @ w.T * (1.0 - dense_in ** 2)
+        else:
+            d_above = above(d_a, w)
 
     # LSTM stack, top down, exact backpropagation through time
     for k in range(len(arch.recurrent_layers) - 1, -1, -1):
-        rec = tape["lstm"][k]
         hidden = arch.recurrent_layers[k]
         w_x = params.arrays[f"lstm{k}.w_x"]
         w_h = params.arrays[f"lstm{k}.w_h"]
-        gates, hs, cs, tc = (rec[key][:, 0] for key in ("gates", "h", "c", "tc"))
+        gates, hs, cs, tc = (buffers[f"lstm{k}.{key}"][:, 0]
+                             for key in ("gates", "h", "c", "tc"))
         gi, gf, gg, go = (gates[..., j * hidden:(j + 1) * hidden]
                           for j in range(4))
-        d_z = np.empty((B, T, 4 * hidden))
+        d_z = head(d_z_buf, B, T, 4 * hidden)
         dh_carry = np.zeros((B, hidden))
         dc_carry = np.zeros((B, hidden))
         for t in range(T - 1, -1, -1):
@@ -381,12 +429,12 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray):
             dc_carry = dc * gf[t]
         flat_dz = d_z.reshape(B * T, 4 * hidden)
         layer_in = x.reshape(B * T, -1) if k == 0 else \
-            rows(tape["lstm"][k - 1]["h"][1:, 0])
+            rows(buffers[f"lstm{k - 1}.h"][1:, 0])
         grads[f"lstm{k}.w_x"] = layer_in.T @ flat_dz
         grads[f"lstm{k}.w_h"] = rows(hs[:T]).T @ flat_dz
         grads[f"lstm{k}.b"] = flat_dz.sum(axis=0)
         if k > 0:
-            d_above = (flat_dz @ w_x.T).reshape(B, T, -1)
+            d_above = above(flat_dz, w_x)
 
     return {name: grads[name] for name in params.arrays}, loss
 
@@ -445,10 +493,15 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
 
     Deterministic: the parameter draw and the per-epoch shuffle stream both
     derive from the seed, so (seed, data, config) fully determines the
-    result when run single-threaded. Early stopping starts watching at
-    cfg.early_stop_start and fires after cfg.patience consecutive epochs
+    result at a given BLAS thread count, which sets how BLAS splits its
+    sums. The CLI runs OpenBLAS on one thread unless the caller sets
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. Early stopping starts watching
+    at cfg.early_stop_start and fires after cfg.patience consecutive epochs
     without a new best training loss; the returned parameters are the
     best-loss snapshot.
+
+    Every batch reuses one dict of grad buffers, which lives only as long
+    as this call, so nothing carries over from one member to the next.
     """
     inputs, targets = train_windows
     n = len(inputs)
@@ -460,6 +513,7 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=(1,)))
 
+    buffers: dict = {}
     history = TrainHistory()
     best_params = params.copy()
     epochs_since_best = 0
@@ -469,7 +523,7 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             try:
-                grads, loss = grad(params, inputs[idx], targets[idx])
+                grads, loss = grad(params, inputs[idx], targets[idx], buffers)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"diverged at epoch {epoch}: {exc}",

@@ -56,18 +56,20 @@ def batch_loss(params: PnnParams, inputs: np.ndarray, targets: np.ndarray) -> fl
 
 
 def finite_diff_check(params: PnnParams, inputs: np.ndarray,
-                      targets: np.ndarray, epsilon: float = 1e-5) -> float:
+                      targets: np.ndarray, epsilon: float = 1e-5,
+                      buffers: dict | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Perturbs every coordinate, so the parameter count is capped at 10,000.
-    Relative error per coordinate: |a - n| / max(1e-8, |a| + |n|).
+    Relative error per coordinate: |a - n| / max(1e-8, |a| + |n|). The
+    analytic gradients come from grad with the given buffers.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
     n_params = params.arch.n_params()
     if n_params > 10_000:
         raise ValueError(f"{n_params} parameters; finite differences capped at 10000")
-    analytic, _ = grad(params, inputs, targets)
+    analytic, _ = grad(params, inputs, targets, buffers)
     work = params.copy()
     worst = 0.0
     for name, arr in work.arrays.items():

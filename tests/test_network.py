@@ -328,6 +328,75 @@ class TestGrad:
             finite_diff_check(big, np.zeros((1, 3, 18)), np.zeros((1, 3)))
 
 
+def _poison(buffers: dict) -> None:
+    """NaN over every buffer, so a later read of an unwritten element shows."""
+    for buf in buffers.values():
+        buf.fill(np.nan)
+
+
+class TestGradBuffers:
+    # the second architecture's widest layer is not its first, and it has a
+    # hidden dense layer, so every shared buffer serves layers of other widths
+    ARCHS = [Architecture(18, (32, 16), (2,)),
+             Architecture(5, (8, 4, 6), (3, 2))]
+
+    @staticmethod
+    def _batch(arch, seed, B, T):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(B, T, arch.input_dim)),
+                rng.uniform(0.0, 120.0, size=(B, T)))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_reused_buffers_give_the_bits_of_fresh_ones(self, arch):
+        # batch size and length change, as on the short last batch of an
+        # epoch; the buffers are poisoned between calls
+        params = init_params(arch, seed=2)
+        buffers: dict = {}
+        shapes = [(32, 30), (32, 30), (12, 30), (32, 30), (32, 11), (32, 11)]
+        for i, (B, T) in enumerate(shapes):
+            x, y = self._batch(arch, i, B, T)
+            got, loss = grad(params, x, y, buffers)
+            ref, ref_loss = grad(params, x, y)
+            assert loss == ref_loss
+            assert list(got) == list(ref)
+            assert all(got[k].tobytes() == ref[k].tobytes() for k in ref)
+            _poison(buffers)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_returned_gradients_do_not_alias_buffers(self, arch):
+        params = init_params(arch, seed=4)
+        buffers: dict = {}
+        first, _ = grad(params, *self._batch(arch, 0, 16, 12), buffers)
+        kept = {k: g.copy() for k, g in first.items()}
+        assert not any(np.shares_memory(g, buf) for g in first.values()
+                       for buf in buffers.values())
+        grad(params, *self._batch(arch, 1, 16, 12), buffers)
+        assert all(np.array_equal(first[k], kept[k]) for k in kept)
+
+    def test_same_shape_calls_allocate_once(self):
+        arch = self.ARCHS[0]
+        params = init_params(arch, seed=5)
+        buffers: dict = {}
+        grad(params, *self._batch(arch, 0, 8, 10), buffers)
+        before = dict(buffers)
+        grad(params, *self._batch(arch, 1, 8, 10), buffers)
+        assert buffers.keys() == before.keys()
+        assert all(buffers[k] is before[k] for k in before)
+
+    def test_matches_central_differences_through_buffers(self):
+        # the buffers hold another batch of the same shape, poisoned
+        rng = np.random.default_rng(238)
+        worst = 0.0
+        for _ in range(6):
+            params, x, y = random_small_net(rng)
+            buffers: dict = {}
+            grad(params, x + 1.0, y * 0.5, buffers)
+            _poison(buffers)
+            worst = max(worst,
+                        finite_diff_check(params, x, y, CHECK_EPS, buffers))
+        assert worst < 1e-4
+
+
 class TestAdam:
     def _setup(self):
         params = init_params(Architecture(2, (3,), (2,)), seed=3)
