@@ -31,8 +31,8 @@ from .atomic import atomic_write
 from .checkpoints import (load_ensemble, load_member, member_path,
                           save_member, write_ensemble_manifest)
 from .config import RunConfig, load_config
-from .ensemble import (EnsembleModel, dataset_uncertainty_profile,
-                       predict_ensemble, train_ensemble)
+from .ensemble import (EnsembleModel, dataset_uncertainty_profile, read_out,
+                       train_ensemble)
 from .errors import DataIntegrityError, DivergenceError, RulensError
 from .metrics import (interval_bounds, kde, report_from_predictions,
                       report_to_dict, report_to_text, unit_predictions)
@@ -220,9 +220,11 @@ def cmd_evaluate(args) -> int:
                          "RUL file configured")
 
     ev = config.evaluation
-    rows = unit_predictions(model, split.test_units, alpha=ev.alpha,
-                            per_step=ev.per_window)
-    report = report_from_predictions(rows, ev.alpha, ev.score_convention)
+    unit_ids, cycles, targets, dec = unit_predictions(
+        model, split.test_units, per_step=ev.per_window)
+    lower, upper = interval_bounds(dec.mean, dec.variance, ev.alpha)
+    report = report_from_predictions(dec.mean, targets, (lower, upper),
+                                     ev.alpha, ev.score_convention)
 
     out = _out_dir(args, config, "reports")
     extra = {
@@ -243,28 +245,35 @@ def cmd_evaluate(args) -> int:
         "config": config.resolved(),
     })
     if args.per_unit:
+        covered = (lower <= targets) & (targets <= upper)
         _write_tsv(
             out / "per_unit.tsv",
             [f"checkpoint_fingerprint {ckpt_manifest['fingerprint']}",
              f"config {config.resolved_json()}"],
             ["unit", "cycle", "true_rul", "mean", "sigma", "lower", "upper",
              "covered", "u_al", "u_ep", "u_tot"],
-            [(r.unit_id, r.cycle, r.target, r.mean, r.sigma, r.lower, r.upper,
-              int(r.covered), r.aleatoric, r.epistemic, r.total)
-             for r in rows])
+            zip(unit_ids, cycles, targets, dec.mean, np.sqrt(dec.variance),
+                lower, upper, covered.astype(int),
+                dec.aleatoric, dec.epistemic, dec.total))
     print(report_to_text(report).rstrip())
     print(f"report written to {out}")
     return 0
 
 
 def _parse_named_paths(specs: list[str]) -> list[tuple[str, Path]]:
-    named = []
+    named: dict[str, Path] = {}
     for spec in specs:
         name, sep, raw = spec.partition("=")
         if not sep or not name or not raw:
             raise ValueError(f"--test expects NAME=PATH, got {spec!r}")
-        named.append((name, _require_file(raw, f"test data file {name}")))
-    return named
+        # NAME prefixes the output file names inside --out
+        if name in (".", "..") or "/" in name or os.sep in name:
+            raise ValueError(f"--test NAME must be a plain file-name part, "
+                             f"got {name!r}")
+        if name in named:
+            raise ValueError(f"--test NAME {name!r} given twice")
+        named[name] = _require_file(raw, f"test data file {name}")
+    return list(named.items())
 
 
 def cmd_uncertainty(args) -> int:
@@ -284,19 +293,18 @@ def cmd_uncertainty(args) -> int:
         units = cmapss.drop_sensors(units,
                                     model.preprocess["dropped_sensors"])
         units = cmapss.apply_norm(units, model.norm_stats)
-        rows = dataset_uncertainty_profile(model, units,
-                                           per_window=args.per_window)
-        if not rows:
+        unit_ids, end_cycles, dec = dataset_uncertainty_profile(
+            model, units, per_window=args.per_window)
+        if not unit_ids.size:
             raise ValueError(f"dataset {name}: no uncertainty readings "
                              "(all units shorter than one window?)")
         _write_tsv(out / f"{name}_uncertainty.tsv", comments,
                    ["unit", "end_cycle", "u_al", "u_ep", "u_tot"],
-                   [(r.unit_id, r.end_cycle, r.aleatoric, r.epistemic, r.total)
-                    for r in rows])
+                   zip(unit_ids, end_cycles, dec.aleatoric, dec.epistemic,
+                       dec.total))
         for kind in ("aleatoric", "epistemic"):
-            values = np.array([getattr(r, kind) for r in rows])
             try:
-                curve = kde(values)
+                curve = kde(getattr(dec, kind))
             except ValueError as exc:
                 logger.warning("%s %s: skipping density curve (%s)",
                                name, kind, exc)
@@ -306,10 +314,10 @@ def cmd_uncertainty(args) -> int:
                        ["grid", "density"],
                        zip(curve.grid, curve.density))
         summary[name] = {
-            "n": len(rows),
-            "mean_aleatoric": float(np.mean([r.aleatoric for r in rows])),
-            "mean_epistemic": float(np.mean([r.epistemic for r in rows])),
-            "mean_total": float(np.mean([r.total for r in rows])),
+            "n": unit_ids.size,
+            "mean_aleatoric": float(np.mean(dec.aleatoric)),
+            "mean_epistemic": float(np.mean(dec.epistemic)),
+            "mean_total": float(np.mean(dec.total)),
         }
         print(f"{name}: n={summary[name]['n']} "
               f"mean u_al={summary[name]['mean_aleatoric']:.4f} "
@@ -351,8 +359,9 @@ def cmd_predict(args) -> int:
                          f"available ids: {sorted(by_id)}")
     unit = by_id[args.unit]
 
-    pred = predict_ensemble(model, unit.features)
-    lower, upper = interval_bounds(pred.means, pred.variances,
+    _, _, dec = read_out(model, [unit], [np.arange(len(unit))])
+    sigma = np.sqrt(dec.variance)
+    lower, upper = interval_bounds(dec.mean, dec.variance,
                                    config.evaluation.alpha)
     if args.split == "test" and unit.true_final_rul is None:
         target = np.full(len(unit.cycles), np.nan)
@@ -367,11 +376,9 @@ def cmd_predict(args) -> int:
          f"alpha {config.evaluation.alpha!r}",
          f"config {config.resolved_json()}"],
         ["step", "target", "mean", "sigma", "lower", "upper"],
-        [(int(c), target[i], pred.means[i], float(np.sqrt(pred.variances[i])),
-          lower[i], upper[i]) for i, c in enumerate(unit.cycles)])
+        zip(unit.cycles, target, dec.mean, sigma, lower, upper))
     print(f"trace with {len(unit.cycles)} steps written to {trace_path}")
-    print(f"last step: mean {pred.means[-1]:.2f}, "
-          f"sigma {np.sqrt(pred.variances[-1]):.2f}, "
+    print(f"last step: mean {dec.mean[-1]:.2f}, sigma {sigma[-1]:.2f}, "
           f"interval [{lower[-1]:.2f}, {upper[-1]:.2f}]")
     return 0
 

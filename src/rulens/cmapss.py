@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -128,9 +129,10 @@ def _read_lines(text_source) -> Iterable[str]:
 def parse_cmapss(text_source) -> list[UnitSeries]:
     """Parse a 26-column CMAPSS file into per-unit series, ascending unit id.
 
-    Raises CmapssFormatError for malformed lines (bad field count or
-    non-numeric token) and DataIntegrityError when a unit's cycle column is
-    not consecutive starting at 1.
+    Raises CmapssFormatError for malformed lines (bad field count, or a
+    non-numeric, non-finite or, for unit and cycle, non-integer token) and
+    DataIntegrityError when a unit's cycle column is not consecutive
+    starting at 1.
     """
     rows_by_unit: dict[int, list[list[float]]] = {}
     for line_no, line in enumerate(_read_lines(text_source), start=1):
@@ -144,11 +146,15 @@ def parse_cmapss(text_source) -> list[UnitSeries]:
             values = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise CmapssFormatError(f"non-numeric token: {exc}", line_no) from None
-        unit = int(values[0])
-        if unit != values[0] or unit <= 0:
+        if not all(map(math.isfinite, values)):
+            raise CmapssFormatError("non-finite value", line_no)
+        if not (values[0].is_integer() and values[0] > 0):
             raise CmapssFormatError(
                 f"unit id must be a positive integer, got {values[0]}", line_no)
-        rows_by_unit.setdefault(unit, []).append(values)
+        if not values[1].is_integer():
+            raise CmapssFormatError(
+                f"cycle must be an integer, got {values[1]}", line_no)
+        rows_by_unit.setdefault(int(values[0]), []).append(values)
 
     units: list[UnitSeries] = []
     for unit_id in sorted(rows_by_unit):
@@ -192,15 +198,15 @@ def load_true_rul(text_source, units: Sequence[UnitSeries]) -> list[UnitSeries]:
         if not token:
             continue
         try:
-            value = int(float(token))
-            if value != float(token):
-                raise ValueError(token)
+            value = float(token)
         except ValueError:
+            value = math.nan
+        if not value.is_integer():    # also refuses nan and inf
             raise CmapssFormatError(
-                f"expected one integer RUL, got {token!r}", line_no) from None
+                f"expected one integer RUL, got {token!r}", line_no)
         if value < 0:
             raise DataIntegrityError(f"line {line_no}: RUL must be nonnegative")
-        values.append(value)
+        values.append(int(value))
     if len(values) != len(units):
         raise DataIntegrityError(
             f"RUL file has {len(values)} values for {len(units)} units")
@@ -439,7 +445,8 @@ def save_archive(split: DatasetSplit, directory, config_echo: dict,
         "dropped_sensors": list(split.dropped_sensors),
         "n_train_units": len(split.train_units),
         "n_test_units": len(split.test_units),
-        "n_train_windows": len(split.train_windows),
+        "n_train_windows": sum(map(len, window_starts(
+            split.train_units, split.window_length, split.stride, "train"))),
         "fingerprint": split_fingerprint(split),
         "config": config_echo,
     }

@@ -28,10 +28,12 @@ def member_mean(values: np.ndarray) -> np.ndarray:
     smallest element makes the mean of M identical values return that value
     bit-for-bit. Both properties are load-bearing: epistemic uncertainty of
     a degenerate ensemble must be exactly zero, and results must not depend
-    on member completion order.
+    on member completion order. Each reading is summed with its member axis
+    contiguous (Fortran order): NumPy sums a contiguous axis pairwise and a
+    strided one in sequence, so a reading's bits follow its member values
+    alone, not the input's layout or how many readings share the call.
     """
-    a = np.asarray(values, dtype=np.float64)
-    s = np.sort(a, axis=0)
+    s = np.sort(np.asfortranarray(values, dtype=np.float64), axis=0)
     return s[0] + np.mean(s - s[0], axis=0)
 
 
@@ -59,19 +61,9 @@ class EnsembleModel:
 
 
 @dataclass
-class EnsemblePrediction:
-    """Mixture moments plus the per-member predictions they came from."""
-
-    means: np.ndarray          # [T] mixture mean
-    variances: np.ndarray      # [T] mixture variance
-    member_means: np.ndarray   # [M, T]
-    member_vars: np.ndarray    # [M, T]
-
-
-@dataclass
 class UncertaintyDecomposition:
     """Log-variance split in nats (constants dropped), with the mixture
-    moments it splits.
+    moments it splits; one entry per reading.
 
     total == aleatoric + epistemic by construction; epistemic is zero for a
     degenerate ensemble and nonnegative up to float rounding otherwise.
@@ -79,22 +71,11 @@ class UncertaintyDecomposition:
     log(variance).
     """
 
-    aleatoric: float | np.ndarray
-    epistemic: float | np.ndarray
-    total: float | np.ndarray
-    mean: float | np.ndarray
-    variance: float | np.ndarray
-
-
-@dataclass
-class ProfileRow:
-    """One uncertainty reading: a unit at a specific end cycle."""
-
-    unit_id: int
-    end_cycle: int
-    aleatoric: float
-    epistemic: float
-    total: float
+    aleatoric: np.ndarray
+    epistemic: np.ndarray
+    total: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
 
 
 def aggregate(member_means: np.ndarray,
@@ -123,20 +104,14 @@ def decompose_uncertainty(member_means: np.ndarray,
     """Split mixture log variance into aleatoric and epistemic parts.
 
     aleatoric = mean over members of log sigma_i^2; total = log sigma_*^2;
-    epistemic = total - aleatoric. Accepts [M] for a single reading or
-    [M, ...] for vectorized use; outputs drop the member axis.
+    epistemic = total - aleatoric. Takes [M, ...] with the readings on the
+    trailing axes; outputs drop the member axis ([M] gives NumPy floats).
     """
     mu_star, var_star = aggregate(member_means, member_vars)
-    v = np.asarray(member_vars, dtype=np.float64)
-    aleatoric = member_mean(np.log(v))
+    aleatoric = member_mean(np.log(member_vars))
     total = np.log(var_star)
-    epistemic = total - aleatoric
-    if np.ndim(total) == 0:
-        return UncertaintyDecomposition(float(aleatoric), float(epistemic),
-                                        float(total), float(mu_star),
-                                        float(var_star))
-    return UncertaintyDecomposition(aleatoric, epistemic, total, mu_star,
-                                    var_star)
+    return UncertaintyDecomposition(aleatoric, total - aleatoric, total,
+                                    mu_star, var_star)
 
 
 def train_ensemble(arch: Architecture,
@@ -206,47 +181,62 @@ def predict_members(model: EnsembleModel, seqs: Sequence[np.ndarray]
     return forward_stacked(model.architecture, arrays, seqs)
 
 
-def predict_ensemble(model: EnsembleModel, inputs: np.ndarray) -> EnsemblePrediction:
-    """Run every member over one sequence [T, F] and aggregate."""
-    [(member_means, member_vars)] = predict_members(model, [inputs])
-    mu_star, var_star = aggregate(member_means, member_vars)
-    return EnsemblePrediction(means=mu_star, variances=var_star,
-                              member_means=member_means, member_vars=member_vars)
+def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
+             ends: Sequence[Sequence[int]], window: int | None = None
+             ) -> tuple[np.ndarray, np.ndarray, UncertaintyDecomposition]:
+    """The one read-out: the readings of units[i] at its step indices
+    ends[i], decomposed in one call -> (unit ids, cycles, decomposition),
+    one column entry per reading, in unit order, then in the order of ends.
+
+    By default all units' full histories run in one pass. With a window
+    length, each reading comes from the window of that many steps ending at
+    it instead, one pass per unit holding all of its windows.
+    """
+    if window is None:
+        passes = [[(unit.features, e) for unit, e in zip(units, ends)]]
+    else:
+        passes = ([(unit.features[i - window + 1:i + 1], [-1]) for i in e]
+                  for unit, e in zip(units, ends))
+    means = [np.empty((model.n_members, 0))]
+    varis = [np.empty((model.n_members, 0))]
+    for pairs in passes:
+        preds = predict_members(model, [seq for seq, _ in pairs])
+        for (m, v), (_, steps) in zip(preds, pairs):
+            # indexing by steps copies, so no pass's output stays alive
+            means.append(m[:, steps])
+            varis.append(v[:, steps])
+    dec = decompose_uncertainty(np.concatenate(means, axis=1),
+                                np.concatenate(varis, axis=1))
+    unit_ids = np.repeat(np.array([unit.unit_id for unit in units], np.int64),
+                         [len(e) for e in ends])
+    cycles = np.concatenate([np.zeros(0, np.int64)]
+                            + [unit.cycles[e] for unit, e in zip(units, ends)])
+    return unit_ids, cycles, dec
 
 
 def dataset_uncertainty_profile(model: EnsembleModel,
                                 units: Sequence[UnitSeries],
-                                per_window: bool = False) -> list[ProfileRow]:
-    """Uncertainty readings over a dataset already in model feature space.
+                                per_window: bool = False
+                                ) -> tuple[np.ndarray, np.ndarray,
+                                           UncertaintyDecomposition]:
+    """Uncertainty readings over a dataset already in model feature space
+    -> (unit ids, end cycles, decomposition), as read_out returns them.
 
-    Default: one row per unit, decomposed at the last step of its full
-    history. With per_window, one row per window of cmapss.window_starts at
-    the model's training window length and stride, which skips (and warns
+    Default: one reading per unit, at the last step of its full history.
+    With per_window, one reading per window of cmapss.window_starts at the
+    model's training window length and stride, which skips (and warns
     about) units shorter than one window.
     """
     if model.norm_stats is not None:
         for unit in units:
             check_features(unit, model.norm_stats)
-    rows: list[ProfileRow] = []
     if not per_window:
-        preds = predict_members(model, [unit.features for unit in units])
-        for unit, (means, varis) in zip(units, preds):
-            dec = decompose_uncertainty(means[:, -1], varis[:, -1])
-            rows.append(ProfileRow(unit.unit_id, int(unit.cycles[-1]),
-                                   dec.aleatoric, dec.epistemic, dec.total))
-        return rows
+        return read_out(model, units, [[len(unit) - 1] for unit in units])
     if model.preprocess is None:
         raise ValueError("model carries no windowing settings; "
                          "per-window profiling needs them")
     length = int(model.preprocess["window_length"])
     all_starts = window_starts(units, length, int(model.preprocess["stride"]),
                                "test")
-    for unit, starts in zip(units, all_starts):
-        # one call per unit holds all of its windows, bounding memory
-        preds = predict_members(
-            model, [unit.features[s:s + length] for s in starts])
-        for s, (means, varis) in zip(starts, preds):
-            dec = decompose_uncertainty(means[:, -1], varis[:, -1])
-            rows.append(ProfileRow(unit.unit_id, int(unit.cycles[s + length - 1]),
-                                   dec.aleatoric, dec.epistemic, dec.total))
-    return rows
+    return read_out(model, units, [starts + length - 1 for starts in all_starts],
+                    window=length)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .cmapss import UnitSeries, check_features, make_rul_targets
-from .ensemble import EnsembleModel, decompose_uncertainty, predict_members
+from .ensemble import EnsembleModel, UncertaintyDecomposition, read_out
 
 # score_convention -> (a1 on the early/negative branch, a2 on the late branch).
 # "paper" puts the gentler divisor on the late branch (10 early / 13 late);
@@ -37,23 +37,6 @@ class DensityCurve:
     grid: np.ndarray
     density: np.ndarray
     bandwidth: float
-
-
-@dataclass
-class UnitPrediction:
-    """One evaluated prediction: a unit at one cycle."""
-
-    unit_id: int
-    cycle: int
-    target: float
-    mean: float
-    sigma: float
-    lower: float
-    upper: float
-    covered: bool
-    aleatoric: float
-    epistemic: float
-    total: float
 
 
 def _paired(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -193,14 +176,17 @@ def kde(values, grid_size: int = 512) -> DensityCurve:
 
 def unit_predictions(model: EnsembleModel,
                      test_units: Sequence[UnitSeries],
-                     alpha: float = 0.95,
-                     per_step: bool = False) -> list[UnitPrediction]:
-    """Evaluated predictions for units that carry a true final RUL.
+                     per_step: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                UncertaintyDecomposition]:
+    """Evaluated readings for units that carry a true final RUL -> (unit
+    ids, cycles, targets, decomposition), one column entry per reading.
 
-    All units' full histories run through the ensemble in one stacked pass.
-    Default: one row per unit at its last cycle, target = the true final RUL
-    as given. With per_step, one row per cycle, the target extended backward
-    by one cycle of remaining life per step (make_rul_targets, uncapped).
+    All units' full histories run through the ensemble in one pass.
+    Default: one reading per unit at its last cycle, target = the true final
+    RUL as given. With per_step, one reading per cycle, the target extended
+    backward by one cycle of remaining life per step (make_rul_targets,
+    uncapped).
     """
     for unit in test_units:
         if unit.true_final_rul is None:
@@ -208,36 +194,22 @@ def unit_predictions(model: EnsembleModel,
                              "evaluation needs the RUL file")
         if model.norm_stats is not None:
             check_features(unit, model.norm_stats)
-    preds = predict_members(model, [unit.features for unit in test_units])
-    rows: list[UnitPrediction] = []
-    for unit, (means, varis) in zip(test_units, preds):
-        steps = range(unit.cycles.size) if per_step else [unit.cycles.size - 1]
-        targets = make_rul_targets(unit, None)
-        for i in steps:
-            dec = decompose_uncertainty(means[:, i], varis[:, i])
-            mu, var = dec.mean, dec.variance
-            lower, upper = interval_bounds(mu, var, alpha)
-            target = float(targets[i])
-            rows.append(UnitPrediction(
-                unit_id=unit.unit_id, cycle=int(unit.cycles[i]), target=target,
-                mean=float(mu), sigma=float(np.sqrt(var)),
-                lower=float(lower), upper=float(upper),
-                covered=bool(lower <= target <= upper),
-                aleatoric=dec.aleatoric, epistemic=dec.epistemic,
-                total=dec.total))
-    return rows
+    ends = [np.arange(len(unit)) if per_step else [len(unit) - 1]
+            for unit in test_units]
+    unit_ids, cycles, dec = read_out(model, test_units, ends)
+    targets = np.concatenate([np.zeros(0)] + [
+        make_rul_targets(unit, None)[e] for unit, e in zip(test_units, ends)])
+    return unit_ids, cycles, targets, dec
 
 
-def report_from_predictions(rows: Sequence[UnitPrediction], alpha: float,
+def report_from_predictions(predictions, targets, bounds, alpha: float,
                             score_convention: str = "paper") -> MetricReport:
+    """Every metric of one evaluation, from its prediction, target and
+    interval-bound columns."""
     if score_convention not in SCORE_CONSTANTS:
         raise ValueError(f"unknown score convention {score_convention!r}; "
                          f"expected one of {sorted(SCORE_CONSTANTS)}")
-    if not rows:
-        raise ValueError("no predictions to report on")
-    preds = np.array([r.mean for r in rows])
-    targets = np.array([r.target for r in rows])
-    bounds = (np.array([r.lower for r in rows]), np.array([r.upper for r in rows]))
+    preds, targets = _paired(predictions, targets)
     a1, a2 = SCORE_CONSTANTS[score_convention]
     # the width normalizer is the target range, which a single-unit (or
     # otherwise constant-target) report does not have; record NaN rather
@@ -248,7 +220,7 @@ def report_from_predictions(rows: Sequence[UnitPrediction], alpha: float,
         score=nasa_score(preds, targets, a1, a2),
         picp=picp(bounds, targets),
         nmpiw=width,
-        n=len(rows), alpha=alpha, score_convention=score_convention)
+        n=targets.size, alpha=alpha, score_convention=score_convention)
 
 
 _REPORT_FIELDS = ("rmse", "score", "picp", "nmpiw", "n", "alpha",

@@ -314,7 +314,10 @@ class TestEvaluate:
                           "lower", "upper", "covered", "u_al", "u_ep", "u_tot"]
         assert len(body) == 6
         for r in body:
-            assert float(r[5]) <= float(r[3]) <= float(r[6])
+            lower, upper = float(r[5]), float(r[6])
+            assert lower <= float(r[3]) <= upper
+            assert float(r[4]) > 0
+            assert r[7] == str(int(lower <= float(r[2]) <= upper))
 
     def test_repeat_evaluation_byte_identical(self, evaluated_run, tmp_path):
         out = tmp_path / "again"
@@ -415,6 +418,34 @@ class TestUncertainty:
                        "--test", "no-equals-sign",
                        "--out", tmp_path / "u") == 2
         assert "NAME=PATH" in capsys.readouterr().err
+
+
+    def test_repeated_test_name_is_user_error(self, trained_run, tmp_path,
+                                              capsys):
+        # the second dataset's files would overwrite the first's
+        out = tmp_path / "u"
+        synth_test = yaml.safe_load(
+            trained_run["config"].read_text())["data"]["test_file"]
+        assert run_cli("uncertainty", "--config", trained_run["config"],
+                       "--checkpoint", trained_run["checkpoint"],
+                       "--test", f"a={synth_test}", "--test", f"a={synth_test}",
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--test" in err and "'a'" in err and "twice" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../../escape", "sub/name", ".", ".."])
+    def test_test_name_with_path_parts_is_user_error(self, trained_run,
+                                                     tmp_path, capsys, name):
+        out = tmp_path / "deep" / "u"
+        synth_test = yaml.safe_load(
+            trained_run["config"].read_text())["data"]["test_file"]
+        assert run_cli("uncertainty", "--config", trained_run["config"],
+                       "--checkpoint", trained_run["checkpoint"],
+                       "--test", f"{name}={synth_test}", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--test" in err and "file-name part" in err
+        assert list(tmp_path.rglob("*.tsv")) == []
 
 
 class TestPredict:

@@ -72,6 +72,18 @@ class TestParse:
         with pytest.raises(CmapssFormatError, match="line 1"):
             parse_cmapss(io.StringIO(text))
 
+    @pytest.mark.parametrize("column, token, message", [
+        (0, "inf", "non-finite"), (0, "1e400", "non-finite"),
+        (0, "nan", "non-finite"), (1, "2.7", "cycle must be an integer"),
+        (4, "nan", "non-finite"), (9, "-inf", "non-finite"),
+        (25, "1e400", "non-finite")])
+    def test_bad_token_names_line(self, column, token, message):
+        bad = _row(1, 2)
+        bad[column] = token
+        text = _text_for([_row(1, 1), bad])
+        with pytest.raises(CmapssFormatError, match=f"line 2: {message}"):
+            parse_cmapss(io.StringIO(text))
+
     def test_cycle_gap_is_integrity_error(self):
         text = _text_for([_row(1, 1), _row(1, 3)])
         with pytest.raises(DataIntegrityError, match="unit 1"):
@@ -129,6 +141,12 @@ class TestTrueRul:
         with pytest.raises(CmapssFormatError, match="line 1"):
             load_true_rul(io.StringIO("3.5\n"), [_unit(3)])
 
+
+    @pytest.mark.parametrize("token", ["inf", "1e400", "nan", "-inf", "2.7"])
+    def test_bad_token_names_line(self, token):
+        with pytest.raises(CmapssFormatError, match="line 2: .*integer RUL"):
+            load_true_rul(io.StringIO(f"7\n{token}\n"),
+                          [_unit(3, 1), _unit(3, 2)])
 
 class TestDropSensors:
     def test_default_drop_retains_15(self):

@@ -14,7 +14,7 @@ from rulens.cmapss import NormStats, UnitSeries, build_windows
 from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, aggregate,
                              dataset_uncertainty_profile, decompose_uncertainty,
-                             member_mean, predict_ensemble, predict_members,
+                             member_mean, predict_members, read_out,
                              train_ensemble)
 from rulens.errors import DivergenceError
 from rulens.network import Architecture, init_params, train_pnn
@@ -135,15 +135,33 @@ class TestDecompose:
         assert isinstance(dec.total, float)
 
     def test_vectorized_matches_scalar(self):
+        # a reading's bits follow its member values only: not the stack's
+        # memory layout, nor how many readings share the call; from 8
+        # members on, NumPy's pairwise and sequential sums part ways
         rng = np.random.default_rng(3)
-        m = rng.normal(size=(5, 6))
-        v = rng.uniform(0.2, 4.0, size=(5, 6))
-        dec = decompose_uncertainty(m, v)
-        assert dec.total.shape == (6,)
-        for t in range(6):
-            one = decompose_uncertainty(m[:, t], v[:, t])
-            assert dec.aleatoric[t] == one.aleatoric
-            assert dec.epistemic[t] == one.epistemic
+        fields = ("aleatoric", "epistemic", "total", "mean", "variance")
+        for m_count in (3, 8, 15):
+            m = rng.normal(40.0, 5.0, size=(m_count, 400))
+            v = rng.uniform(0.2, 4.0, size=(m_count, 400))
+            dec = decompose_uncertainty(m, v)
+            assert dec.total.shape == (400,)
+            steps = np.arange(400)
+            stacks = {"F-ordered": (np.asfortranarray(m), np.asfortranarray(v)),
+                      "fancy-indexed": (m[:, steps], v[:, steps])}
+            for layout, (m_s, v_s) in stacks.items():
+                other = decompose_uncertainty(m_s, v_s)
+                for field in fields:
+                    assert np.array_equal(getattr(other, field),
+                                          getattr(dec, field)), \
+                        (m_count, layout, field)
+            for t in range(400):
+                one = decompose_uncertainty(m[:, t], v[:, t])
+                column = decompose_uncertainty(m[:, t:t + 1], v[:, t:t + 1])
+                for field in fields:
+                    expected = getattr(dec, field)[t]
+                    assert getattr(one, field) == expected, (m_count, t, field)
+                    assert getattr(column, field)[0] == expected, \
+                        (m_count, t, field)
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, (5,), elements=finite_vals),
@@ -249,52 +267,55 @@ def tiny_model():
     return model
 
 
+def _every_step(model, x):
+    """The predict command's read-out: every step of one sequence."""
+    unit = UnitSeries(1, np.arange(1, len(x) + 1), x)
+    return read_out(model, [unit], [np.arange(len(x))])[2]
+
+
 class TestPredictEnsemble:
     def test_shapes(self, tiny_model):
         x = np.random.default_rng(0).normal(size=(6, 2))
-        pred = predict_ensemble(tiny_model, x)
-        assert pred.means.shape == pred.variances.shape == (6,)
-        assert pred.member_means.shape == pred.member_vars.shape == (3, 6)
-        assert np.all(pred.variances > 0)
+        dec = _every_step(tiny_model, x)
+        for field in ("mean", "variance", "aleatoric", "epistemic", "total"):
+            assert getattr(dec, field).shape == (6,)
+        assert np.all(dec.variance > 0)
 
     def test_matches_per_member_forward_plus_aggregate(self, tiny_model):
         x = np.random.default_rng(1).normal(size=(5, 2))
-        pred = predict_ensemble(tiny_model, x)
+        dec = _every_step(tiny_model, x)
         singles = [forward(p, x) for p in tiny_model.members]
         mu, var = aggregate(np.stack([s.means for s in singles]),
                             np.stack([s.variances for s in singles]))
-        assert np.allclose(pred.means, mu, rtol=1e-12)
-        assert np.allclose(pred.variances, var, rtol=1e-12)
+        assert np.allclose(dec.mean, mu, rtol=1e-12)
+        assert np.allclose(dec.variance, var, rtol=1e-12)
 
     def test_degenerate_ensemble_collapses(self):
         params = init_params(ARCH, seed=5)
         model = EnsembleModel(ARCH, [params, params.copy(), params.copy()],
                               base_seed=5, member_seeds=(5, 6, 7))
         x = np.random.default_rng(2).normal(size=(4, 2))
-        pred = predict_ensemble(model, x)
+        dec = _every_step(model, x)
         single = forward(params, x)
-        assert np.array_equal(pred.means, single.means)
-        assert np.array_equal(pred.variances, single.variances)
-        dec = decompose_uncertainty(pred.member_means[:, -1],
-                                    pred.member_vars[:, -1])
-        assert dec.epistemic == 0.0
+        assert np.array_equal(dec.mean, single.means)
+        assert np.array_equal(dec.variance, single.variances)
+        assert np.all(dec.epistemic == 0.0)
 
     def test_rejects_batched_input(self, tiny_model):
         with pytest.raises(ValueError, match="time, features"):
-            predict_ensemble(tiny_model, np.zeros((2, 4, 2)))
+            _every_step(tiny_model, np.zeros((2, 4, 2)))
 
 
 class TestLastStepView:
     def test_single_step_identity(self, profile_model):
-        # a one-cycle unit: its profile row is the decomposition of the
+        # a one-cycle unit: its profile reading is the decomposition of the
         # members' only step
         unit = _make_unit(4, 1, seed=3)
-        [row] = dataset_uncertainty_profile(profile_model, [unit])
-        pred = predict_ensemble(profile_model, unit.features)
-        direct = decompose_uncertainty(pred.member_means[:, 0],
-                                       pred.member_vars[:, 0])
-        assert (row.unit_id, row.end_cycle) == (4, 1)
-        assert (row.aleatoric, row.epistemic, row.total) == \
+        ids, cycles, dec = dataset_uncertainty_profile(profile_model, [unit])
+        [(means, varis)] = predict_members(profile_model, [unit.features])
+        direct = decompose_uncertainty(means[:, 0], varis[:, 0])
+        assert (ids.tolist(), cycles.tolist()) == ([4], [1])
+        assert (dec.aleatoric[0], dec.epistemic[0], dec.total[0]) == \
             (direct.aleatoric, direct.epistemic, direct.total)
 
     def test_constant_over_time_matches_any_step(self):
@@ -336,36 +357,37 @@ def profile_model():
 class TestDatasetUncertaintyProfile:
     def test_one_row_per_unit_at_last_cycle(self, profile_model):
         units = [_make_unit(3, 8, seed=0), _make_unit(9, 6, seed=1)]
-        rows = dataset_uncertainty_profile(profile_model, units)
-        assert [r.unit_id for r in rows] == [3, 9]
-        assert [r.end_cycle for r in rows] == [8, 6]
-        # rows must agree with the one-sequence prediction path
-        pred = predict_ensemble(profile_model, units[0].features)
-        dec = decompose_uncertainty(pred.member_means[:, -1],
-                                    pred.member_vars[:, -1])
-        assert rows[0].epistemic == pytest.approx(dec.epistemic, rel=1e-12)
-        assert rows[0].aleatoric == pytest.approx(dec.aleatoric, rel=1e-12)
-        assert rows[0].total == pytest.approx(dec.total, rel=1e-12)
+        ids, cycles, dec = dataset_uncertainty_profile(profile_model, units)
+        assert ids.tolist() == [3, 9]
+        assert cycles.tolist() == [8, 6]
+        # readings must agree with the one-sequence prediction path
+        [(means, varis)] = predict_members(profile_model, [units[0].features])
+        one = decompose_uncertainty(means[:, -1], varis[:, -1])
+        assert dec.epistemic[0] == pytest.approx(one.epistemic, rel=1e-12)
+        assert dec.aleatoric[0] == pytest.approx(one.aleatoric, rel=1e-12)
+        assert dec.total[0] == pytest.approx(one.total, rel=1e-12)
 
     def test_empty_input_empty_profile(self, profile_model):
-        assert dataset_uncertainty_profile(profile_model, []) == []
+        ids, cycles, dec = dataset_uncertainty_profile(profile_model, [])
+        assert ids.size == cycles.size == dec.total.size == 0
 
     def test_per_window_slides_with_model_settings(self, profile_model):
         unit = _make_unit(4, 9, seed=2)
-        rows = dataset_uncertainty_profile(profile_model, [unit],
-                                           per_window=True)
+        ids, cycles, dec = dataset_uncertainty_profile(profile_model, [unit],
+                                                       per_window=True)
         # window length 5, stride 2 over 9 cycles -> starts 0, 2, 4
-        assert [r.end_cycle for r in rows] == [5, 7, 9]
-        assert all(r.unit_id == 4 for r in rows)
+        assert cycles.tolist() == [5, 7, 9]
+        assert ids.tolist() == [4, 4, 4]
+        assert dec.total.shape == (3,)
 
     def test_per_window_skips_short_units_with_warning(self, profile_model,
                                                        caplog):
         short = _make_unit(5, 3, seed=3)
         ok = _make_unit(6, 5, seed=4)
         with caplog.at_level(logging.WARNING, logger="rulens.cmapss"):
-            rows = dataset_uncertainty_profile(profile_model, [short, ok],
-                                               per_window=True)
-        assert [r.unit_id for r in rows] == [6]
+            ids, _, _ = dataset_uncertainty_profile(
+                profile_model, [short, ok], per_window=True)
+        assert ids.tolist() == [6]
         assert [rec.name for rec in caplog.records
                 if "unit 5" in rec.getMessage()] == ["rulens.cmapss"]
 
@@ -382,13 +404,13 @@ class TestDatasetUncertaintyProfile:
             return predict_members(model, seqs)
 
         monkeypatch.setattr(ensemble, "predict_members", recording)
-        rows = dataset_uncertainty_profile(profile_model, units,
-                                           per_window=True)
+        ids, cycles, _ = dataset_uncertainty_profile(profile_model, units,
+                                                     per_window=True)
         windows = build_windows(units, 5, 2, 128)
-        assert len(seen) == len(rows) == len(windows) == 7
+        assert len(seen) == len(ids) == len(windows) == 7
         for k, seq in enumerate(seen):
             assert np.array_equal(seq, windows.inputs[k])
-        assert [(r.unit_id, r.end_cycle) for r in rows] == \
+        assert list(zip(ids.tolist(), cycles.tolist())) == \
             [(1, 5), (1, 7), (1, 9), (3, 5), (3, 7), (3, 9), (3, 11)]
 
     def test_per_window_requires_window_settings(self):

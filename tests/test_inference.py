@@ -128,36 +128,40 @@ def _unit(unit_id, n_cycles, seed, true_rul=None):
 def test_empty_unit_list_returns_empty():
     model = _model(2, preprocess={"window_length": 3, "stride": 1})
     assert predict_members(model, []) == []
-    assert unit_predictions(model, []) == []
-    assert dataset_uncertainty_profile(model, []) == []
-    assert dataset_uncertainty_profile(model, [], per_window=True) == []
+    ids, cycles, targets, dec = unit_predictions(model, [])
+    assert ids.size == cycles.size == targets.size == dec.mean.size == 0
+    for per_window in (False, True):
+        ids, cycles, dec = dataset_uncertainty_profile(model, [],
+                                                       per_window=per_window)
+        assert ids.size == cycles.size == dec.total.size == 0
 
 
 def test_unit_predictions_match_one_unit_at_a_time():
     units = [_unit(1, 7, 0, true_rul=10), _unit(2, 2, 1, true_rul=3),
              _unit(3, 11, 2, true_rul=0)]
     model = _model(3)
-    together = unit_predictions(model, units, per_step=True)
-    alone = [row for u in units
-             for row in unit_predictions(model, [u], per_step=True)]
-    assert [(r.unit_id, r.cycle) for r in together] == \
-        [(r.unit_id, r.cycle) for r in alone]
-    for a, b in zip(together, alone):
-        assert a.mean == pytest.approx(b.mean, rel=RTOL)
-        assert a.sigma == pytest.approx(b.sigma, rel=RTOL)
-        assert a.total == pytest.approx(b.total, rel=RTOL)
+    *where, together = unit_predictions(model, units, per_step=True)
+    alone = [unit_predictions(model, [u], per_step=True) for u in units]
+    for got, parts in zip(where, zip(*alone)):
+        assert np.array_equal(got, np.concatenate(parts))
+    for field in ("mean", "variance", "total"):
+        np.testing.assert_allclose(
+            getattr(together, field),
+            np.concatenate([getattr(dec, field) for *_, dec in alone]),
+            rtol=RTOL, atol=0)
 
 
 def test_per_window_profile_matches_oracle():
     model = _model(2, preprocess={"window_length": 4, "stride": 3})
     unit = _unit(7, 11, 3)
-    rows = dataset_uncertainty_profile(model, [unit], per_window=True)
-    assert [r.end_cycle for r in rows] == [4, 7, 10]
-    for row, start in zip(rows, (0, 3, 6)):
+    _, cycles, dec = dataset_uncertainty_profile(model, [unit],
+                                                 per_window=True)
+    assert cycles.tolist() == [4, 7, 10]
+    for k, start in enumerate((0, 3, 6)):
         window = unit.features[start:start + 4]
         last = [oracle_forward(p.arrays, ARCH, window) for p in model.members]
         mu = np.array([m[-1] for m, _ in last])
         var = np.array([v[-1] for _, v in last])
         mix_var = var.mean() + ((mu - mu.mean()) ** 2).mean()
-        assert row.aleatoric == pytest.approx(np.log(var).mean(), rel=RTOL)
-        assert row.total == pytest.approx(np.log(mix_var), rel=RTOL)
+        assert dec.aleatoric[k] == pytest.approx(np.log(var).mean(), rel=RTOL)
+        assert dec.total[k] == pytest.approx(np.log(mix_var), rel=RTOL)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rulens.cmapss import UnitSeries
 from rulens.config import TrainingConfig
 from rulens.ensemble import train_ensemble
-from rulens.metrics import (SCORE_CONSTANTS, UnitPrediction, interval_bounds,
+from rulens.metrics import (SCORE_CONSTANTS, interval_bounds,
                             kde, nasa_score, nmpiw, normal_quantile, picp,
                             report_from_predictions, report_to_dict,
                             report_to_text, rmse, unit_predictions)
@@ -269,20 +269,15 @@ class TestKde:
             kde(np.array([0.0, 1.0]), grid_size=1)
 
 
-def _row(target, mean, sigma=1.0, alpha=0.95, unit_id=1, cycle=100):
-    lower, upper = interval_bounds(mean, sigma**2, alpha)
-    return UnitPrediction(unit_id=unit_id, cycle=cycle, target=target,
-                          mean=mean, sigma=sigma, lower=float(lower),
-                          upper=float(upper),
-                          covered=bool(lower <= target <= upper),
-                          aleatoric=0.0, epistemic=0.0, total=0.0)
+def _report(targets, means, sigma=1.0, alpha=0.95, convention="paper"):
+    targets, means = np.array(targets), np.array(means)
+    bounds = interval_bounds(means, np.full(means.shape, sigma**2), alpha)
+    return report_from_predictions(means, targets, bounds, alpha, convention)
 
 
 class TestReports:
     def test_perfect_oracle(self):
-        rows = [_row(t, t, sigma=1e-6, unit_id=i)
-                for i, t in enumerate([10.0, 50.0, 90.0])]
-        rep = report_from_predictions(rows, alpha=0.95)
+        rep = _report([10.0, 50.0, 90.0], [10.0, 50.0, 90.0], sigma=1e-6)
         assert rep.rmse == 0.0
         assert rep.score == 0.0
         assert rep.picp == 1.0
@@ -290,23 +285,21 @@ class TestReports:
         assert rep.n == 3
 
     def test_single_unit_report_has_no_width_normalizer(self):
-        rep = report_from_predictions([_row(50.0, 48.0)], alpha=0.95)
+        rep = _report([50.0], [48.0])
         assert rep.n == 1
         assert np.isnan(rep.nmpiw)
         assert rep.rmse == pytest.approx(2.0)
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError, match="convention"):
-            report_from_predictions([_row(1.0, 1.0)], 0.95,
-                                    score_convention="bogus")
+            _report([1.0], [1.0], convention="bogus")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            report_from_predictions([], 0.95)
+            _report([], [])
 
     def test_text_and_dict_round_trip(self):
-        rows = [_row(10.0, 12.0, unit_id=1), _row(60.0, 55.0, unit_id=2)]
-        rep = report_from_predictions(rows, alpha=0.95)
+        rep = _report([10.0, 60.0], [12.0, 55.0])
         d = report_to_dict(rep)
         assert d["n"] == 2 and d["alpha"] == 0.95
         assert d["score_convention"] == "paper"
@@ -344,24 +337,26 @@ def _test_unit(unit_id, n_cycles, true_rul, seed):
 class TestEvaluateOnTest:
     def test_one_row_per_unit_with_true_targets(self, eval_model):
         units = [_test_unit(1, 8, 30, seed=0), _test_unit(2, 5, 90, seed=1)]
-        rows = unit_predictions(eval_model, units)
-        assert [(r.unit_id, r.cycle, r.target) for r in rows] == \
-            [(1, 8, 30.0), (2, 5, 90.0)]
-        for r in rows:
-            assert r.lower <= r.mean <= r.upper
-            assert r.sigma > 0
-            assert r.covered == (r.lower <= r.target <= r.upper)
+        ids, cycles, targets, dec = unit_predictions(eval_model, units)
+        assert ids.tolist() == [1, 2]
+        assert cycles.tolist() == [8, 5]
+        assert targets.tolist() == [30.0, 90.0]
+        assert dec.mean.shape == dec.variance.shape == dec.total.shape == (2,)
+        assert np.all(dec.variance > 0)
 
     def test_per_step_extends_targets_backward(self, eval_model):
         unit = _test_unit(4, 5, 20, seed=2)
-        rows = unit_predictions(eval_model, [unit], per_step=True)
-        assert [r.cycle for r in rows] == [1, 2, 3, 4, 5]
-        assert [r.target for r in rows] == [24.0, 23.0, 22.0, 21.0, 20.0]
+        _, cycles, targets, dec = unit_predictions(eval_model, [unit],
+                                                   per_step=True)
+        assert cycles.tolist() == [1, 2, 3, 4, 5]
+        assert targets.tolist() == [24.0, 23.0, 22.0, 21.0, 20.0]
+        assert dec.mean.shape == (5,)
 
     def test_report_end_to_end(self, eval_model):
         units = [_test_unit(i, 6 + i, 10 * i, seed=i) for i in range(1, 5)]
-        rows = unit_predictions(eval_model, units, alpha=0.95)
-        rep = report_from_predictions(rows, 0.95)
+        _, _, targets, dec = unit_predictions(eval_model, units)
+        bounds = interval_bounds(dec.mean, dec.variance, 0.95)
+        rep = report_from_predictions(dec.mean, targets, bounds, 0.95)
         assert rep.n == 4
         assert rep.rmse > 0
         assert 0.0 <= rep.picp <= 1.0
