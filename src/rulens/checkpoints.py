@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
+from .cmapss import NormStats
 from .config import TrainingConfig
 from .ensemble import EnsembleModel
 from .errors import DataIntegrityError
@@ -30,17 +31,6 @@ ENSEMBLE_KIND = "pnn-ensemble"
 
 def member_path(ckpt_dir: Path | str, k: int) -> Path:
     return Path(ckpt_dir) / "members" / f"member_{k:03d}.ckpt"
-
-
-def _history_dict(history: TrainHistory) -> dict:
-    return {
-        "epoch_losses": list(history.epoch_losses),
-        "stop_epoch": history.stop_epoch,
-        "stop_reason": history.stop_reason,
-        "best_epoch": history.best_epoch,
-        "best_loss": history.best_loss,
-        "clip_events": history.clip_events,
-    }
 
 
 def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
@@ -63,7 +53,7 @@ def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
         "seed": params.seed,
         "architecture": params.arch.to_dict(),
         "param_names": list(shapes),
-        "history": _history_dict(history),
+        "history": dataclasses.asdict(history),
         "train_config": dataclasses.asdict(train_cfg),
         "data_fingerprint": data_fingerprint,
         "checksum": checksum,
@@ -198,7 +188,6 @@ def load_ensemble(ckpt_dir: Path | str) -> tuple[EnsembleModel, dict]:
         members.append(params)
     norm_stats = None
     if manifest.get("norm_stats") is not None:
-        from .cmapss import NormStats
         ns = manifest["norm_stats"]
         norm_stats = NormStats(
             mean=np.array(ns["mean"], dtype=np.float64),

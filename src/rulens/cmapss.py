@@ -130,7 +130,8 @@ def parse_cmapss(text_source) -> list[UnitSeries]:
     """Parse a 26-column CMAPSS file into per-unit series, ascending unit id.
 
     Raises CmapssFormatError for malformed lines (bad field count, or a
-    non-numeric, non-finite or, for unit and cycle, non-integer token) and
+    non-numeric, non-finite or, for unit and cycle, non-integer token, or a
+    unit id of 2**53 or more, which float64 cannot hold exactly) and
     DataIntegrityError when a unit's cycle column is not consecutive
     starting at 1.
     """
@@ -148,9 +149,12 @@ def parse_cmapss(text_source) -> list[UnitSeries]:
             raise CmapssFormatError(f"non-numeric token: {exc}", line_no) from None
         if not all(map(math.isfinite, values)):
             raise CmapssFormatError("non-finite value", line_no)
-        if not (values[0].is_integer() and values[0] > 0):
+        # float64 holds every integer below 2**53 exactly; above it,
+        # distinct ids can round to one
+        if not (values[0].is_integer() and 0 < values[0] < 2 ** 53):
             raise CmapssFormatError(
-                f"unit id must be a positive integer, got {values[0]}", line_no)
+                f"unit id must be a positive integer below 2**53, "
+                f"got {tokens[0]}", line_no)
         if not values[1].is_integer():
             raise CmapssFormatError(
                 f"cycle must be an integer, got {values[1]}", line_no)

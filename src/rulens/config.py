@@ -57,8 +57,15 @@ class ArchitectureConfig:
     def __post_init__(self):
         self.recurrent_layers = tuple(int(h) for h in self.recurrent_layers)
         self.dense_layers = tuple(int(d) for d in self.dense_layers)
+        if not self.recurrent_layers:
+            raise ValueError("architecture.recurrent_layers must hold at "
+                             "least one layer")
+        for key in ("recurrent_layers", "dense_layers"):
+            if any(size < 1 for size in getattr(self, key)):
+                raise ValueError(f"architecture.{key} sizes must be >= 1")
         if not self.dense_layers or self.dense_layers[-1] != 2:
-            raise ValueError("dense_layers must end in the 2-unit Gaussian head")
+            raise ValueError("architecture.dense_layers must end in the "
+                             "2-unit Gaussian head")
 
 
 @dataclass

@@ -124,21 +124,16 @@ def init_params(arch: Architecture, seed: int) -> PnnParams:
     per weight matrix, biases zero except the LSTM forget-gate block at 1."""
     rng = np.random.default_rng(int(seed) % (1 << 64))
     arrays: dict[str, np.ndarray] = {}
-    width = arch.input_dim
-    for k, hidden in enumerate(arch.recurrent_layers):
-        arrays[f"lstm{k}.w_x"] = rng.uniform(
-            -1.0 / np.sqrt(width), 1.0 / np.sqrt(width), (width, 4 * hidden))
-        arrays[f"lstm{k}.w_h"] = rng.uniform(
-            -1.0 / np.sqrt(hidden), 1.0 / np.sqrt(hidden), (hidden, 4 * hidden))
-        b = np.zeros(4 * hidden)
-        b[hidden:2 * hidden] = 1.0   # forget gate block (order: i, f, g, o)
-        arrays[f"lstm{k}.b"] = b
-        width = hidden
-    for k, out in enumerate(arch.dense_layers):
-        arrays[f"dense{k}.w"] = rng.uniform(
-            -1.0 / np.sqrt(width), 1.0 / np.sqrt(width), (width, out))
-        arrays[f"dense{k}.b"] = np.zeros(out)
-        width = out
+    for name, shape in arch.param_shapes().items():
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[0])
+            arrays[name] = rng.uniform(-bound, bound, shape)
+        else:
+            arrays[name] = np.zeros(shape)
+            if name.startswith("lstm"):
+                hidden = shape[0] // 4
+                # forget gate block (order: i, f, g, o)
+                arrays[name][hidden:2 * hidden] = 1.0
     return PnnParams(arch=arch, seed=int(seed), arrays=arrays)
 
 
@@ -196,13 +191,15 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
     is held unless recorded. Returns mean and variance [M, B, T].
 
     Given a tape (a dict of buffers, see _buffer), it also records what
-    backpropagation through time needs: per LSTM layer k the gates
-    "lstm{k}.gates" [T, M, B, 4H] (g block after tanh), h and c
-    "lstm{k}.h", "lstm{k}.c" [T + 1, M, B, H] from the zero initial state,
-    and tanh(c) "lstm{k}.tc" [T, M, B, H]; per dense layer k its input
-    "dense{k}.in" [T, M, B, width]; and the raw variance output "raw"
-    [M, B, T]. The tape is overwritten, not zeroed, so recording one needs
-    the full batch at every step.
+    backpropagation through time needs, each activation once: per LSTM
+    layer k the gates "lstm{k}.gates" [T, M, B, 4H] (g block after tanh),
+    h and c "lstm{k}.h", "lstm{k}.c" [T + 1, M, B, H] from the zero initial
+    state, and tanh(c) "lstm{k}.tc" [T, M, B, H]; per hidden dense layer k
+    its tanh output "dense{k}.out" [T, M, B, width]; and the raw variance
+    output "raw" [M, B, T]. The input of dense layer 0 is the top LSTM
+    layer's h[1:], and that of dense layer k > 0 is dense{k-1}.out. The
+    tape is overwritten, not zeroed, so recording one needs the full batch
+    at every step.
     """
     T, B, _ = x.shape
     M = arrays["lstm0.w_x"].shape[0]
@@ -227,8 +224,8 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
         for rec in recs:
             rec["h"][0] = 0.0
             rec["c"][0] = 0.0
-        dense_in = [_buffer(tape, f"dense{k}.in", (T, M, B, w.shape[1]))
-                    for k, (w, _) in enumerate(dense)]
+        dense_out = [_buffer(tape, f"dense{k}.out", (T, M, B, w.shape[-1]))
+                     for k, (w, _) in enumerate(dense[:-1])]
         raw = _buffer(tape, "raw", (M, B, T))
     for t in range(T):
         b = active[t]
@@ -252,11 +249,11 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
                 rec["c"][t + 1] = c
                 rec["tc"][t] = tc
         for k, (w, bias) in enumerate(dense):
-            if tape is not None:
-                dense_in[k][t] = a
             a = a @ w + bias
             if k < len(dense) - 1:
                 a = np.tanh(a)
+                if tape is not None:
+                    dense_out[k][t] = a
         mu[:, :b, t] = a[..., 0]
         raw[:, :b, t] = a[..., 1]
     return mu, softplus(raw) + VAR_FLOOR
@@ -320,15 +317,20 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
     sample index if any per-sample loss is non-finite.
 
     The forward pass is the inference step loop with M = 1, recorded on a
-    tape. Products over the B * T (sample, step) rows, the weight-gradient
-    sums among them, run on sample-major rows, so their summation order
-    does not follow the time-major layout of the forward.
+    tape (see _run). The backward pass runs in the tape's time-major
+    layout: the gradients reaching each layer are [T, B, width], so every
+    step of backpropagation through time reads and writes one contiguous
+    [B, width] block, and every product over the T * B (step, sample)
+    rows, the weight-gradient sums among them, reads the tape and the
+    time-major input copy as [T * B, width] rows by reshape, without a
+    copy.
 
-    buffers, a dict the caller keeps between calls, holds the tape and the
-    per-batch work arrays, so repeated calls of one shape allocate them
-    once. Each call overwrites what the previous one left there; nothing
-    returned aliases them, and the results are the same bits as with a
-    fresh dict, which is what buffers=None uses.
+    buffers, a dict the caller keeps between calls, holds the tape, the
+    time-major input copy "x" and the backward's work arrays "d_z" and
+    "d_above", so repeated calls of one shape allocate them once. Each
+    call overwrites what the previous one left there; nothing returned
+    aliases them, and the results are the same bits as with a fresh dict,
+    which is what buffers=None uses.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -357,26 +359,17 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
 
     # each role has one buffer for all layers, sized for the widest of them
     widest = max(arch.recurrent_layers)
-    d_z_buf = _buffer(buffers, "d_z", (B * T * 4 * widest,))
-    d_above_buf = _buffer(buffers, "d_above", (B * T * widest,))
-    rows_buf = _buffer(buffers, "rows", (B * T * max(
-        arch.recurrent_layers + arch.dense_layers[:-1]),))
+    d_z_buf = _buffer(buffers, "d_z", (T * B * 4 * widest,))
+    d_above_buf = _buffer(buffers, "d_above", (T * B * widest,))
 
     def head(buf: np.ndarray, *shape: int) -> np.ndarray:
         """The leading elements of a flat buffer, as an array of shape."""
         return buf[:int(np.prod(shape))].reshape(shape)
 
-    def rows(a: np.ndarray) -> np.ndarray:
-        """Time-major [T, B, W] -> sample-major rows [B * T, W], written
-        over the previous rows."""
-        out = head(rows_buf, B, T, a.shape[-1])
-        np.copyto(out, a.transpose(1, 0, 2))
-        return out.reshape(B * T, -1)
-
     def above(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """d @ w.T, the gradient reaching the layer below, as [B, T, W]."""
-        out = head(d_above_buf, B * T, w.shape[0])
-        return np.matmul(d, w.T, out=out).reshape(B, T, -1)
+        """d @ w.T, the gradient reaching the layer below, as [T, B, W]."""
+        out = head(d_above_buf, T * B, w.shape[0])
+        return np.matmul(d, w.T, out=out).reshape(T, B, -1)
 
     scale = 1.0 / (B * T)
     resid = mu - y
@@ -385,14 +378,13 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
     draw = dvar * sigmoid(raw)                  # d softplus(s)/ds = sigmoid(s)
 
     grads: dict[str, np.ndarray] = {}
-    d_out = np.empty((B * T, 2))
-    d_out[:, 0] = dmu.ravel()
-    d_out[:, 1] = draw.ravel()
+    top = len(arch.recurrent_layers) - 1
+    d_a = np.stack([dmu.T, draw.T], axis=-1).reshape(T * B, 2)
 
     # dense stack, top down
-    d_a = d_out
     for k in range(len(arch.dense_layers) - 1, -1, -1):
-        dense_in = rows(buffers[f"dense{k}.in"][:, 0])
+        dense_in = (buffers[f"lstm{top}.h"][1:] if k == 0
+                    else buffers[f"dense{k - 1}.out"]).reshape(T * B, -1)
         w = params.arrays[f"dense{k}.w"]
         grads[f"dense{k}.w"] = dense_in.T @ d_a
         grads[f"dense{k}.b"] = d_a.sum(axis=0)
@@ -403,7 +395,7 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
             d_above = above(d_a, w)
 
     # LSTM stack, top down, exact backpropagation through time
-    for k in range(len(arch.recurrent_layers) - 1, -1, -1):
+    for k in range(top, -1, -1):
         hidden = arch.recurrent_layers[k]
         w_x = params.arrays[f"lstm{k}.w_x"]
         w_h = params.arrays[f"lstm{k}.w_h"]
@@ -411,27 +403,26 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
                              for key in ("gates", "h", "c", "tc"))
         gi, gf, gg, go = (gates[..., j * hidden:(j + 1) * hidden]
                           for j in range(4))
-        d_z = head(d_z_buf, B, T, 4 * hidden)
+        d_z = head(d_z_buf, T, B, 4 * hidden)
         dh_carry = np.zeros((B, hidden))
         dc_carry = np.zeros((B, hidden))
         for t in range(T - 1, -1, -1):
-            dh = d_above[:, t] + dh_carry
+            dh = d_above[t] + dh_carry
             d_o = dh * tc[t]
             dc = dc_carry + dh * go[t] * (1.0 - tc[t] ** 2)
             d_i = dc * gg[t]
             d_g = dc * gi[t]
             d_f = dc * cs[t]                      # c_{t-1}
-            d_z[:, t, :hidden] = d_i * gi[t] * (1.0 - gi[t])
-            d_z[:, t, hidden:2 * hidden] = d_f * gf[t] * (1.0 - gf[t])
-            d_z[:, t, 2 * hidden:3 * hidden] = d_g * (1.0 - gg[t] ** 2)
-            d_z[:, t, 3 * hidden:] = d_o * go[t] * (1.0 - go[t])
-            dh_carry = d_z[:, t] @ w_h.T
+            d_z[t, :, :hidden] = d_i * gi[t] * (1.0 - gi[t])
+            d_z[t, :, hidden:2 * hidden] = d_f * gf[t] * (1.0 - gf[t])
+            d_z[t, :, 2 * hidden:3 * hidden] = d_g * (1.0 - gg[t] ** 2)
+            d_z[t, :, 3 * hidden:] = d_o * go[t] * (1.0 - go[t])
+            dh_carry = d_z[t] @ w_h.T
             dc_carry = dc * gf[t]
-        flat_dz = d_z.reshape(B * T, 4 * hidden)
-        layer_in = x.reshape(B * T, -1) if k == 0 else \
-            rows(buffers[f"lstm{k - 1}.h"][1:, 0])
-        grads[f"lstm{k}.w_x"] = layer_in.T @ flat_dz
-        grads[f"lstm{k}.w_h"] = rows(hs[:T]).T @ flat_dz
+        flat_dz = d_z.reshape(T * B, -1)
+        layer_in = x_time_major if k == 0 else buffers[f"lstm{k - 1}.h"][1:]
+        grads[f"lstm{k}.w_x"] = layer_in.reshape(T * B, -1).T @ flat_dz
+        grads[f"lstm{k}.w_h"] = hs[:T].reshape(T * B, -1).T @ flat_dz
         grads[f"lstm{k}.b"] = flat_dz.sum(axis=0)
         if k > 0:
             d_above = above(flat_dz, w_x)

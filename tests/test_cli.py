@@ -80,6 +80,35 @@ class TestIngest:
                        "--out", tmp_path / "arc") == 2
         assert "dropped_sensors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, layers", [
+        ("recurrent_layers", []), ("recurrent_layers", [0, 4]),
+        ("recurrent_layers", [8, -1]), ("dense_layers", [0, 2])])
+    def test_bad_architecture_is_named_user_error(
+            self, trained_run, tmp_path, capsys, key, layers):
+        cfg = yaml.safe_load(Path(trained_run["config"]).read_text())
+        cfg["architecture"][key] = layers
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert run_cli("ingest", "--config", path,
+                       "--out", tmp_path / "arc") == 2
+        assert f"architecture.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "arc").exists()
+
+    def test_unit_id_float64_cannot_hold_is_user_error(
+            self, trained_run, tmp_path, capsys):
+        cfg = yaml.safe_load(Path(trained_run["config"]).read_text())
+        train = Path(cfg["data"]["train_file"]).read_text()
+        # a one-cycle unit 1e30 ahead of the valid units
+        fields = train.splitlines()[0].split()
+        bad = tmp_path / "train.txt"
+        bad.write_text(" ".join(["1e30", "1"] + fields[2:]) + "\n" + train)
+        cfg["data"]["train_file"] = str(bad)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert run_cli("ingest", "--config", path,
+                       "--out", tmp_path / "arc") == 2
+        assert "line 1: unit id" in capsys.readouterr().err
+
     def test_missing_data_file_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(yaml.safe_dump({

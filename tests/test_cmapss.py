@@ -76,7 +76,10 @@ class TestParse:
         (0, "inf", "non-finite"), (0, "1e400", "non-finite"),
         (0, "nan", "non-finite"), (1, "2.7", "cycle must be an integer"),
         (4, "nan", "non-finite"), (9, "-inf", "non-finite"),
-        (25, "1e400", "non-finite")])
+        (25, "1e400", "non-finite"),
+        # 2**53 + 1 would round to 2**53 and merge with that unit
+        (0, "9007199254740993", "unit id must be a positive integer below"),
+        (0, "1e30", "unit id must be a positive integer below")])
     def test_bad_token_names_line(self, column, token, message):
         bad = _row(1, 2)
         bad[column] = token

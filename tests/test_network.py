@@ -383,6 +383,35 @@ class TestGradBuffers:
         assert buffers.keys() == before.keys()
         assert all(buffers[k] is before[k] for k in before)
 
+    @staticmethod
+    def _tape_keys(arch) -> set[str]:
+        return {f"lstm{k}.{key}" for k in range(len(arch.recurrent_layers))
+                for key in ("gates", "h", "c", "tc")} | {"raw"}
+
+    def test_buffers_hold_each_activation_once(self):
+        # the tape, the time-major input copy "x" and the two backward work
+        # arrays, sized for the widest LSTM layer; nothing else
+        arch = self.ARCHS[0]
+        B, T, F = 32, 100, 18
+        buffers: dict = {}
+        grad(init_params(arch, seed=6), *self._batch(arch, 0, B, T), buffers)
+        assert buffers.keys() == self._tape_keys(arch) | {"x", "d_z", "d_above"}
+        tape = sum(T * B * 4 * h + 2 * (T + 1) * B * h + T * B * h
+                   for h in arch.recurrent_layers) + B * T
+        work = T * B * F + T * B * 4 * 32 + T * B * 32
+        assert sum(buf.nbytes for buf in buffers.values()) == \
+            8 * (tape + work) == 13_208_576
+
+    def test_hidden_dense_layers_record_only_their_output(self):
+        # dense layer 0 reads the top LSTM layer's h from the tape, and
+        # dense layer k > 0 the recorded tanh output of layer k - 1
+        arch = self.ARCHS[1]
+        buffers: dict = {}
+        grad(init_params(arch, seed=7), *self._batch(arch, 0, 4, 9), buffers)
+        assert buffers.keys() == self._tape_keys(arch) | {
+            "dense0.out", "x", "d_z", "d_above"}
+        assert buffers["dense0.out"].shape == (9, 1, 4, 3)
+
     def test_matches_central_differences_through_buffers(self):
         # the buffers hold another batch of the same shape, poisoned
         rng = np.random.default_rng(238)
