@@ -1,7 +1,8 @@
 """Deterministic on-disk formats for members and ensembles.
 
-A member checkpoint is a single file: one JSON manifest line, then the raw
-little-endian float64 parameter bytes in canonical order. An ensemble
+A member checkpoint is a single file: one JSON manifest line, then the
+member's parameter vector (network.PnnParams.vector) as raw little-endian
+float64 bytes, exactly as it is held in memory. An ensemble
 checkpoint is a directory of member files plus ensemble.json. Both formats
 contain no timestamps and serialize with sorted keys, so identical runs
 produce byte-identical artifacts; payloads carry SHA-256 checksums that are
@@ -22,7 +23,7 @@ from .cmapss import NormStats
 from .config import TrainingConfig
 from .ensemble import EnsembleModel
 from .errors import DataIntegrityError
-from .network import Architecture, PnnParams, TrainHistory
+from .network import Architecture, PnnParams, TrainHistory, numerics
 
 FORMAT_VERSION = 1
 MEMBER_KIND = "pnn-member"
@@ -39,23 +40,22 @@ def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
     """Write one member checkpoint; returns the payload checksum.
 
     The header records what the parameters were trained from (seed,
-    architecture, training config and the archive's data fingerprint), so
-    a resumed run can tell whether the member still applies.
+    architecture, training config, the archive's data fingerprint and the
+    numerics in force, see network.numerics), so a resumed run can tell
+    whether the member still applies.
     """
-    shapes = params.arch.param_shapes()
-    payload = b"".join(
-        np.ascontiguousarray(params.arrays[name], dtype="<f8").tobytes()
-        for name in shapes)
+    payload = params.vector.astype("<f8", copy=False).tobytes()
     checksum = hashlib.sha256(payload).hexdigest()
     manifest = {
         "kind": MEMBER_KIND,
         "format_version": FORMAT_VERSION,
         "seed": params.seed,
         "architecture": params.arch.to_dict(),
-        "param_names": list(shapes),
+        "param_names": list(params.arch.param_shapes()),
         "history": dataclasses.asdict(history),
         "train_config": dataclasses.asdict(train_cfg),
         "data_fingerprint": data_fingerprint,
+        "numerics": numerics(),
         "checksum": checksum,
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -84,22 +84,15 @@ def load_member(path: Path | str) -> tuple[PnnParams, dict]:
     if hashlib.sha256(payload).hexdigest() != manifest["checksum"]:
         raise DataIntegrityError(f"{path}: checksum mismatch; file corrupted")
     arch = Architecture.from_dict(manifest["architecture"])
-    shapes = arch.param_shapes()
-    if list(shapes) != manifest["param_names"]:
+    if list(arch.param_shapes()) != manifest["param_names"]:
         raise DataIntegrityError(f"{path}: parameter names do not match "
                                  "the declared architecture")
-    expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
+    expected = arch.n_params() * 8
     if len(payload) != expected:
         raise DataIntegrityError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in shapes.items():
-        size = int(np.prod(shape)) * 8
-        arrays[name] = np.frombuffer(
-            payload[offset:offset + size], dtype="<f8").reshape(shape).copy()
-        offset += size
-    return PnnParams(arch=arch, seed=int(manifest["seed"]), arrays=arrays), manifest
+    vector = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return PnnParams(arch=arch, seed=int(manifest["seed"]), vector=vector), manifest
 
 
 def _norm_stats_dict(model: EnsembleModel) -> dict | None:

@@ -36,7 +36,7 @@ from .ensemble import (EnsembleModel, dataset_uncertainty_profile, read_out,
 from .errors import DataIntegrityError, DivergenceError, RulensError
 from .metrics import (interval_bounds, kde, report_from_predictions,
                       report_to_dict, report_to_text, unit_predictions)
-from .network import Architecture
+from .network import Architecture, numerics
 
 logger = logging.getLogger("rulens")
 
@@ -170,7 +170,8 @@ def cmd_train(args) -> int:
             return None
         expected = {"seed": seed, "architecture": arch.to_dict(),
                     "train_config": dataclasses.asdict(config.training),
-                    "data_fingerprint": data_fingerprint}
+                    "data_fingerprint": data_fingerprint,
+                    "numerics": numerics()}
         stale = sorted(key for key, value in expected.items()
                        if manifest.get(key) != value)
         if stale:

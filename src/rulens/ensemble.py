@@ -5,6 +5,8 @@ ensemble predictive distribution is the uniform Gaussian mixture over
 members, summarized by its first two moments; the predictive variance then
 splits into an aleatoric part (mean of member log variances) and an
 epistemic part (the rest), both in nats with additive constants dropped.
+Inference runs all members at once over their parameter vectors stacked
+into one [M, n_params] matrix, so every member must share one architecture.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ class EnsembleModel:
             raise ValueError("ensemble needs at least one member")
         if len(self.member_seeds) != len(self.members):
             raise ValueError("one seed per member required")
+        for k, member in enumerate(self.members):
+            if member.arch != self.architecture:
+                raise ValueError(f"member {k} has architecture {member.arch}, "
+                                 f"the ensemble's is {self.architecture}")
 
     @property
     def n_members(self) -> int:
@@ -176,9 +182,8 @@ def predict_members(model: EnsembleModel, seqs: Sequence[np.ndarray]
     with (BLAS summation order follows the batch shape); the same call
     always returns the same bits.
     """
-    arrays = {name: np.stack([p.arrays[name] for p in model.members])
-              for name in model.members[0].arrays}
-    return forward_stacked(model.architecture, arrays, seqs)
+    vectors = np.stack([p.vector for p in model.members])
+    return forward_stacked(model.architecture, vectors, seqs)
 
 
 def read_out(model: EnsembleModel, units: Sequence[UnitSeries],

@@ -6,6 +6,11 @@ there is no general autodiff. The backward pass is hand-derived
 backpropagation through time, which keeps the whole model in float64 numpy
 and makes finite-difference verification meaningful.
 
+A member is one float64 vector [n_params], the bytes its file stores, and
+M members are one [M, n_params] matrix. Architecture.unflatten alone maps
+offsets to names: the forward pass reads its named views, grad writes into
+them, and Adam updates the whole vector in place.
+
 The variance head emits a raw real s with sigma^2 = softplus(s) + 1e-6, so
 predicted variances are smooth and strictly positive.
 """
@@ -13,7 +18,9 @@ predicted variances are smooth and strictly positive.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+import math
+import os
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +32,15 @@ logger = logging.getLogger(__name__)
 
 VAR_FLOOR = 1e-6
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+TRAINING_BITS = 1      # bumped by every deliberate change to training bits
+
+
+def numerics() -> dict:
+    """What sets a trained member's bits besides seed, data and config: the
+    code's TRAINING_BITS and the BLAS thread variable OpenBLAS reads."""
+    env = os.environ
+    return {"training_bits": TRAINING_BITS, "blas_threads":
+            env.get("OPENBLAS_NUM_THREADS", env.get("OMP_NUM_THREADS"))}
 
 
 @dataclass
@@ -67,7 +83,19 @@ class Architecture:
         return shapes
 
     def n_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.param_shapes().values())
+        return sum(math.prod(s) for s in self.param_shapes().values())
+
+    def unflatten(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views [..., *shape] of flat [..., n_params], in
+        param_shapes() order; writing a view writes flat."""
+        shapes = self.param_shapes()
+        ends = np.cumsum([math.prod(s) for s in shapes.values()])
+        if flat.shape[-1:] != (ends[-1],):
+            raise ValueError(f"expected [..., {ends[-1]}] parameters, "
+                             f"got shape {flat.shape}")
+        parts = np.split(flat, ends[:-1], axis=-1)
+        return {name: part.reshape(flat.shape[:-1] + shape)
+                for (name, shape), part in zip(shapes.items(), parts)}
 
     def to_dict(self) -> dict:
         return {
@@ -85,28 +113,19 @@ class Architecture:
 
 @dataclass
 class PnnParams:
-    """All learnable parameters of one network member."""
+    """All learnable parameters of one network member, as one float64
+    vector [n_params] in param_shapes() order."""
 
     arch: Architecture
     seed: int
-    arrays: dict[str, np.ndarray]   # insertion order == declared layer order
+    vector: np.ndarray
+
+    @property
+    def arrays(self) -> dict[str, np.ndarray]:     # named views of vector
+        return self.arch.unflatten(self.vector)
 
     def copy(self) -> "PnnParams":
-        return PnnParams(self.arch, self.seed,
-                         {k: v.copy() for k, v in self.arrays.items()})
-
-
-@dataclass
-class OptimizerState:
-    """Adam accumulators; shapes mirror the parameter arrays."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int
-    learning_rate: float
-    beta1: float
-    beta2: float
-    eps: float
+        return PnnParams(self.arch, self.seed, self.vector.copy())
 
 
 @dataclass
@@ -123,18 +142,16 @@ def init_params(arch: Architecture, seed: int) -> PnnParams:
     """Deterministic initialization: uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)]
     per weight matrix, biases zero except the LSTM forget-gate block at 1."""
     rng = np.random.default_rng(int(seed) % (1 << 64))
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in arch.param_shapes().items():
-        if len(shape) == 2:
-            bound = 1.0 / np.sqrt(shape[0])
-            arrays[name] = rng.uniform(-bound, bound, shape)
-        else:
-            arrays[name] = np.zeros(shape)
-            if name.startswith("lstm"):
-                hidden = shape[0] // 4
-                # forget gate block (order: i, f, g, o)
-                arrays[name][hidden:2 * hidden] = 1.0
-    return PnnParams(arch=arch, seed=int(seed), arrays=arrays)
+    params = PnnParams(arch, int(seed), np.zeros(arch.n_params()))
+    for name, view in params.arrays.items():
+        if view.ndim == 2:
+            bound = 1.0 / np.sqrt(view.shape[0])
+            view[...] = rng.uniform(-bound, bound, view.shape)
+        elif name.startswith("lstm"):
+            hidden = view.shape[0] // 4
+            # forget gate block (order: i, f, g, o)
+            view[hidden:2 * hidden] = 1.0
+    return params
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -178,14 +195,14 @@ def _buffer(buffers: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
-def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
+def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
          active: np.ndarray, tape: dict | None = None
          ) -> tuple[np.ndarray, np.ndarray]:
     """The one forward time-step loop, shared by training and inference.
 
     x is time-major [T, B, F] with rows sorted so that the first active[t]
-    are the sequences still running at step t; arrays holds every parameter
-    stacked on a leading member axis [M, ...]. All layers plus the Gaussian
+    are the sequences still running at step t; vectors [M, n_params] holds
+    one member's parameters per row. All layers plus the Gaussian
     head advance one step at a time with state [M, active[t], H], and the
     input projection is computed per step, so nothing of size [M, B, T, 4H]
     is held unless recorded. Returns mean and variance [M, B, T].
@@ -202,7 +219,8 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
     at every step.
     """
     T, B, _ = x.shape
-    M = arrays["lstm0.w_x"].shape[0]
+    M, _ = vectors.shape
+    arrays = arch.unflatten(vectors)
     lstm = [(hidden, arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"],
              arrays[f"lstm{k}.b"][:, None])
             for k, hidden in enumerate(arch.recurrent_layers)]
@@ -222,8 +240,7 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
                                        ("tc", T, hidden))}
                 for k, (hidden, *_) in enumerate(lstm)]
         for rec in recs:
-            rec["h"][0] = 0.0
-            rec["c"][0] = 0.0
+            rec["h"][0] = rec["c"][0] = 0.0
         dense_out = [_buffer(tape, f"dense{k}.out", (T, M, B, w.shape[-1]))
                      for k, (w, _) in enumerate(dense[:-1])]
         raw = _buffer(tape, "raw", (M, B, T))
@@ -259,13 +276,13 @@ def _run(arch: Architecture, arrays: dict[str, np.ndarray], x: np.ndarray,
     return mu, softplus(raw) + VAR_FLOOR
 
 
-def forward_stacked(arch: Architecture, arrays: dict[str, np.ndarray],
+def forward_stacked(arch: Architecture, vectors: np.ndarray,
                     seqs: Sequence[np.ndarray]
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Inference for M members at once over a ragged list of sequences.
 
-    arrays holds every parameter array stacked on a leading member axis
-    [M, ...]; seqs holds sequences [T_i, F]. Returns, in input order, one
+    vectors [M, n_params] holds one member's parameters per row; seqs holds
+    sequences [T_i, F]. Returns, in input order, one
     (means, variances) pair of shape [M, T_i] per sequence.
 
     Sequences are sorted by length, longest first (stable), padded into a
@@ -292,7 +309,7 @@ def forward_stacked(arch: Architecture, arrays: dict[str, np.ndarray],
     x_pad = np.zeros((T, B, arch.input_dim))
     for j, i in enumerate(order):
         x_pad[:lengths[i], j] = xs[i]
-    mu, var = _run(arch, arrays, x_pad, active)
+    mu, var = _run(arch, vectors, x_pad, active)
 
     position = np.empty(B, dtype=np.intp)
     position[order] = np.arange(B)
@@ -312,8 +329,8 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
          buffers: dict | None = None):
     """Exact gradients of the mean batch NLL for a batch of sequences.
 
-    inputs: [B, T, F], targets: [B, T]. Returns (grads, loss) where grads
-    mirrors the parameter arrays. Raises DivergenceError with the offending
+    inputs: [B, T, F], targets: [B, T]. Returns (grads, loss), grads a new
+    vector laid out as params.vector. Raises DivergenceError with the offending
     sample index if any per-sample loss is non-finite.
 
     The forward pass is the inference step loop with M = 1, recorded on a
@@ -344,10 +361,10 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
     if buffers is None:
         buffers = {}
 
-    arrays = {name: a[None] for name, a in params.arrays.items()}
     x_time_major = _buffer(buffers, "x", (T, B, F))
     np.copyto(x_time_major, x.transpose(1, 0, 2))
-    mu, var = _run(arch, arrays, x_time_major, np.full(T, B), buffers)
+    mu, var = _run(arch, params.vector[None], x_time_major, np.full(T, B),
+                   buffers)
     mu, var, raw = mu[0], var[0], buffers["raw"][0]
     terms = _nll_terms(mu, var, y)
     per_sample = terms.mean(axis=1)
@@ -377,7 +394,9 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
     dvar = (var - resid ** 2) / (2.0 * var ** 2) * scale
     draw = dvar * sigmoid(raw)                  # d softplus(s)/ds = sigmoid(s)
 
-    grads: dict[str, np.ndarray] = {}
+    arrays = params.arrays
+    flat_grads = np.empty_like(params.vector)
+    grads = arch.unflatten(flat_grads)
     top = len(arch.recurrent_layers) - 1
     d_a = np.stack([dmu.T, draw.T], axis=-1).reshape(T * B, 2)
 
@@ -385,9 +404,9 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
     for k in range(len(arch.dense_layers) - 1, -1, -1):
         dense_in = (buffers[f"lstm{top}.h"][1:] if k == 0
                     else buffers[f"dense{k - 1}.out"]).reshape(T * B, -1)
-        w = params.arrays[f"dense{k}.w"]
-        grads[f"dense{k}.w"] = dense_in.T @ d_a
-        grads[f"dense{k}.b"] = d_a.sum(axis=0)
+        w = arrays[f"dense{k}.w"]
+        np.matmul(dense_in.T, d_a, out=grads[f"dense{k}.w"])
+        np.sum(d_a, axis=0, out=grads[f"dense{k}.b"])
         if k > 0:
             # through tanh(z_{k-1}), whose output is the input of layer k
             d_a = d_a @ w.T * (1.0 - dense_in ** 2)
@@ -397,15 +416,13 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
     # LSTM stack, top down, exact backpropagation through time
     for k in range(top, -1, -1):
         hidden = arch.recurrent_layers[k]
-        w_x = params.arrays[f"lstm{k}.w_x"]
-        w_h = params.arrays[f"lstm{k}.w_h"]
+        w_x, w_h = arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"]
         gates, hs, cs, tc = (buffers[f"lstm{k}.{key}"][:, 0]
                              for key in ("gates", "h", "c", "tc"))
         gi, gf, gg, go = (gates[..., j * hidden:(j + 1) * hidden]
                           for j in range(4))
         d_z = head(d_z_buf, T, B, 4 * hidden)
-        dh_carry = np.zeros((B, hidden))
-        dc_carry = np.zeros((B, hidden))
+        dh_carry, dc_carry = np.zeros((2, B, hidden))
         for t in range(T - 1, -1, -1):
             dh = d_above[t] + dh_carry
             d_o = dh * tc[t]
@@ -421,56 +438,37 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
             dc_carry = dc * gf[t]
         flat_dz = d_z.reshape(T * B, -1)
         layer_in = x_time_major if k == 0 else buffers[f"lstm{k - 1}.h"][1:]
-        grads[f"lstm{k}.w_x"] = layer_in.reshape(T * B, -1).T @ flat_dz
-        grads[f"lstm{k}.w_h"] = hs[:T].reshape(T * B, -1).T @ flat_dz
-        grads[f"lstm{k}.b"] = flat_dz.sum(axis=0)
+        for name, rows in (("w_x", layer_in), ("w_h", hs[:T])):
+            np.matmul(rows.reshape(T * B, -1).T, flat_dz,
+                      out=grads[f"lstm{k}.{name}"])
+        np.sum(flat_dz, axis=0, out=grads[f"lstm{k}.b"])
         if k > 0:
             d_above = above(flat_dz, w_x)
 
-    return {name: grads[name] for name in params.arrays}, loss
+    return flat_grads, loss
 
 
-def init_adam(params: PnnParams, cfg: TrainingConfig) -> OptimizerState:
-    zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    return OptimizerState(
-        m=zeros,
-        v={k: np.zeros_like(v) for k, v in params.arrays.items()},
-        step=0,
-        learning_rate=cfg.learning_rate,
-        beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-    )
-
-
-def adam_step(params: PnnParams, grads: dict[str, np.ndarray],
-              state: OptimizerState) -> tuple[PnnParams, OptimizerState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    t = state.step + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    new_arrays: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name, theta in params.arrays.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        new_arrays[name] = theta - state.learning_rate * (m / bc1) / (
-            np.sqrt(v / bc2) + state.eps)
-        new_m[name] = m
-        new_v[name] = v
-    return (PnnParams(params.arch, params.seed, new_arrays),
-            replace(state, m=new_m, v=new_v, step=t))
+def adam_step(theta: np.ndarray, g: np.ndarray, m: np.ndarray,
+              v: np.ndarray, t: int, cfg: TrainingConfig) -> None:
+    """Bias-corrected Adam update number t (from 1), in place on the
+    parameters theta and the moments m and v, all of one shape."""
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    theta -= cfg.learning_rate * (m / (1.0 - cfg.beta1 ** t)) / (
+        np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.eps)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray],
                      max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients in place so their global L2 norm is at most
+    max_norm; the squares are summed per array, then across arrays."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         factor = max_norm / total
-        grads = {k: g * factor for k, g in grads.items()}
+        for g in grads.values():
+            g *= factor
     return grads, total
 
 
@@ -500,7 +498,8 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
         raise ValueError("no training windows")
 
     params = init_params(arch, seed)
-    state = init_adam(params, cfg)
+    m, v = np.zeros((2, arch.n_params()))     # Adam's moment vectors
+    step = 0
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=(1,)))
 
@@ -519,11 +518,12 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
                 raise DivergenceError(
                     f"diverged at epoch {epoch}: {exc}",
                     sample_index=exc.sample_index, epoch=epoch) from None
-            grads, norm = clip_global_norm(grads, cfg.clip_norm)
+            _, norm = clip_global_norm(arch.unflatten(grads), cfg.clip_norm)
             if cfg.clip_norm > 0 and norm > cfg.clip_norm:
                 history.clip_events += 1
                 logger.debug("epoch %d: clipped gradient norm %.3f", epoch, norm)
-            params, state = adam_step(params, grads, state)
+            step += 1
+            adam_step(params.vector, grads, m, v, step, cfg)
             loss_sum += loss * len(idx)
         epoch_loss = loss_sum / n
         if not np.isfinite(epoch_loss):

@@ -22,8 +22,7 @@ class GaussianSeqPrediction:
 
 def forward(params: PnnParams, inputs: np.ndarray) -> GaussianSeqPrediction:
     """Predict per-time-step (mean, variance) for one sequence [T, F]."""
-    arrays = {name: a[None] for name, a in params.arrays.items()}
-    [(mu, var)] = forward_stacked(params.arch, arrays, [inputs])
+    [(mu, var)] = forward_stacked(params.arch, params.vector[None], [inputs])
     return GaussianSeqPrediction(means=mu[0], variances=var[0])
 
 
@@ -43,8 +42,7 @@ def gaussian_nll(pred: GaussianSeqPrediction, targets: np.ndarray) -> float:
 def batch_forward(params: PnnParams, inputs: np.ndarray):
     """The inference forward for one member over a batch [B, T, F] ->
     (mu, var), each [B, T]."""
-    arrays = {name: a[None] for name, a in params.arrays.items()}
-    preds = forward_stacked(params.arch, arrays, list(inputs))
+    preds = forward_stacked(params.arch, params.vector[None], list(inputs))
     return (np.concatenate([m for m, _ in preds]),
             np.concatenate([v for _, v in preds]))
 
@@ -72,18 +70,16 @@ def finite_diff_check(params: PnnParams, inputs: np.ndarray,
     analytic, _ = grad(params, inputs, targets, buffers)
     work = params.copy()
     worst = 0.0
-    for name, arr in work.arrays.items():
-        flat = arr.ravel()
-        g_flat = analytic[name].ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + epsilon
-            up = batch_loss(work, inputs, targets)
-            flat[j] = orig - epsilon
-            down = batch_loss(work, inputs, targets)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            a = g_flat[j]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, err)
+    flat = work.vector
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + epsilon
+        up = batch_loss(work, inputs, targets)
+        flat[j] = orig - epsilon
+        down = batch_loss(work, inputs, targets)
+        flat[j] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        a = analytic[j]
+        err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        worst = max(worst, err)
     return worst

@@ -12,7 +12,7 @@ from rulens.cmapss import NormStats
 from rulens.config import TrainingConfig
 from rulens.ensemble import train_ensemble
 from rulens.errors import DataIntegrityError
-from rulens.network import Architecture, train_pnn
+from rulens.network import TRAINING_BITS, Architecture, train_pnn
 
 ARCH = Architecture(2, (3,), (2,))
 CFG = TrainingConfig(max_epochs=2, batch_size=8)
@@ -67,6 +67,16 @@ class TestMemberRoundTrip:
         assert manifest["history"]["epoch_losses"] == list(history.epoch_losses)
         assert manifest["train_config"]["max_epochs"] == CFG.max_epochs
         assert manifest["data_fingerprint"] is None
+
+    def test_payload_is_the_parameter_vector(self, trained, tmp_path):
+        params, history = trained
+        path = tmp_path / "m.ckpt"
+        save_member(path, params, history, CFG)
+        assert path.read_bytes().split(b"\n", 1)[1] == params.vector.tobytes()
+        loaded, manifest = load_member(path)
+        assert np.array_equal(loaded.vector, params.vector)
+        assert loaded.vector.flags.writeable
+        assert manifest["numerics"]["training_bits"] == TRAINING_BITS
 
     def test_header_records_data_fingerprint(self, trained, tmp_path):
         params, history = trained

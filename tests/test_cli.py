@@ -248,6 +248,49 @@ class TestTrain:
         assert "member 1: checkpoint differs in data_fingerprint" in caplog.text
         assert member.read_bytes() == keep
 
+    @pytest.mark.parametrize("numerics", [None, {"training_bits": 0}])
+    def test_resume_retrains_member_from_other_numerics(
+            self, trained_run, tmp_path, capsys, caplog, numerics):
+        # a header without numerics, or from code whose training bits
+        # differ, does not vouch for the member's bytes
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run["checkpoint"], ckpt)
+        member = member_path(ckpt, 1)
+        keep = member.read_bytes()
+        header, payload = keep.split(b"\n", 1)
+        manifest = json.loads(header)
+        if numerics is None:
+            manifest.pop("numerics", None)
+        else:
+            manifest["numerics"] = {**manifest.get("numerics", {}), **numerics}
+        member.write_bytes(json.dumps(manifest, sort_keys=True).encode()
+                           + b"\n" + payload)
+        assert run_cli("train", "--config", trained_run["config"],
+                       "--archive", trained_run["archive"],
+                       "--out", ckpt, "--resume") == 0
+        out = capsys.readouterr().out
+        assert "member 0: reusing" in out and "member 2: reusing" in out
+        assert "member 1: reusing" not in out
+        assert "member 1: checkpoint differs in numerics" in caplog.text
+        assert member.read_bytes() == keep
+
+    def test_resume_under_other_blas_threads_retrains(self, trained_run,
+                                                      tmp_path):
+        # the thread count is compared as set, not by the bits it gives
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run["checkpoint"], ckpt)
+        done = subprocess.run(
+            [sys.executable, "-m", "rulens.cli", "train", "--config",
+             str(trained_run["config"]), "--archive",
+             str(trained_run["archive"]), "--out", str(ckpt), "--resume"],
+            env=_child_env(OPENBLAS_NUM_THREADS="2"), check=True,
+            capture_output=True, text=True)
+        assert "reusing" not in done.stdout
+        assert done.stderr.count("checkpoint differs in numerics") == 3
+        for k in range(3):
+            _, manifest = load_member(member_path(ckpt, k))
+            assert manifest["numerics"]["blas_threads"] == "2"
+
     def test_missing_archive_is_user_error(self, trained_run, tmp_path,
                                            capsys):
         assert run_cli("train", "--config", trained_run["config"],

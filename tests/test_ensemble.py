@@ -443,3 +443,13 @@ class TestEnsembleModelValidation:
         params = init_params(ARCH, seed=0)
         with pytest.raises(ValueError, match="per member"):
             EnsembleModel(ARCH, [params], base_seed=0, member_seeds=(0, 1))
+
+    def test_refuses_member_of_another_architecture(self):
+        # both have 62 parameters, so their vectors alone stack and run
+        wide = Architecture(4, (2,), (2,))
+        deep = Architecture(4, (1, 2), (2,))
+        assert wide.n_params() == deep.n_params() == 62
+        with pytest.raises(ValueError, match="member 1 has architecture"):
+            EnsembleModel(wide, [init_params(wide, seed=0),
+                                 init_params(deep, seed=1)],
+                          base_seed=0, member_seeds=(0, 1))

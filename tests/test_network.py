@@ -13,8 +13,8 @@ from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
 from rulens.config import TrainingConfig
 from rulens.errors import DivergenceError
 from rulens.network import (VAR_FLOOR, Architecture, PnnParams, adam_step,
-                            clip_global_norm, grad, init_adam, init_params,
-                            sigmoid, train_pnn)
+                            clip_global_norm, grad, init_params, sigmoid,
+                            train_pnn)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -88,6 +88,44 @@ class TestInit:
     def test_negative_seed_accepted(self):
         params = init_params(Architecture(2, (3,), (2,)), seed=-1)
         assert np.isfinite(params.arrays["lstm0.w_x"]).all()
+
+
+class TestLayout:
+    ARCH = Architecture(3, (4, 2), (3, 2))
+
+    @pytest.mark.parametrize("lead", [(), (5,)])
+    def test_unflatten_views_cover_every_element_once(self, lead):
+        n = self.ARCH.n_params()
+        flat = np.arange(float(np.prod(lead, dtype=int) * n)).reshape(lead + (n,))
+        views = self.ARCH.unflatten(flat)
+        shapes = self.ARCH.param_shapes()
+        assert list(views) == list(shapes)
+        offset = 0
+        for name, view in views.items():
+            size = int(np.prod(shapes[name]))
+            assert view.shape == lead + shapes[name]
+            assert view.flags.writeable and np.shares_memory(view, flat)
+            # the next size elements of every row, in order
+            assert np.array_equal(
+                view.reshape(lead + (size,)), flat[..., offset:offset + size])
+            offset += size
+        assert offset == n
+        hits = np.zeros_like(flat)
+        for view in self.ARCH.unflatten(hits).values():
+            view += 1.0
+        assert np.all(hits == 1.0)
+
+    def test_unflatten_refuses_another_length(self):
+        with pytest.raises(ValueError, match=str(self.ARCH.n_params())):
+            self.ARCH.unflatten(np.zeros(self.ARCH.n_params() - 1))
+
+    def test_params_are_one_vector(self):
+        params = init_params(self.ARCH, seed=0)
+        assert params.vector.shape == (self.ARCH.n_params(),)
+        params.arrays["dense1.b"][:] = [7.0, 8.0]
+        assert np.array_equal(params.vector[-2:], [7.0, 8.0])
+        copy = params.copy()
+        assert not np.shares_memory(copy.vector, params.vector)
 
 
 class TestForward:
@@ -274,7 +312,8 @@ class TestGrad:
         # exactly-zero network on zero targets: residual is 0, so only the
         # variance bias receives gradient
         params = _zero_params(Architecture(2, (3,), (2,)))
-        grads, _ = grad(params, np.zeros((2, 4, 2)), np.zeros((2, 4)))
+        flat, _ = grad(params, np.zeros((2, 4, 2)), np.zeros((2, 4)))
+        grads = params.arch.unflatten(flat)
         assert grads["dense0.b"][0] == 0.0
         assert grads["dense0.b"][1] > 0.0
         assert all(np.all(g == 0.0) for k, g in grads.items()
@@ -288,8 +327,7 @@ class TestGrad:
         g1, l1 = grad(params, x, y)
         g2, l2 = grad(params, np.repeat(x, 2, axis=0), np.repeat(y, 2, axis=0))
         assert l1 == pytest.approx(l2)
-        for k in g1:
-            assert np.allclose(g1[k], g2[k])
+        assert np.allclose(g1, g2)
 
     @pytest.mark.parametrize("batch", [1, 7, 18, 32])
     def test_loss_equals_inference_nll_bit_for_bit(self, batch):
@@ -358,8 +396,7 @@ class TestGradBuffers:
             got, loss = grad(params, x, y, buffers)
             ref, ref_loss = grad(params, x, y)
             assert loss == ref_loss
-            assert list(got) == list(ref)
-            assert all(got[k].tobytes() == ref[k].tobytes() for k in ref)
+            assert got.tobytes() == ref.tobytes()
             _poison(buffers)
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -367,11 +404,11 @@ class TestGradBuffers:
         params = init_params(arch, seed=4)
         buffers: dict = {}
         first, _ = grad(params, *self._batch(arch, 0, 16, 12), buffers)
-        kept = {k: g.copy() for k, g in first.items()}
-        assert not any(np.shares_memory(g, buf) for g in first.values()
+        kept = first.copy()
+        assert not any(np.shares_memory(first, buf)
                        for buf in buffers.values())
         grad(params, *self._batch(arch, 1, 16, 12), buffers)
-        assert all(np.array_equal(first[k], kept[k]) for k in kept)
+        assert np.array_equal(first, kept)
 
     def test_same_shape_calls_allocate_once(self):
         arch = self.ARCHS[0]
@@ -426,47 +463,99 @@ class TestGradBuffers:
         assert worst < 1e-4
 
 
+def _reference_adam_clip(params: dict, grads_seq, cfg: TrainingConfig):
+    """Adam and global-norm clipping written per array and out of place, as
+    the library once computed them: the bits in-place flat Adam must keep.
+    Yields (params, norm) after each step."""
+    m = {k: np.zeros_like(a) for k, a in params.items()}
+    v = {k: np.zeros_like(a) for k, a in params.items()}
+    for t, grads in enumerate(grads_seq, start=1):
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+            factor = cfg.clip_norm / norm
+            grads = {k: g * factor for k, g in grads.items()}
+        bc1 = 1.0 - cfg.beta1 ** t
+        bc2 = 1.0 - cfg.beta2 ** t
+        new = {}
+        for k, theta in params.items():
+            g = grads[k]
+            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+            v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+            new[k] = theta - cfg.learning_rate * (m[k] / bc1) / (
+                np.sqrt(v[k] / bc2) + cfg.eps)
+        params = new
+        yield params, norm
+
+
 class TestAdam:
+    CFG = TrainingConfig()
+
     def _setup(self):
         params = init_params(Architecture(2, (3,), (2,)), seed=3)
-        return params, init_adam(params, TrainingConfig())
+        zeros = np.zeros_like(params.vector)
+        return params, zeros, zeros.copy()
 
     def test_first_step_is_signed_learning_rate(self):
-        params, state = self._setup()
-        grads = {k: np.full_like(v, 0.25) for k, v in params.arrays.items()}
-        grads["lstm0.w_x"][0, 0] = -0.25
-        new, state = adam_step(params, grads, state)
-        delta = new.arrays["lstm0.w_x"] - params.arrays["lstm0.w_x"]
+        params, m, v = self._setup()
+        before = params.copy()
+        grads = np.full_like(params.vector, 0.25)
+        params.arch.unflatten(grads)["lstm0.w_x"][0, 0] = -0.25
+        adam_step(params.vector, grads, m, v, 1, self.CFG)
+        delta = params.arrays["lstm0.w_x"] - before.arrays["lstm0.w_x"]
         assert delta[0, 0] == pytest.approx(0.001, rel=1e-6)
         assert delta[0, 1] == pytest.approx(-0.001, rel=1e-6)
-        assert state.step == 1
 
     def test_zero_gradient_from_fresh_state_is_identity(self):
-        params, state = self._setup()
-        zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-        new, _ = adam_step(params, zeros, state)
-        assert all(np.array_equal(new.arrays[k], params.arrays[k])
-                   for k in params.arrays)
+        params, m, v = self._setup()
+        before = params.vector.copy()
+        adam_step(params.vector, np.zeros_like(before), m, v, 1, self.CFG)
+        assert np.array_equal(params.vector, before)
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
-        params, state = self._setup()
-        grads = {k: np.full_like(v, 0.7) for k, v in params.arrays.items()}
-        prev = params
-        for _ in range(300):
-            params, state = adam_step(params, grads, state)
-            step = params.arrays["dense0.w"] - prev.arrays["dense0.w"]
-            prev = params
-        assert np.allclose(np.abs(step), 0.001, rtol=1e-4)
+        params, m, v = self._setup()
+        grads = np.full_like(params.vector, 0.7)
+        for t in range(1, 301):
+            prev = params.vector.copy()
+            adam_step(params.vector, grads, m, v, t, self.CFG)
+        assert np.allclose(np.abs(params.vector - prev), 0.001, rtol=1e-4)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_array_reference_bit_for_bit(self, seed):
+        # 30 steps of random gradients whose norms straddle clip_norm, so
+        # clipping both fires and does not
+        arch = Architecture(3, (4, 2), (3, 2))
+        params = init_params(arch, seed=seed)
+        rng = np.random.default_rng(seed)
+        flat_grads = [rng.normal(scale=rng.choice([0.05, 2.0]),
+                                 size=arch.n_params()) for _ in range(30)]
+        reference = _reference_adam_clip(
+            {k: a.copy() for k, a in params.arrays.items()},
+            [{k: a.copy() for k, a in arch.unflatten(g).items()}
+             for g in flat_grads], self.CFG)
+        m = np.zeros_like(params.vector)
+        v = np.zeros_like(params.vector)
+        clipped = []
+        for t, (g, (ref, ref_norm)) in enumerate(zip(flat_grads, reference),
+                                                 start=1):
+            _, norm = clip_global_norm(arch.unflatten(g), self.CFG.clip_norm)
+            clipped.append(norm > self.CFG.clip_norm)
+            adam_step(params.vector, g, m, v, t, self.CFG)
+            assert norm == ref_norm
+            assert all(params.arrays[k].tobytes() == ref[k].tobytes()
+                       for k in ref)
+        assert 0 < sum(clipped) < len(clipped)
 
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
         clipped, norm = clip_global_norm(grads, 2.5)
         assert norm == pytest.approx(5.0)
+        assert clipped is grads                 # scaled in place
         total = np.sqrt(sum(np.sum(g * g) for g in clipped.values()))
         assert total == pytest.approx(2.5)
         same, norm2 = clip_global_norm(grads, 10.0)
-        assert norm2 == pytest.approx(5.0)
+        assert norm2 == pytest.approx(2.5)
         assert same is grads
+        assert np.array_equal(grads["b"], [2.0])
 
 
 class TestTrainLoop:
