@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -123,20 +124,17 @@ def ensemble_fingerprint(manifest: dict) -> str:
 
 def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
                             train_cfg: TrainingConfig,
+                            member_checksums: Sequence[str],
                             config_echo: dict | None = None) -> str:
-    """Write ensemble.json describing member files already on disk."""
+    """Write ensemble.json for member files already on disk, given the
+    payload checksum of each (as save_member returns it, or as load_member
+    read it); the files are not read again."""
     ckpt_dir = Path(ckpt_dir)
-    checksums = []
-    files = []
-    for k in range(model.n_members):
-        path = member_path(ckpt_dir, k)
-        _, manifest = load_member(path)
-        if manifest["seed"] != model.member_seeds[k]:
-            raise DataIntegrityError(
-                f"{path}: seed {manifest['seed']} does not match "
-                f"expected member seed {model.member_seeds[k]}")
-        checksums.append(manifest["checksum"])
-        files.append(str(path.relative_to(ckpt_dir)))
+    if len(member_checksums) != model.n_members:
+        raise ValueError(f"{len(member_checksums)} member checksums for "
+                         f"{model.n_members} members")
+    files = [str(member_path(ckpt_dir, k).relative_to(ckpt_dir))
+             for k in range(model.n_members)]
     manifest = {
         "kind": ENSEMBLE_KIND,
         "format_version": FORMAT_VERSION,
@@ -145,7 +143,7 @@ def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
         "base_seed": model.base_seed,
         "member_seeds": list(model.member_seeds),
         "member_files": files,
-        "member_checksums": checksums,
+        "member_checksums": list(member_checksums),
         "data_fingerprint": model.data_fingerprint,
         "norm_stats": _norm_stats_dict(model),
         "preprocess": model.preprocess,
@@ -178,6 +176,10 @@ def load_ensemble(ckpt_dir: Path | str) -> tuple[EnsembleModel, dict]:
         if m_manifest["checksum"] != manifest["member_checksums"][k]:
             raise DataIntegrityError(
                 f"{ckpt_dir / rel}: checksum differs from the ensemble manifest")
+        if params.seed != manifest["member_seeds"][k]:
+            raise DataIntegrityError(
+                f"{ckpt_dir / rel}: seed {params.seed} does not match "
+                f"expected member seed {manifest['member_seeds'][k]}")
         members.append(params)
     norm_stats = None
     if manifest.get("norm_stats") is not None:

@@ -157,6 +157,7 @@ def cmd_train(args) -> int:
     print(f"training {n_members} members (seeds {base_seed}.."
           f"{base_seed + n_members - 1}) on {len(windows)} windows, "
           f"architecture {arch.to_dict()}")
+    checksums: dict[int, str] = {}     # member k's payload checksum
 
     def reuse(k: int, seed: int):
         """A finished member, if everything that determined it is unchanged."""
@@ -179,11 +180,12 @@ def cmd_train(args) -> int:
                            k, ", ".join(stale))
             return None
         print(f"member {k}: reusing finished checkpoint")
+        checksums[k] = manifest["checksum"]
         return params
 
     def save(k: int, params, history) -> None:
-        save_member(member_path(ckpt_dir, k), params, history, config.training,
-                    data_fingerprint)
+        checksums[k] = save_member(member_path(ckpt_dir, k), params, history,
+                                   config.training, data_fingerprint)
         print(f"member {k}: best loss {history.best_loss:.5f} at epoch "
               f"{history.best_epoch}, stopped ({history.stop_reason}) "
               f"after {history.stop_epoch} epochs")
@@ -194,8 +196,9 @@ def cmd_train(args) -> int:
         norm_stats=split.norm_stats,
         preprocess=_preprocess_dict(archive_manifest),
         data_fingerprint=data_fingerprint)
-    fingerprint = write_ensemble_manifest(ckpt_dir, model, config.training,
-                                          config.resolved())
+    fingerprint = write_ensemble_manifest(
+        ckpt_dir, model, config.training,
+        [checksums[k] for k in range(n_members)], config.resolved())
     print(f"checkpoint written to {ckpt_dir} (fingerprint {fingerprint[:12]})")
     return 0
 

@@ -11,8 +11,12 @@ into one [M, n_params] matrix, so every member must share one architecture.
 
 from __future__ import annotations
 
+import functools
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -120,6 +124,70 @@ def decompose_uncertainty(member_means: np.ndarray,
                                     mu_star, var_star)
 
 
+def _worker_count(n_jobs: int) -> int:
+    """Processes to train n_jobs members in: one per CPU this process may
+    run on (os.cpu_count() where affinity is unknown), at most one per
+    member."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_jobs, cpus)
+
+
+def _train_member(arch: Architecture, train_windows: tuple,
+                  train_cfg: TrainingConfig, job: tuple[int, int]
+                  ) -> tuple[PnnParams, TrainHistory]:
+    """Member k = job[0] with seed job[1]; a divergence names the member."""
+    k, seed = job
+    try:
+        return train_pnn(arch, train_windows, train_cfg, seed)
+    except DivergenceError as exc:
+        raise DivergenceError(
+            f"member {k} (seed {seed}) diverged: {exc}",
+            sample_index=exc.sample_index, epoch=exc.epoch,
+            member=k) from None
+
+
+# In a pool worker, the parent's member trainer, inherited through fork.
+_worker_train = None
+
+
+def _start_worker(train: Callable) -> None:
+    global _worker_train
+    _worker_train = train
+    # Ctrl-C reaches the whole process group; the parent alone reacts, and
+    # tears the pool down
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _train_in_worker(job: tuple[int, int]) -> tuple[PnnParams, TrainHistory]:
+    return _worker_train(job)
+
+
+@contextmanager
+def _member_results(train: Callable, jobs: list[tuple[int, int]]
+                    ) -> Iterator[Iterator[tuple[PnnParams, TrainHistory]]]:
+    """train(job) for every job, in job order.
+
+    With more than one worker (see _worker_count), the jobs run in a pool
+    of forked processes: each inherits the data, the architecture, the
+    config and the BLAS setting, so only a job's (k, seed) goes out and
+    its (params, history) comes back. Otherwise they run here, one after
+    another. Leaving the block stops and reaps every worker.
+    """
+    n_workers = _worker_count(len(jobs))
+    if n_workers <= 1:
+        yield map(train, jobs)
+        return
+    # imported here: the inference commands import this module too
+    import multiprocessing
+    with multiprocessing.get_context("fork").Pool(
+            n_workers, initializer=_start_worker,
+            initargs=(train,)) as pool:
+        yield pool.imap(_train_in_worker, jobs)
+
+
 def train_ensemble(arch: Architecture,
                    train_windows: tuple,
                    train_cfg: TrainingConfig,
@@ -135,32 +203,32 @@ def train_ensemble(arch: Architecture,
     """Train n_members networks with seeds base_seed + k, k = 0..M-1.
 
     train_windows is the (inputs, targets) pair train_pnn takes; a member
-    depends only on its seed and the data. resume(k, seed) may return
-    finished parameters, used as they are (history None). progress(k,
-    params, history) sees each newly trained member at once, so a caller
-    can persist it. A diverging member raises DivergenceError naming the
-    member. norm_stats / preprocess / data_fingerprint ride along on the
-    model so inference can re-create the model's input space.
+    depends only on its seed, the data and the BLAS thread count.
+    resume(k, seed) is asked for every member first and may return
+    finished parameters, used as they are (history None). The others train
+    in forked worker processes, one per CPU this process may run on and at
+    most one per member, or in this process when that is one (`taskset -c
+    0` gives the serial run); the worker count never changes a bit.
+    progress(k, params, history) sees each newly trained member in member
+    order as soon as it and those before it are done, so a caller can
+    persist it. A diverging member raises DivergenceError naming the
+    member, and an error or interrupt stops every worker. norm_stats /
+    preprocess / data_fingerprint ride along on the model so inference can
+    re-create the model's input space.
     """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
     seeds = [base_seed + k for k in range(n_members)]
-    members, histories = [], []
-    for k, seed in enumerate(seeds):
-        params = resume(k, seed) if resume is not None else None
-        history = None
-        if params is None:
-            try:
-                params, history = train_pnn(arch, train_windows, train_cfg, seed)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"member {k} (seed {seed}) diverged: {exc}",
-                    sample_index=exc.sample_index, epoch=exc.epoch,
-                    member=k) from None
+    members = [resume(k, seed) if resume is not None else None
+               for k, seed in enumerate(seeds)]
+    histories: list[TrainHistory | None] = [None] * n_members
+    jobs = [(k, seed) for k, seed in enumerate(seeds) if members[k] is None]
+    train = functools.partial(_train_member, arch, train_windows, train_cfg)
+    with _member_results(train, jobs) as results:
+        for (k, _), (params, history) in zip(jobs, results):
+            members[k], histories[k] = params, history
             if progress is not None:
                 progress(k, params, history)
-        members.append(params)
-        histories.append(history)
     model = EnsembleModel(
         architecture=arch,
         members=members,

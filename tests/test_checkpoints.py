@@ -46,10 +46,12 @@ def small_ensemble():
 
 def save_ensemble(ckpt_dir, model, hists, train_cfg, config_echo=None):
     """Member files, then the manifest: the order the train command uses."""
-    for k, (params, history) in enumerate(zip(model.members, hists)):
-        save_member(member_path(ckpt_dir, k), params, history, train_cfg,
-                    model.data_fingerprint)
-    return write_ensemble_manifest(ckpt_dir, model, train_cfg, config_echo)
+    checksums = [save_member(member_path(ckpt_dir, k), params, history,
+                             train_cfg, model.data_fingerprint)
+                 for k, (params, history) in enumerate(zip(model.members,
+                                                           hists))]
+    return write_ensemble_manifest(ckpt_dir, model, train_cfg, checksums,
+                                   config_echo)
 
 
 class TestMemberRoundTrip:
@@ -220,12 +222,22 @@ class TestEnsembleCheckpoint:
 
     def test_member_seed_mismatch_detected(self, small_ensemble, tmp_path):
         model, hists = small_ensemble
-        # write member 0's file in member 1's slot
-        for k in (0, 1, 2):
-            save_member(member_path(tmp_path, k), model.members[0], hists[0],
-                        CFG)
-        with pytest.raises(DataIntegrityError, match="seed"):
-            write_ensemble_manifest(tmp_path, model, CFG)
+        # write member 0's file in every slot, with a manifest whose
+        # checksums match those files
+        checksums = [save_member(member_path(tmp_path, k), model.members[0],
+                                 hists[0], CFG) for k in (0, 1, 2)]
+        write_ensemble_manifest(tmp_path, model, CFG, checksums)
+        with pytest.raises(DataIntegrityError, match="seed 100 does not "
+                                                     "match expected member "
+                                                     "seed 101"):
+            load_ensemble(tmp_path)
+
+    def test_manifest_needs_one_checksum_per_member(self, small_ensemble,
+                                                    tmp_path):
+        model, _ = small_ensemble
+        with pytest.raises(ValueError, match="2 member checksums for 3"):
+            write_ensemble_manifest(tmp_path, model, CFG, ["aa", "bb"])
+        assert not (tmp_path / "ensemble.json").exists()
 
     def test_checksum_mismatch_against_manifest(self, small_ensemble,
                                                 tmp_path):

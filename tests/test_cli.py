@@ -4,8 +4,10 @@ import json
 import os
 import runpy
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 import yaml
 
 from conftest import run_cli
+from rulens import checkpoints, cli, ensemble
 from rulens.checkpoints import load_member, member_path
 from rulens.cmapss import load_archive, parse_cmapss
 from rulens.config import load_config
@@ -320,13 +323,10 @@ class TestTrain:
         assert f"{field} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_member_bits_do_not_depend_on_blas_threads(self, tmp_path):
-        """A member trained by the CLI with the BLAS thread variables unset
-        equals one trained with OPENBLAS_NUM_THREADS=1. With OpenBLAS's
-        default thread count the gradients of a batch like this one (18
-        windows of 100 steps, layers [32, 16]) differ in their last bits
-        between one and two threads. On a 1-core machine both children run
-        one thread anyway, so there this test cannot fail."""
+    @staticmethod
+    def _members_under_blas_settings(tmp_path, n_members):
+        """Member files of `train` children with the BLAS thread variables
+        unset and with OPENBLAS_NUM_THREADS=1 -> two lists of bytes."""
         # two 108-cycle units: 18 windows of 100, one batch of 32
         data = write_synthetic_dataset(tmp_path / "data", n_train_units=2,
                                        n_test_units=1, seed=7, min_len=108,
@@ -337,11 +337,11 @@ class TestTrain:
                      "test_file": str(data["test"])},
             "preprocessing": {"window_length": 100},
             "training": {"max_epochs": 1},
-            "ensemble": {"members": 1},
+            "ensemble": {"members": n_members},
             "output_dir": str(tmp_path / "run")}))
         archive = tmp_path / "run" / "archive"
         assert run_cli("ingest", "--config", config) == 0
-        members = []
+        runs = []
         for name, blas in (("unset", {}),
                            ("one", {"OPENBLAS_NUM_THREADS": "1"})):
             out = tmp_path / name
@@ -350,8 +350,161 @@ class TestTrain:
                             str(archive), "--out", str(out)],
                            env=_child_env(**blas), check=True,
                            capture_output=True)
-            members.append(member_path(out, 0).read_bytes())
-        assert members[0] == members[1]
+            runs.append([member_path(out, k).read_bytes()
+                         for k in range(n_members)])
+        return runs
+
+    def test_member_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        """A member trained by the CLI with the BLAS thread variables unset
+        equals one trained with OPENBLAS_NUM_THREADS=1. With OpenBLAS's
+        default thread count the gradients of a batch like this one (18
+        windows of 100 steps, layers [32, 16]) differ in their last bits
+        between one and two threads. On a 1-core machine both children run
+        one thread anyway, so there this test cannot fail."""
+        unset, one = self._members_under_blas_settings(tmp_path, 1)
+        assert unset == one
+
+    def test_member_bits_do_not_depend_on_blas_threads_in_workers(
+            self, tmp_path):
+        """The same with 3 members, which train in one forked worker per
+        allowed CPU: each worker keeps its parent's one BLAS thread. On a
+        1-core machine the members train in the command's own process, and
+        both children run one thread, so there this test cannot fail."""
+        unset, one = self._members_under_blas_settings(tmp_path, 3)
+        assert unset == one
+
+    def test_train_reads_no_member_back(self, trained_run, tmp_path,
+                                        monkeypatch):
+        # train without --resume loads no member file; the manifest takes
+        # the checksums save_member returns
+        calls = []
+        real = checkpoints.load_member
+
+        def counting(path):
+            calls.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(checkpoints, "load_member", counting)
+        monkeypatch.setattr(cli, "load_member", counting)
+        out = tmp_path / "ck"
+        args = ("train", "--config", trained_run["config"],
+                "--archive", trained_run["archive"], "--out", out)
+        assert run_cli(*args) == 0
+        assert calls == []
+        assert (out / "ensemble.json").read_bytes() == \
+            (trained_run["checkpoint"] / "ensemble.json").read_bytes()
+        # --resume reads each member once, to reuse it
+        assert run_cli(*args, "--resume") == 0
+        assert calls == ["member_000.ckpt", "member_001.ckpt",
+                         "member_002.ckpt"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_one_cpu_writes_the_same_checkpoint(self, trained_run, tmp_path):
+        """A `train` child pinned to one CPU, as `taskset -c 0` pins it,
+        trains its members one after another in its own process; an
+        unpinned one trains them in one worker per allowed CPU. Both write
+        the same checkpoint bytes. On a one-CPU machine both children train
+        serially, so there this test cannot fail."""
+        one_cpu = {min(os.sched_getaffinity(0))}
+        files = {}
+        for name, pin in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)),
+                          ("unpinned", None)):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "rulens.cli", "train",
+                            "--config", str(trained_run["config"]),
+                            "--archive", str(trained_run["archive"]),
+                            "--out", str(out)],
+                           env=_child_env(), preexec_fn=pin, check=True,
+                           capture_output=True)
+            files[name] = {str(p.relative_to(out)): p.read_bytes()
+                           for p in out.rglob("*") if p.is_file()}
+        assert len(files["pinned"]) == 4
+        assert files["pinned"] == files["unpinned"]
+
+    def test_divergence_in_a_worker_exits_1_leaving_no_process(
+            self, trained_run, tmp_path):
+        # a learning rate of 1e300 overflows the weights in the first steps
+        config = _config_with(trained_run["config"], tmp_path,
+                              learning_rate=1e300)
+        out = tmp_path / "ck"
+        proc = _start_train(config, trained_run["archive"], out)
+        try:
+            _, err = proc.communicate(timeout=120)
+            left = _group_alive(proc.pid)
+        finally:
+            _end_group(proc)
+        assert proc.returncode == 1
+        assert "numeric failure: member 0 (seed 237) diverged" in err
+        assert not left
+        assert not (out / "ensemble.json").exists()
+
+    def test_ctrl_c_stops_every_worker(self, trained_run, tmp_path):
+        """SIGINT to the process group of a running `train`, as a
+        terminal's Ctrl-C sends it, ends the command and every worker and
+        writes no ensemble.json."""
+        config = _config_with(trained_run["config"], tmp_path,
+                              max_epochs=100000, early_stop_start=100000)
+        out = tmp_path / "ck"
+        proc = _start_train(config, trained_run["archive"], out)
+        try:
+            assert proc.stdout.readline().startswith("training 3 members")
+            workers = ensemble._worker_count(3)
+            deadline = time.monotonic() + 30
+            while (workers > 1 and len(_children(proc.pid)) < workers
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            time.sleep(0.5)     # well into the first members' training
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=60)
+            left = _group_alive(proc.pid)
+        finally:
+            _end_group(proc)
+        assert proc.returncode == -signal.SIGINT
+        assert not left
+        assert not (out / "ensemble.json").exists()
+
+
+def _config_with(config: Path, tmp_path: Path, **training) -> Path:
+    """A copy of config with the given training settings."""
+    cfg = yaml.safe_load(Path(config).read_text())
+    cfg["training"].update(training)
+    path = tmp_path / "changed.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+def _start_train(config: Path, archive: Path, out: Path) -> subprocess.Popen:
+    """`train` in a child that leads a new session, as a terminal starts a
+    command: the child's pid is its process group id."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "rulens.cli", "train", "--config", str(config),
+         "--archive", str(archive), "--out", str(out)],
+        env={**_child_env(), "PYTHONUNBUFFERED": "1"},
+        start_new_session=True, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+
+
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _end_group(proc: subprocess.Popen) -> None:
+    """Kill whatever is left of the child's process group and reap it."""
+    if _group_alive(proc.pid):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.communicate()
+
+
+def _children(pid: int) -> list[str]:
+    try:
+        return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except OSError:     # no such listing on this platform
+        return []
 
 
 @pytest.fixture(scope="session")
@@ -731,6 +884,13 @@ class TestImport:
         # a fresh interpreter, since this test process has scipy loaded
         probe = "import sys, rulens.cli; print('scipy' in sys.modules)"
         assert self._probe(probe) == "False"
+
+    def test_cli_import_does_not_load_multiprocessing(self):
+        # only training starts a pool; the inference commands do not pay
+        # for importing one
+        probe = ("import sys, rulens.cli; print(sorted(m for m in sys.modules"
+                 " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        assert self._probe(probe) == "[]"
 
     def test_package_import_does_not_load_numpy(self):
         # so that rulens.cli can pick the BLAS thread count before numpy

@@ -1,6 +1,7 @@
 """Ensemble aggregation, uncertainty split, member training, profiles."""
 
 import logging
+import multiprocessing.pool
 
 import numpy as np
 import pytest
@@ -257,6 +258,90 @@ class TestTrainEnsemble:
         cfg = TrainingConfig(max_epochs=1)
         with pytest.raises(ValueError):
             train_ensemble(ARCH, data, cfg, n_members=0, base_seed=0)
+
+
+class TestWorkers:
+    """Members that resume does not supply train in forked workers, one per
+    allowed CPU (ensemble._worker_count); the count never changes a bit."""
+
+    @staticmethod
+    def _serial(monkeypatch):
+        # one worker: the members train in this process, and no pool starts
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for one worker")
+
+        monkeypatch.setattr(ensemble, "_worker_count", lambda n: min(n, 1))
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+
+    @staticmethod
+    def _parallel(monkeypatch):
+        # one worker per member, however many CPUs this machine has
+        monkeypatch.setattr(ensemble, "_worker_count", lambda n: n)
+
+    def _train(self, monkeypatch, layout, **kwargs):
+        with monkeypatch.context() as m:
+            layout(m)
+            return train_ensemble(ARCH, kwargs.pop("data", _toy_data()),
+                                  TrainingConfig(max_epochs=3, batch_size=8),
+                                  **kwargs)
+
+    def test_worker_count_never_changes_bits(self, monkeypatch):
+        runs = [self._train(monkeypatch, layout, n_members=3, base_seed=17)
+                for layout in (self._serial, self._parallel)]
+        (serial, serial_hists), (parallel, parallel_hists) = runs
+        for a, b in zip(serial.members, parallel.members):
+            assert a.seed == b.seed
+            assert a.vector.tobytes() == b.vector.tobytes()
+        assert serial_hists == parallel_hists
+        assert serial_hists[2].epoch_losses
+
+    def test_progress_in_member_order_from_workers(self, monkeypatch):
+        seen = []
+        done = init_params(ARCH, seed=41)
+        model, hists = self._train(
+            monkeypatch, self._parallel, n_members=4, base_seed=40,
+            resume=lambda k, seed: done if k == 1 else None,
+            progress=lambda k, p, h: seen.append((k, p, h)))
+        assert [k for k, _, _ in seen] == [0, 2, 3]
+        assert all(p is model.members[k] and h is hists[k]
+                   for k, p, h in seen)
+        assert model.members[1] is done and hists[1] is None
+
+    def test_divergence_in_a_worker_names_member(self, monkeypatch):
+        # member 0 is resumed, so members 1 and 2 diverge in the workers;
+        # the parent raises member 1's error as the serial run does
+        x, y = _toy_data(n=8)
+        y = y.copy()
+        y[1] = 1e200
+        done = init_params(ARCH, seed=1)
+        errors = []
+        for layout in (self._serial, self._parallel):
+            with pytest.raises(DivergenceError) as err:
+                self._train(monkeypatch, layout, data=(x, y), n_members=3,
+                            base_seed=0, resume=lambda k, s: done if k == 0
+                            else None)
+            errors.append(err.value)
+        serial, parallel = errors
+        assert isinstance(parallel.__cause__,
+                          multiprocessing.pool.RemoteTraceback)
+        assert multiprocessing.active_children() == []
+        assert parallel.member == 1
+        assert parallel.epoch == 1 and parallel.sample_index is not None
+        assert (str(parallel), parallel.epoch, parallel.sample_index) == \
+            (str(serial), serial.epoch, serial.sample_index)
+        assert "member 1 (seed 1)" in str(parallel)
+
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity",
+                            lambda pid: {0, 2, 5}, raising=False)
+        assert [ensemble._worker_count(n) for n in (0, 1, 2, 3, 15)] == \
+            [0, 1, 2, 3, 3]
+        # where affinity is unavailable, every CPU counts
+        monkeypatch.delattr(ensemble.os, "sched_getaffinity")
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
+        assert ensemble._worker_count(15) == 4
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)
+        assert ensemble._worker_count(15) == 1
 
 
 @pytest.fixture(scope="module")
