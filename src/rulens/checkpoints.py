@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_write
-from .cmapss import NormStats
+from .cmapss import PREPROCESSING_KEYS, Preprocessing
 from .config import TrainingConfig
 from .ensemble import EnsembleModel
 from .errors import DataIntegrityError
@@ -35,28 +35,32 @@ def member_path(ckpt_dir: Path | str, k: int) -> Path:
     return Path(ckpt_dir) / "members" / f"member_{k:03d}.ckpt"
 
 
+def member_provenance(seed: int, arch: Architecture,
+                      train_cfg: TrainingConfig,
+                      data_fingerprint: str | None) -> dict:
+    """What a member's parameters were trained from: its seed, architecture,
+    training config, the archive's data fingerprint and the numerics in
+    force (see network.numerics). A member header records it, and a resumed
+    run reuses a member only if it is unchanged."""
+    return {"seed": seed, "architecture": arch.to_dict(),
+            "train_config": dataclasses.asdict(train_cfg),
+            "data_fingerprint": data_fingerprint, "numerics": numerics()}
+
+
 def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
                 train_cfg: TrainingConfig,
                 data_fingerprint: str | None = None) -> str:
-    """Write one member checkpoint; returns the payload checksum.
-
-    The header records what the parameters were trained from (seed,
-    architecture, training config, the archive's data fingerprint and the
-    numerics in force, see network.numerics), so a resumed run can tell
-    whether the member still applies.
-    """
+    """Write one member checkpoint; returns the payload checksum. The
+    header holds the member's provenance (member_provenance)."""
     payload = params.vector.astype("<f8", copy=False).tobytes()
     checksum = hashlib.sha256(payload).hexdigest()
     manifest = {
         "kind": MEMBER_KIND,
         "format_version": FORMAT_VERSION,
-        "seed": params.seed,
-        "architecture": params.arch.to_dict(),
+        **member_provenance(params.seed, params.arch, train_cfg,
+                            data_fingerprint),
         "param_names": list(params.arch.param_shapes()),
         "history": dataclasses.asdict(history),
-        "train_config": dataclasses.asdict(train_cfg),
-        "data_fingerprint": data_fingerprint,
-        "numerics": numerics(),
         "checksum": checksum,
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -96,18 +100,6 @@ def load_member(path: Path | str) -> tuple[PnnParams, dict]:
     return PnnParams(arch=arch, seed=int(manifest["seed"]), vector=vector), manifest
 
 
-def _norm_stats_dict(model: EnsembleModel) -> dict | None:
-    ns = model.norm_stats
-    if ns is None:
-        return None
-    return {
-        "feature_names": list(ns.feature_names),
-        "mean": [float(v) for v in ns.mean],
-        "std": [float(v) for v in ns.std],
-        "constant_features": list(ns.constant_features),
-    }
-
-
 def ensemble_fingerprint(manifest: dict) -> str:
     """Identity of a trained ensemble: architecture, seeds, member bytes,
     and the preprocessing fingerprint of the data it was trained on."""
@@ -144,9 +136,8 @@ def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
         "member_seeds": list(model.member_seeds),
         "member_files": files,
         "member_checksums": list(member_checksums),
-        "data_fingerprint": model.data_fingerprint,
-        "norm_stats": _norm_stats_dict(model),
-        "preprocess": model.preprocess,
+        **(model.prep.to_manifest() if model.prep is not None
+           else dict.fromkeys(PREPROCESSING_KEYS)),
         "train_config": dataclasses.asdict(train_cfg),
         "config": config_echo,
     }
@@ -181,23 +172,12 @@ def load_ensemble(ckpt_dir: Path | str) -> tuple[EnsembleModel, dict]:
                 f"{ckpt_dir / rel}: seed {params.seed} does not match "
                 f"expected member seed {manifest['member_seeds'][k]}")
         members.append(params)
-    norm_stats = None
-    if manifest.get("norm_stats") is not None:
-        ns = manifest["norm_stats"]
-        norm_stats = NormStats(
-            mean=np.array(ns["mean"], dtype=np.float64),
-            std=np.array(ns["std"], dtype=np.float64),
-            feature_names=tuple(ns["feature_names"]),
-            constant_features=tuple(ns["constant_features"]))
-    model = EnsembleModel(
-        architecture=arch,
-        members=members,
-        base_seed=int(manifest["base_seed"]),
-        member_seeds=tuple(manifest["member_seeds"]),
-        norm_stats=norm_stats,
-        preprocess=manifest.get("preprocess"),
-        data_fingerprint=manifest.get("data_fingerprint"),
-    )
+    try:
+        prep = Preprocessing.from_manifest(manifest)
+    except DataIntegrityError as exc:
+        raise DataIntegrityError(f"{manifest_path}: {exc}") from None
+    model = EnsembleModel(architecture=arch, members=members,
+                          base_seed=int(manifest["base_seed"]), prep=prep)
     if ensemble_fingerprint(manifest) != manifest["fingerprint"]:
         raise DataIntegrityError(f"{manifest_path}: fingerprint mismatch")
     return model, manifest

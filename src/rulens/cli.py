@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 internal/numeric failure, 2 user/input error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -29,14 +28,15 @@ import yaml
 from . import cmapss
 from .atomic import atomic_write
 from .checkpoints import (load_ensemble, load_member, member_path,
-                          save_member, write_ensemble_manifest)
+                          member_provenance, save_member,
+                          write_ensemble_manifest)
 from .config import RunConfig, load_config
 from .ensemble import (EnsembleModel, dataset_uncertainty_profile, read_out,
                        train_ensemble)
 from .errors import DataIntegrityError, DivergenceError, RulensError
 from .metrics import (interval_bounds, kde, report_from_predictions,
                       report_to_dict, report_to_text, unit_predictions)
-from .network import Architecture, numerics
+from .network import Architecture
 
 logger = logging.getLogger("rulens")
 
@@ -96,11 +96,6 @@ def _arch_for(config: RunConfig, n_features: int) -> Architecture:
                         dense_layers=config.architecture.dense_layers)
 
 
-def _preprocess_dict(manifest: dict) -> dict:
-    return {key: manifest[key] for key in
-            ("window_length", "stride", "rul_cap", "dropped_sensors")}
-
-
 def cmd_ingest(args) -> int:
     config = _load_run_config(args)
     train_path = _require_file(config.data.train_file, "training data file")
@@ -124,7 +119,8 @@ def cmd_ingest(args) -> int:
     print(f"{len(split.train_units)} train units, "
           f"{len(split.test_units)} test units")
     print(f"{manifest['n_train_windows']} training windows of length "
-          f"{split.window_length}, {len(split.norm_stats.feature_names)} features")
+          f"{split.prep.window_length}, "
+          f"{len(split.prep.norm_stats.feature_names)} features")
     print(f"archive written to {out} (fingerprint {manifest['fingerprint'][:12]})")
     return 0
 
@@ -137,14 +133,14 @@ def _clear_checkpoint(ckpt_dir: Path) -> None:
 
 def cmd_train(args) -> int:
     config = _load_run_config(args)
-    split, archive_manifest = cmapss.load_archive(args.archive)
+    split, _ = cmapss.load_archive(args.archive)
     windows = split.train_windows
     if not windows:
         raise ValueError("archive holds no training windows")
-    arch = _arch_for(config, len(split.norm_stats.feature_names))
+    arch = _arch_for(config, len(split.prep.norm_stats.feature_names))
     n_members = config.ensemble.members
     base_seed = config.ensemble.base_seed
-    data_fingerprint = archive_manifest["fingerprint"]
+    data_fingerprint = split.prep.fingerprint
     ckpt_dir = _out_dir(args, config, "checkpoint")
 
     if (ckpt_dir / "ensemble.json").exists() and not (args.force or args.resume):
@@ -169,10 +165,8 @@ def cmd_train(args) -> int:
         except (DataIntegrityError, OSError) as exc:
             logger.warning("member %d: cannot resume (%s); retraining", k, exc)
             return None
-        expected = {"seed": seed, "architecture": arch.to_dict(),
-                    "train_config": dataclasses.asdict(config.training),
-                    "data_fingerprint": data_fingerprint,
-                    "numerics": numerics()}
+        expected = member_provenance(seed, arch, config.training,
+                                     data_fingerprint)
         stale = sorted(key for key, value in expected.items()
                        if manifest.get(key) != value)
         if stale:
@@ -193,9 +187,7 @@ def cmd_train(args) -> int:
     model, _ = train_ensemble(
         arch, (windows.inputs, windows.targets), config.training, n_members,
         base_seed, resume=reuse if args.resume else None, progress=save,
-        norm_stats=split.norm_stats,
-        preprocess=_preprocess_dict(archive_manifest),
-        data_fingerprint=data_fingerprint)
+        prep=split.prep)
     fingerprint = write_ensemble_manifest(
         ckpt_dir, model, config.training,
         [checksums[k] for k in range(n_members)], config.resolved())
@@ -204,11 +196,12 @@ def cmd_train(args) -> int:
 
 
 def _check_pairing(model: EnsembleModel, archive_manifest: dict) -> None:
-    if model.data_fingerprint != archive_manifest["fingerprint"]:
+    trained_on = model.prep.fingerprint if model.prep is not None else None
+    if trained_on != archive_manifest["fingerprint"]:
         raise DataIntegrityError(
             "checkpoint/archive mismatch: the checkpoint was trained on a "
             "different preprocessing pipeline than this archive "
-            f"({str(model.data_fingerprint)[:12]} vs "
+            f"({str(trained_on)[:12]} vs "
             f"{archive_manifest['fingerprint'][:12]})")
 
 
@@ -283,7 +276,7 @@ def _parse_named_paths(specs: list[str]) -> list[tuple[str, Path]]:
 def cmd_uncertainty(args) -> int:
     config = _load_run_config(args)
     model, ckpt_manifest = load_ensemble(args.checkpoint)
-    if model.norm_stats is None or model.preprocess is None:
+    if model.prep is None:
         raise ValueError("checkpoint carries no normalization stats; "
                          "train from an ingested archive first")
     datasets = _parse_named_paths(args.test)
@@ -293,10 +286,7 @@ def cmd_uncertainty(args) -> int:
 
     summary: dict[str, dict] = {}
     for name, path in datasets:
-        units = cmapss.parse_cmapss(path)
-        units = cmapss.drop_sensors(units,
-                                    model.preprocess["dropped_sensors"])
-        units = cmapss.apply_norm(units, model.norm_stats)
+        units = model.prep.apply(cmapss.parse_cmapss(path))
         unit_ids, end_cycles, dec = dataset_uncertainty_profile(
             model, units, per_window=args.per_window)
         if not unit_ids.size:
@@ -370,7 +360,7 @@ def cmd_predict(args) -> int:
     if args.split == "test" and unit.true_final_rul is None:
         target = np.full(len(unit.cycles), np.nan)
     else:
-        target = cmapss.make_rul_targets(unit, split.rul_cap)
+        target = cmapss.make_rul_targets(unit, split.prep.rul_cap)
 
     out = _out_dir(args, config, "traces")
     trace_path = out / f"{args.split}_unit_{args.unit}.tsv"

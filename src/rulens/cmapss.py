@@ -98,24 +98,6 @@ class TrainWindows:
         return len(self.inputs)
 
 
-@dataclass
-class DatasetSplit:
-    """Prepared train/test material plus the statistics that produced it."""
-
-    train_units: list[UnitSeries]        # normalized, full history
-    test_units: list[UnitSeries]         # normalized with the train stats
-    norm_stats: NormStats
-    window_length: int
-    stride: int
-    rul_cap: int
-    dropped_sensors: tuple[int, ...]
-
-    @property
-    def train_windows(self) -> TrainWindows:
-        """Training windows, built from train_units on each access, so only
-        the code that reads them pays for them."""
-        return build_windows(self.train_units, self.window_length,
-                             self.stride, self.rul_cap)
 
 
 def _read_lines(text_source) -> Iterable[str]:
@@ -345,64 +327,123 @@ def build_windows(units: Sequence[UnitSeries], window_length: int,
                         WindowView(_sliding(targets, window_length), starts))
 
 
+# the ensemble.json entries of a Preprocessing, all null without one
+PREPROCESSING_KEYS = ("norm_stats", "preprocess", "data_fingerprint")
+
+
+@dataclass(frozen=True)
+class Preprocessing:
+    """Everything that turns raw units into a model's input space: sensor
+    selection, Z-norm stats fitted on the training units, and windowing.
+    ``fingerprint`` identifies it, so archives and checkpoints can tell
+    whether they share one."""
+
+    norm_stats: NormStats
+    window_length: int
+    stride: int
+    rul_cap: int
+    dropped_sensors: tuple[int, ...]
+
+    @property
+    def fingerprint(self) -> str:
+        """Hash of the feature layout, the Z-norm stats and the windowing."""
+        stats = self.norm_stats
+        h = hashlib.sha256()
+        h.update(json.dumps({
+            "feature_names": list(stats.feature_names),
+            "constant_features": list(stats.constant_features),
+            "window_length": self.window_length,
+            "stride": self.stride,
+            "rul_cap": self.rul_cap,
+            "dropped_sensors": list(self.dropped_sensors),
+        }, sort_keys=True).encode())
+        h.update(np.ascontiguousarray(stats.mean, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(stats.std, dtype="<f8").tobytes())
+        return h.hexdigest()
+
+    def apply(self, raw_units: Sequence[UnitSeries]) -> list[UnitSeries]:
+        """Raw 21-sensor units -> units in the model's feature space."""
+        return apply_norm(drop_sensors(raw_units, self.dropped_sensors),
+                          self.norm_stats)
+
+    def to_manifest(self) -> dict:
+        """The PREPROCESSING_KEYS entries of ensemble.json."""
+        stats = self.norm_stats
+        return {
+            "norm_stats": {"feature_names": list(stats.feature_names),
+                           "mean": [float(v) for v in stats.mean],
+                           "std": [float(v) for v in stats.std],
+                           "constant_features": list(stats.constant_features)},
+            "preprocess": {"window_length": self.window_length,
+                           "stride": self.stride, "rul_cap": self.rul_cap,
+                           "dropped_sensors": list(self.dropped_sensors)},
+            "data_fingerprint": self.fingerprint,
+        }
+
+    @classmethod
+    def from_manifest(cls, manifest: dict) -> Preprocessing | None:
+        """Inverse of to_manifest; None if the entries are all null.
+        Refuses entries that are partly null, or whose stats and windowing
+        do not hash to the recorded data fingerprint."""
+        entries = [manifest.get(key) for key in PREPROCESSING_KEYS]
+        if all(entry is None for entry in entries):
+            return None
+        if None in entries:
+            raise DataIntegrityError(
+                f"{', '.join(PREPROCESSING_KEYS)} must be all null or all set")
+        stats, windowing, recorded = entries
+        prep = cls(NormStats(np.array(stats["mean"], dtype=np.float64),
+                             np.array(stats["std"], dtype=np.float64),
+                             tuple(stats["feature_names"]),
+                             tuple(stats["constant_features"])),
+                   windowing["window_length"], windowing["stride"],
+                   windowing["rul_cap"], tuple(windowing["dropped_sensors"]))
+        if prep.fingerprint != recorded:
+            raise DataIntegrityError("normalization stats and windowing do "
+                                     "not match the recorded data fingerprint")
+        return prep
+
+
+@dataclass
+class DatasetSplit:
+    """Prepared train/test material plus the preprocessing that produced it."""
+
+    train_units: list[UnitSeries]        # normalized, full history
+    test_units: list[UnitSeries]         # normalized with the train stats
+    prep: Preprocessing
+
+    @property
+    def train_windows(self) -> TrainWindows:
+        """Training windows, built from train_units on each access, so only
+        the code that reads them pays for them."""
+        return build_windows(self.train_units, self.prep.window_length,
+                             self.prep.stride, self.prep.rul_cap)
+
+
 def prepare_split(train_units: Sequence[UnitSeries],
                   test_units: Sequence[UnitSeries],
                   cfg: PreprocessConfig) -> DatasetSplit:
-    """Run the full preprocessing chain and assemble a DatasetSplit.
+    """Fit the preprocessing on the training units and apply it to both.
 
     Test units are normalized with the training stats, never their own.
     """
-    train_sel = drop_sensors(train_units, cfg.dropped_sensors)
-    test_sel = drop_sensors(test_units, cfg.dropped_sensors)
-    stats = fit_norm_stats(train_sel, on_constant=cfg.constant_feature_policy)
-    train_norm = apply_norm(train_sel, stats)
-    test_norm = apply_norm(test_sel, stats)
-    return DatasetSplit(
-        train_units=train_norm,
-        test_units=test_norm,
-        norm_stats=stats,
-        window_length=cfg.window_length,
-        stride=cfg.stride,
-        rul_cap=cfg.rul_cap,
-        dropped_sensors=cfg.dropped_sensors,
-    )
+    stats = fit_norm_stats(drop_sensors(train_units, cfg.dropped_sensors),
+                           on_constant=cfg.constant_feature_policy)
+    prep = Preprocessing(stats, cfg.window_length, cfg.stride, cfg.rul_cap,
+                         cfg.dropped_sensors)
+    return DatasetSplit(prep.apply(train_units), prep.apply(test_units), prep)
 
 
 # --------------------------------------------------------------------------
 # Dataset archive: ingestion runs once, training/evaluation read the archive.
 # Layout (documented, versioned): <dir>/manifest.json + <dir>/arrays.npz.
-# The manifest echoes the resolved config and carries the normalization
+# The manifest echoes the resolved config and carries the preprocessing
 # fingerprint used to pair checkpoints with archives.
 # --------------------------------------------------------------------------
 
 ARCHIVE_VERSION = 1
 ARCHIVE_MANIFEST = "manifest.json"
 ARCHIVE_ARRAYS = "arrays.npz"
-
-
-def norm_fingerprint(stats: NormStats, window_length: int, stride: int,
-                     rul_cap: int, dropped_sensors: tuple[int, ...]) -> str:
-    """Hash of the preprocessing identity: feature layout, Z-norm stats and
-    windowing parameters. Two artifacts with equal fingerprints were produced
-    by the same preprocessing pipeline."""
-    h = hashlib.sha256()
-    key = json.dumps({
-        "feature_names": list(stats.feature_names),
-        "constant_features": list(stats.constant_features),
-        "window_length": window_length,
-        "stride": stride,
-        "rul_cap": rul_cap,
-        "dropped_sensors": list(dropped_sensors),
-    }, sort_keys=True)
-    h.update(key.encode())
-    h.update(np.ascontiguousarray(stats.mean, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(stats.std, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-def split_fingerprint(split: DatasetSplit) -> str:
-    return norm_fingerprint(split.norm_stats, split.window_length, split.stride,
-                            split.rul_cap, split.dropped_sensors)
 
 
 def _pack_units(units: Sequence[UnitSeries]):
@@ -436,29 +477,30 @@ def save_archive(split: DatasetSplit, directory, config_echo: dict,
         raise FileExistsError(
             f"archive already exists at {directory} (use force to overwrite)")
 
+    prep = split.prep
     train_ids, train_lengths, train_features, _ = _pack_units(split.train_units)
     test_ids, test_lengths, test_features, test_ruls = _pack_units(split.test_units)
     manifest = {
         "format_version": ARCHIVE_VERSION,
         "kind": "rulens-dataset",
-        "feature_names": list(split.norm_stats.feature_names),
-        "constant_features": list(split.norm_stats.constant_features),
-        "window_length": split.window_length,
-        "stride": split.stride,
-        "rul_cap": split.rul_cap,
-        "dropped_sensors": list(split.dropped_sensors),
+        "feature_names": list(prep.norm_stats.feature_names),
+        "constant_features": list(prep.norm_stats.constant_features),
+        "window_length": prep.window_length,
+        "stride": prep.stride,
+        "rul_cap": prep.rul_cap,
+        "dropped_sensors": list(prep.dropped_sensors),
         "n_train_units": len(split.train_units),
         "n_test_units": len(split.test_units),
         "n_train_windows": sum(map(len, window_starts(
-            split.train_units, split.window_length, split.stride, "train"))),
-        "fingerprint": split_fingerprint(split),
+            split.train_units, prep.window_length, prep.stride, "train"))),
+        "fingerprint": prep.fingerprint,
         "config": config_echo,
     }
     arrays = io.BytesIO()
     np.savez(
         arrays,
-        norm_mean=split.norm_stats.mean,
-        norm_std=split.norm_stats.std,
+        norm_mean=prep.norm_stats.mean,
+        norm_std=prep.norm_stats.std,
         train_ids=train_ids, train_lengths=train_lengths,
         train_features=train_features,
         test_ids=test_ids, test_lengths=test_lengths,
@@ -482,11 +524,11 @@ def load_archive(directory) -> tuple[DatasetSplit, dict]:
             f"unsupported archive version {manifest.get('format_version')}")
     feature_names = tuple(manifest["feature_names"])
     with np.load(directory / ARCHIVE_ARRAYS) as arrays:
-        stats = NormStats(
-            mean=arrays["norm_mean"], std=arrays["norm_std"],
-            feature_names=feature_names,
-            constant_features=tuple(manifest["constant_features"]),
-        )
+        prep = Preprocessing(
+            NormStats(arrays["norm_mean"], arrays["norm_std"], feature_names,
+                      tuple(manifest["constant_features"])),
+            int(manifest["window_length"]), int(manifest["stride"]),
+            int(manifest["rul_cap"]), tuple(manifest["dropped_sensors"]))
         train_units = _unpack_units(
             arrays["train_ids"], arrays["train_lengths"],
             arrays["train_features"],
@@ -494,16 +536,6 @@ def load_archive(directory) -> tuple[DatasetSplit, dict]:
         test_units = _unpack_units(
             arrays["test_ids"], arrays["test_lengths"],
             arrays["test_features"], arrays["test_ruls"], feature_names)
-
-    split = DatasetSplit(
-        train_units=train_units,
-        test_units=test_units,
-        norm_stats=stats,
-        window_length=int(manifest["window_length"]),
-        stride=int(manifest["stride"]),
-        rul_cap=int(manifest["rul_cap"]),
-        dropped_sensors=tuple(manifest["dropped_sensors"]),
-    )
-    if split_fingerprint(split) != manifest["fingerprint"]:
+    if prep.fingerprint != manifest["fingerprint"]:
         raise DataIntegrityError(f"archive at {directory} failed its fingerprint check")
-    return split, manifest
+    return DatasetSplit(train_units, test_units, prep), manifest

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cmapss import NormStats, UnitSeries, check_features, window_starts
+from .cmapss import Preprocessing, UnitSeries, check_features, window_starts
 from .config import TrainingConfig
 from .errors import DivergenceError
 from .network import (Architecture, PnnParams, TrainHistory, forward_stacked,
@@ -45,21 +45,16 @@ def member_mean(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EnsembleModel:
-    """Trained members plus everything needed to reproduce their inputs."""
+    """Trained members plus the preprocessing that makes their inputs."""
 
     architecture: Architecture
     members: list[PnnParams]
     base_seed: int
-    member_seeds: tuple[int, ...]
-    norm_stats: NormStats | None = None
-    preprocess: dict | None = None        # window_length, stride, rul_cap, dropped_sensors
-    data_fingerprint: str | None = None
+    prep: Preprocessing | None = None
 
     def __post_init__(self):
         if len(self.members) < 1:
             raise ValueError("ensemble needs at least one member")
-        if len(self.member_seeds) != len(self.members):
-            raise ValueError("one seed per member required")
         for k, member in enumerate(self.members):
             if member.arch != self.architecture:
                 raise ValueError(f"member {k} has architecture {member.arch}, "
@@ -68,6 +63,10 @@ class EnsembleModel:
     @property
     def n_members(self) -> int:
         return len(self.members)
+
+    @property
+    def member_seeds(self) -> tuple[int, ...]:
+        return tuple(p.seed for p in self.members)
 
 
 @dataclass
@@ -196,9 +195,7 @@ def train_ensemble(arch: Architecture,
                    resume: Callable[[int, int], PnnParams | None] | None = None,
                    progress: Callable[[int, PnnParams, TrainHistory], None]
                    | None = None,
-                   norm_stats: NormStats | None = None,
-                   preprocess: dict | None = None,
-                   data_fingerprint: str | None = None,
+                   prep: Preprocessing | None = None,
                    ) -> tuple[EnsembleModel, list[TrainHistory | None]]:
     """Train n_members networks with seeds base_seed + k, k = 0..M-1.
 
@@ -212,9 +209,9 @@ def train_ensemble(arch: Architecture,
     progress(k, params, history) sees each newly trained member in member
     order as soon as it and those before it are done, so a caller can
     persist it. A diverging member raises DivergenceError naming the
-    member, and an error or interrupt stops every worker. norm_stats /
-    preprocess / data_fingerprint ride along on the model so inference can
-    re-create the model's input space.
+    member, and an error or interrupt stops every worker. prep, the
+    preprocessing that made the windows, rides along on the model so
+    inference can re-create the model's input space.
     """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
@@ -229,16 +226,7 @@ def train_ensemble(arch: Architecture,
             members[k], histories[k] = params, history
             if progress is not None:
                 progress(k, params, history)
-    model = EnsembleModel(
-        architecture=arch,
-        members=members,
-        base_seed=base_seed,
-        member_seeds=tuple(seeds),
-        norm_stats=norm_stats,
-        preprocess=preprocess,
-        data_fingerprint=data_fingerprint,
-    )
-    return model, histories
+    return EnsembleModel(arch, members, base_seed, prep), histories
 
 
 def predict_members(model: EnsembleModel, seqs: Sequence[np.ndarray]
@@ -263,8 +251,12 @@ def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
 
     By default all units' full histories run in one pass. With a window
     length, each reading comes from the window of that many steps ending at
-    it instead, one pass per unit holding all of its windows.
+    it instead, one pass per unit holding all of its windows. A model with
+    a preprocessing record refuses a unit of another feature layout.
     """
+    if model.prep is not None:
+        for unit in units:
+            check_features(unit, model.prep.norm_stats)
     if window is None:
         passes = [[(unit.features, e) for unit, e in zip(units, ends)]]
     else:
@@ -300,16 +292,12 @@ def dataset_uncertainty_profile(model: EnsembleModel,
     model's training window length and stride, which skips (and warns
     about) units shorter than one window.
     """
-    if model.norm_stats is not None:
-        for unit in units:
-            check_features(unit, model.norm_stats)
     if not per_window:
         return read_out(model, units, [[len(unit) - 1] for unit in units])
-    if model.preprocess is None:
+    if model.prep is None:
         raise ValueError("model carries no windowing settings; "
                          "per-window profiling needs them")
-    length = int(model.preprocess["window_length"])
-    all_starts = window_starts(units, length, int(model.preprocess["stride"]),
-                               "test")
+    length = model.prep.window_length
+    all_starts = window_starts(units, length, model.prep.stride, "test")
     return read_out(model, units, [starts + length - 1 for starts in all_starts],
                     window=length)

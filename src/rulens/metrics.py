@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cmapss import UnitSeries, check_features, make_rul_targets
+from .cmapss import UnitSeries, make_rul_targets
 from .ensemble import EnsembleModel, UncertaintyDecomposition, read_out
 
 # score_convention -> (a1 on the early/negative branch, a2 on the late branch).
@@ -192,8 +192,6 @@ def unit_predictions(model: EnsembleModel,
         if unit.true_final_rul is None:
             raise ValueError(f"unit {unit.unit_id} carries no true RUL; "
                              "evaluation needs the RUL file")
-        if model.norm_stats is not None:
-            check_features(unit, model.norm_stats)
     ends = [np.arange(len(unit)) if per_step else [len(unit) - 1]
             for unit in test_units]
     unit_ids, cycles, dec = read_out(model, test_units, ends)

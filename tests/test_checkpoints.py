@@ -1,6 +1,7 @@
 """On-disk formats: member files, ensemble manifests, integrity checks."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from rulens.checkpoints import (ensemble_fingerprint, load_ensemble,
                                 load_member, member_path, save_member,
                                 write_ensemble_manifest)
-from rulens.cmapss import NormStats
+from rulens.cmapss import (NormStats, Preprocessing, apply_norm, drop_sensors,
+                           window_starts)
 from rulens.config import TrainingConfig
-from rulens.ensemble import train_ensemble
+from rulens.ensemble import (dataset_uncertainty_profile, read_out,
+                             train_ensemble)
 from rulens.errors import DataIntegrityError
 from rulens.network import TRAINING_BITS, Architecture, train_pnn
+from rulens.synthetic import make_synthetic_units
 
 ARCH = Architecture(2, (3,), (2,))
 CFG = TrainingConfig(max_epochs=2, batch_size=8)
@@ -37,17 +41,15 @@ def small_ensemble():
                       constant_features=("setting_1",))
     model, hists = train_ensemble(
         ARCH, _toy_data(), CFG, n_members=3, base_seed=100,
-        norm_stats=stats,
-        preprocess={"window_length": 5, "stride": 1, "rul_cap": 128,
-                    "dropped_sensors": [1, 5]},
-        data_fingerprint="cafe" * 16)
+        prep=Preprocessing(stats, window_length=5, stride=1, rul_cap=128,
+                           dropped_sensors=(1, 5)))
     return model, hists
 
 
 def save_ensemble(ckpt_dir, model, hists, train_cfg, config_echo=None):
     """Member files, then the manifest: the order the train command uses."""
     checksums = [save_member(member_path(ckpt_dir, k), params, history,
-                             train_cfg, model.data_fingerprint)
+                             train_cfg, model.prep.fingerprint)
                  for k, (params, history) in enumerate(zip(model.members,
                                                            hists))]
     return write_ensemble_manifest(ckpt_dir, model, train_cfg, checksums,
@@ -185,13 +187,14 @@ class TestEnsembleCheckpoint:
         for a, b in zip(loaded.members, model.members):
             assert all(np.array_equal(a.arrays[k], b.arrays[k])
                        for k in a.arrays)
-        assert loaded.preprocess == model.preprocess
-        assert loaded.data_fingerprint == model.data_fingerprint
-        assert np.array_equal(loaded.norm_stats.mean, model.norm_stats.mean)
-        assert loaded.norm_stats.feature_names == \
-            model.norm_stats.feature_names
-        assert loaded.norm_stats.constant_features == \
-            model.norm_stats.constant_features
+        assert loaded.prep.fingerprint == model.prep.fingerprint
+        assert loaded.prep.to_manifest() == model.prep.to_manifest()
+        assert np.array_equal(loaded.prep.norm_stats.mean,
+                              model.prep.norm_stats.mean)
+        assert loaded.prep.norm_stats.feature_names == \
+            model.prep.norm_stats.feature_names
+        assert loaded.prep.norm_stats.constant_features == \
+            model.prep.norm_stats.constant_features
 
     def test_repeat_saves_byte_identical(self, small_ensemble, tmp_path):
         model, hists = small_ensemble
@@ -273,3 +276,104 @@ class TestEnsembleCheckpoint:
         mpath.write_text(json.dumps(manifest, sort_keys=True))
         with pytest.raises(DataIntegrityError, match="not an ensemble"):
             load_ensemble(tmp_path)
+
+
+class TestPreprocessingEntries:
+    """ensemble.json's norm_stats, preprocess and data_fingerprint entries
+    must agree: inference re-creates the model's input space from them."""
+
+    def _edited(self, small_ensemble, tmp_path, edit):
+        model, hists = small_ensemble
+        save_ensemble(tmp_path, model, hists, CFG)
+        mpath = tmp_path / "ensemble.json"
+        manifest = json.loads(mpath.read_text())
+        edit(manifest)
+        mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+
+    def test_edited_norm_stats_refused(self, small_ensemble, tmp_path):
+        def edit(manifest):
+            manifest["norm_stats"]["mean"][1] += 50.0
+        self._edited(small_ensemble, tmp_path, edit)
+        with pytest.raises(DataIntegrityError,
+                           match="ensemble.json: .*data fingerprint"):
+            load_ensemble(tmp_path)
+
+    def test_edited_window_length_refused(self, small_ensemble, tmp_path):
+        def edit(manifest):
+            manifest["preprocess"]["window_length"] = 7
+        self._edited(small_ensemble, tmp_path, edit)
+        with pytest.raises(DataIntegrityError,
+                           match="ensemble.json: .*data fingerprint"):
+            load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("key", ["norm_stats", "preprocess",
+                                     "data_fingerprint"])
+    def test_partly_null_entries_refused(self, small_ensemble, tmp_path,
+                                         key):
+        def edit(manifest):
+            manifest[key] = None
+        self._edited(small_ensemble, tmp_path, edit)
+        with pytest.raises(DataIntegrityError,
+                           match="ensemble.json: .*all null or all set"):
+            load_ensemble(tmp_path)
+
+    def test_model_without_preprocessing_round_trips(self, tmp_path):
+        model, hists = train_ensemble(ARCH, _toy_data(), CFG, n_members=1,
+                                      base_seed=3)
+        checksums = [save_member(member_path(tmp_path, 0), model.members[0],
+                                 hists[0], CFG)]
+        write_ensemble_manifest(tmp_path, model, CFG, checksums)
+        manifest = json.loads((tmp_path / "ensemble.json").read_text())
+        assert [manifest[k] for k in ("norm_stats", "preprocess",
+                                      "data_fingerprint")] == [None] * 3
+        loaded, _ = load_ensemble(tmp_path)
+        assert loaded.prep is None
+
+
+# An ensemble checkpoint written by the code that kept the preprocessing in
+# three separate EnsembleModel fields (norm_stats, preprocess,
+# data_fingerprint): `rulens ingest` and `rulens train` on a 4-train /
+# 2-test-unit synthetic set (seed 3), window length 10, 2 members of one
+# 3-cell layer, 1 epoch.
+CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1"
+
+
+class TestCheckpointFromBeforeTheRecord:
+    def test_loads_and_rewrites_the_same_bytes(self, tmp_path):
+        model, manifest = load_ensemble(CHECKPOINT_V1)
+        assert model.prep.fingerprint == manifest["data_fingerprint"]
+        assert model.member_seeds == (7, 8)
+        write_ensemble_manifest(
+            tmp_path, model, TrainingConfig(**manifest["train_config"]),
+            manifest["member_checksums"], manifest["config"])
+        assert (tmp_path / "ensemble.json").read_bytes() == \
+            (CHECKPOINT_V1 / "ensemble.json").read_bytes()
+
+    def test_inference_bytes_match_the_three_field_chain(self):
+        # the old uncertainty command, spelled out: drop the preprocess
+        # entry's sensors, normalize with the norm_stats entry, and read
+        # each unit's last step, or each window of the preprocess entry's
+        # length and stride
+        model, manifest = load_ensemble(CHECKPOINT_V1)
+        raw = make_synthetic_units(3, seed=11, min_len=12, max_len=30)
+        ns, pre = manifest["norm_stats"], manifest["preprocess"]
+        stats = NormStats(mean=np.array(ns["mean"], dtype=np.float64),
+                          std=np.array(ns["std"], dtype=np.float64),
+                          feature_names=tuple(ns["feature_names"]),
+                          constant_features=tuple(ns["constant_features"]))
+        units = apply_norm(drop_sensors(raw, pre["dropped_sensors"]), stats)
+        length = pre["window_length"]
+        expected = {
+            False: read_out(model, units, [[len(u) - 1] for u in units]),
+            True: read_out(model, units, [
+                s + length - 1 for s in
+                window_starts(units, length, pre["stride"], "test")],
+                window=length)}
+        for per_window, (ids, cycles, dec) in expected.items():
+            got_ids, got_cycles, got = dataset_uncertainty_profile(
+                model, model.prep.apply(raw), per_window=per_window)
+            assert got_ids.tolist() == ids.tolist()
+            assert got_cycles.tolist() == cycles.tolist()
+            for field in ("aleatoric", "epistemic", "total", "mean"):
+                assert getattr(got, field).tobytes() == \
+                    getattr(dec, field).tobytes()

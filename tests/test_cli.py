@@ -186,7 +186,7 @@ class TestTrain:
         every = np.arange(len(split.train_windows))
         data = (split.train_windows.inputs[every],
                 split.train_windows.targets[every])
-        arch = Architecture(len(split.norm_stats.feature_names),
+        arch = Architecture(len(split.prep.norm_stats.feature_names),
                             config.architecture.recurrent_layers,
                             config.architecture.dense_layers)
         for k in range(config.ensemble.members):

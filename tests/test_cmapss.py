@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from rulens.cmapss import (N_SENSORS, NormStats, UnitSeries, apply_norm,
                            build_windows, drop_sensors, fit_norm_stats,
                            format_cmapss, load_archive, load_true_rul,
-                           make_rul_targets, norm_fingerprint, parse_cmapss,
-                           prepare_split, save_archive, split_fingerprint,
-                           window_starts)
+                           make_rul_targets, parse_cmapss, prepare_split,
+                           save_archive, window_starts)
 from rulens.config import PreprocessConfig
 from rulens.errors import CmapssFormatError, DataIntegrityError
 from rulens.synthetic import CONSTANT_SENSORS, make_synthetic_units
@@ -353,9 +352,9 @@ class TestPrepareSplit:
         test = make_synthetic_units(2, seed=2, min_len=40, max_len=60)
         cfg = PreprocessConfig(window_length=30, rul_cap=20)
         split = prepare_split(train, test, cfg)
-        assert len(split.norm_stats.feature_names) == 18
+        assert len(split.prep.norm_stats.feature_names) == 18
         # constant columns of the synthetic set mirror the real pattern
-        assert set(split.norm_stats.constant_features) == {"setting_3"}
+        assert set(split.prep.norm_stats.constant_features) == {"setting_3"}
         assert split.train_windows.inputs.view.shape[1:] == (30, 18)
         expected = sum(len(u) - 30 + 1 for u in train)
         assert len(split.train_windows) == expected
@@ -396,13 +395,14 @@ class TestArchive:
         manifest = save_archive(split, tmp_path / "arc", {"demo": 1})
         again, manifest2 = load_archive(tmp_path / "arc")
         assert manifest["fingerprint"] == manifest2["fingerprint"]
-        assert split_fingerprint(again) == split_fingerprint(split)
+        assert again.prep.fingerprint == split.prep.fingerprint
         assert len(again.train_windows) == len(split.train_windows)
         assert np.array_equal(again.train_windows.inputs[0],
                               split.train_windows.inputs[0])
         assert [u.true_final_rul for u in again.test_units] == \
                [u.true_final_rul for u in split.test_units]
-        assert np.array_equal(again.norm_stats.mean, split.norm_stats.mean)
+        assert np.array_equal(again.prep.norm_stats.mean,
+                              split.prep.norm_stats.mean)
 
     def test_loaded_windows_equal_prepared_windows(self, split, tmp_path):
         save_archive(split, tmp_path / "arc", {})
@@ -424,14 +424,13 @@ class TestArchive:
             load_archive(tmp_path / "nothere")
 
     def test_fingerprint_sensitive_to_stats_and_windowing(self, split):
-        base = split_fingerprint(split)
-        stats = split.norm_stats
+        base = split.prep.fingerprint
+        stats = split.prep.norm_stats
         bumped = NormStats(stats.mean + 1.0, stats.std, stats.feature_names,
                            stats.constant_features)
-        assert norm_fingerprint(bumped, split.window_length, split.stride,
-                                split.rul_cap, split.dropped_sensors) != base
-        assert norm_fingerprint(stats, split.window_length + 1, split.stride,
-                                split.rul_cap, split.dropped_sensors) != base
+        assert replace(split.prep, norm_stats=bumped).fingerprint != base
+        assert replace(split.prep, window_length=split.prep.window_length
+                       + 1).fingerprint != base
 
     def test_synthetic_constant_columns_match_declared(self, synth_dataset):
         units = parse_cmapss(synth_dataset["train"])

@@ -2,6 +2,7 @@
 
 import logging
 import multiprocessing.pool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 from gradcheck import forward
 from rulens import ensemble
-from rulens.cmapss import NormStats, UnitSeries, build_windows
+from rulens.cmapss import NormStats, Preprocessing, UnitSeries, build_windows
 from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, aggregate,
                              dataset_uncertainty_profile, decompose_uncertainty,
                              member_mean, predict_members, read_out,
                              train_ensemble)
-from rulens.errors import DivergenceError
+from rulens.errors import DataIntegrityError, DivergenceError
 from rulens.network import Architecture, init_params, train_pnn
 
 ARCH = Architecture(2, (3,), (2,))
@@ -378,7 +379,7 @@ class TestPredictEnsemble:
     def test_degenerate_ensemble_collapses(self):
         params = init_params(ARCH, seed=5)
         model = EnsembleModel(ARCH, [params, params.copy(), params.copy()],
-                              base_seed=5, member_seeds=(5, 6, 7))
+                              base_seed=5)
         x = np.random.default_rng(2).normal(size=(4, 2))
         dec = _every_step(model, x)
         single = forward(params, x)
@@ -432,10 +433,12 @@ def profile_model():
     x = rng.normal(size=(16, 5, 4))
     y = x.sum(axis=-1)
     cfg = TrainingConfig(max_epochs=1, batch_size=8)
+    names = _make_unit(0, 1, seed=0).feature_names
+    prep = Preprocessing(NormStats(np.zeros(4), np.ones(4), names),
+                         window_length=5, stride=2, rul_cap=128,
+                         dropped_sensors=())
     model, _ = train_ensemble(arch, (x, y), cfg, n_members=2, base_seed=1,
-                              preprocess={"window_length": 5, "stride": 2,
-                                          "rul_cap": 128,
-                                          "dropped_sensors": []})
+                              prep=prep)
     return model
 
 
@@ -501,7 +504,7 @@ class TestDatasetUncertaintyProfile:
     def test_per_window_requires_window_settings(self):
         params = init_params(Architecture(4, (3,), (2,)), seed=0)
         bare = EnsembleModel(Architecture(4, (3,), (2,)), [params],
-                             base_seed=0, member_seeds=(0,))
+                             base_seed=0)
         with pytest.raises(ValueError, match="window"):
             dataset_uncertainty_profile(bare, [_make_unit(1, 6, seed=0)],
                                         per_window=True)
@@ -510,24 +513,32 @@ class TestDatasetUncertaintyProfile:
         model = EnsembleModel(
             profile_model.architecture, profile_model.members,
             base_seed=profile_model.base_seed,
-            member_seeds=profile_model.member_seeds,
-            norm_stats=NormStats(mean=np.zeros(4), std=np.ones(4),
-                                 feature_names=("setting_1", "setting_2",
-                                                "setting_3", "sensor_7")))
+            prep=replace(profile_model.prep, norm_stats=NormStats(
+                mean=np.zeros(4), std=np.ones(4),
+                feature_names=("setting_1", "setting_2", "setting_3",
+                               "sensor_7"))))
         unit = _make_unit(2, 6, seed=5)  # carries sensor_2, not sensor_7
         with pytest.raises(ValueError, match="feature layout"):
             dataset_uncertainty_profile(model, [unit])
+
+    def test_read_out_refuses_same_width_other_layout(self, profile_model):
+        # sensor_3 in place of sensor_2: the widths agree, so only the
+        # layout check stands between the unit and a silent reading
+        other = replace(_make_unit(2, 6, seed=5), sensor_ids=(3,))
+        assert other.features.shape[1] == profile_model.architecture.input_dim
+        for window in (None, 5):
+            with pytest.raises(DataIntegrityError, match="feature layout"):
+                read_out(profile_model, [other], [[5]], window=window)
 
 
 class TestEnsembleModelValidation:
     def test_needs_a_member(self):
         with pytest.raises(ValueError, match="at least one"):
-            EnsembleModel(ARCH, [], base_seed=0, member_seeds=())
+            EnsembleModel(ARCH, [], base_seed=0)
 
-    def test_needs_matching_seed_count(self):
-        params = init_params(ARCH, seed=0)
-        with pytest.raises(ValueError, match="per member"):
-            EnsembleModel(ARCH, [params], base_seed=0, member_seeds=(0, 1))
+    def test_member_seeds_follow_members(self):
+        params = [init_params(ARCH, seed=seed) for seed in (4, 2)]
+        assert EnsembleModel(ARCH, params, base_seed=0).member_seeds == (4, 2)
 
     def test_refuses_member_of_another_architecture(self):
         # both have 62 parameters, so their vectors alone stack and run
@@ -537,4 +548,4 @@ class TestEnsembleModelValidation:
         with pytest.raises(ValueError, match="member 1 has architecture"):
             EnsembleModel(wide, [init_params(wide, seed=0),
                                  init_params(deep, seed=1)],
-                          base_seed=0, member_seeds=(0, 1))
+                          base_seed=0)

@@ -5,7 +5,7 @@ per-sequence float64 forward kept here as the oracle."""
 import numpy as np
 import pytest
 
-from rulens.cmapss import UnitSeries
+from rulens.cmapss import NormStats, Preprocessing, UnitSeries
 from rulens.ensemble import (EnsembleModel, dataset_uncertainty_profile,
                              predict_members)
 from rulens.metrics import unit_predictions
@@ -45,11 +45,18 @@ def oracle_forward(arrays: dict, arch: Architecture, x: np.ndarray):
     return np.array(means), np.array(variances)
 
 
-def _model(n_members: int, preprocess: dict | None = None) -> EnsembleModel:
+def _model(n_members: int, window: tuple[int, int] | None = None
+           ) -> EnsembleModel:
+    """n_members fresh members; with window = (length, stride), also a
+    preprocessing record for the layout of _unit."""
     members = [init_params(ARCH, seed=40 + k) for k in range(n_members)]
-    return EnsembleModel(ARCH, members, base_seed=40,
-                         member_seeds=tuple(range(40, 40 + n_members)),
-                         preprocess=preprocess)
+    prep = None
+    if window is not None:
+        names = _unit(0, 1, 0).feature_names
+        prep = Preprocessing(NormStats(np.zeros(len(names)),
+                                       np.ones(len(names)), names),
+                             *window, rul_cap=128, dropped_sensors=())
+    return EnsembleModel(ARCH, members, base_seed=40, prep=prep)
 
 
 def _seqs(lengths, seed=0):
@@ -126,7 +133,7 @@ def _unit(unit_id, n_cycles, seed, true_rul=None):
 
 
 def test_empty_unit_list_returns_empty():
-    model = _model(2, preprocess={"window_length": 3, "stride": 1})
+    model = _model(2, window=(3, 1))
     assert predict_members(model, []) == []
     ids, cycles, targets, dec = unit_predictions(model, [])
     assert ids.size == cycles.size == targets.size == dec.mean.size == 0
@@ -152,7 +159,7 @@ def test_unit_predictions_match_one_unit_at_a_time():
 
 
 def test_per_window_profile_matches_oracle():
-    model = _model(2, preprocess={"window_length": 4, "stride": 3})
+    model = _model(2, window=(4, 3))
     unit = _unit(7, 11, 3)
     _, cycles, dec = dataset_uncertainty_profile(model, [unit],
                                                  per_window=True)
