@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_write
 from .config import PreprocessConfig
@@ -43,6 +42,14 @@ class UnitSeries:
     features: np.ndarray                 # [n_cycles, 3 + len(sensor_ids)]
     sensor_ids: tuple[int, ...] = tuple(range(1, N_SENSORS + 1))
     true_final_rul: int | None = None    # test sets only
+
+    def __post_init__(self):
+        width = np.shape(self.features)[1:]
+        if width != (N_SETTINGS + len(self.sensor_ids),):
+            raise DataIntegrityError(
+                f"unit {self.unit_id}: feature matrix of shape "
+                f"{np.shape(self.features)} for "
+                f"{N_SETTINGS + len(self.sensor_ids)} feature names")
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -71,20 +78,18 @@ class NormStats:
 class WindowView:
     """Fixed-length windows over flat rows, picked by window start.
 
-    ``view`` is a sliding-window view (no copy) whose entry r is rows
-    r..r+L-1; ``starts`` lists the row offsets of the valid windows.
-    ``len()`` is the window count, and ``[idx]`` gathers windows idx into
-    a new array, so memory grows with the batch, not with the windows.
+    Window i is ``rows[starts[i]:starts[i] + length]`` and ``len()`` is the
+    window count. Nothing is copied per window: training gathers each
+    batch from the rows (see network.train_pnn), so memory grows with the
+    batch, not with the windows.
     """
 
-    view: np.ndarray         # [n_rows - L + 1, L, ...]
+    rows: np.ndarray         # [n_rows, ...], C-contiguous
+    length: int
     starts: np.ndarray       # int64 row offsets
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def __getitem__(self, idx) -> np.ndarray:
-        return self.view[self.starts[idx]]
 
 
 @dataclass
@@ -282,13 +287,6 @@ def make_rul_targets(unit: UnitSeries, rul_cap: int | None) -> np.ndarray:
     return np.minimum(float(rul_cap), remaining)
 
 
-def _sliding(rows: np.ndarray, length: int) -> np.ndarray:
-    """[n - length + 1, length, ...] view whose entry r is rows r..r+length-1."""
-    if len(rows) < length:
-        return np.empty((0, length) + rows.shape[1:])
-    return np.moveaxis(sliding_window_view(rows, length, axis=0), -1, 1)
-
-
 def window_starts(units: Sequence[UnitSeries], window_length: int,
                   stride: int, split: str) -> list[np.ndarray]:
     """Per unit, the offsets 0, stride, 2*stride, ... of its full-length
@@ -314,8 +312,8 @@ def build_windows(units: Sequence[UnitSeries], window_length: int,
                   stride: int, rul_cap: int) -> TrainWindows:
     """Training windows at the window_starts offsets, with capped targets.
 
-    No window crosses from one unit into the next. Windows are views into
-    one flat copy of the units' rows and targets.
+    No window crosses from one unit into the next. Windows are picked by
+    start from one flat copy of the units' rows and targets.
     """
     offsets = np.cumsum([0] + [len(unit) for unit in units])
     starts = np.concatenate([
@@ -323,8 +321,8 @@ def build_windows(units: Sequence[UnitSeries], window_length: int,
         zip(offsets, window_starts(units, window_length, stride, "train"))])
     rows = np.vstack([u.features for u in units])
     targets = np.concatenate([make_rul_targets(u, rul_cap) for u in units])
-    return TrainWindows(WindowView(_sliding(rows, window_length), starts),
-                        WindowView(_sliding(targets, window_length), starts))
+    return TrainWindows(WindowView(rows, window_length, starts),
+                        WindowView(targets, window_length, starts))
 
 
 # the ensemble.json entries of a Preprocessing, all null without one

@@ -6,7 +6,9 @@ members, summarized by its first two moments; the predictive variance then
 splits into an aleatoric part (mean of member log variances) and an
 epistemic part (the rest), both in nats with additive constants dropped.
 Inference runs all members at once over their parameter vectors stacked
-into one [M, n_params] matrix, so every member must share one architecture.
+into one [M, n_params] matrix, so every member must share one architecture;
+training, where the members outnumber the workers, runs them in stacks of
+STACK_SIZE the same way.
 """
 
 from __future__ import annotations
@@ -123,10 +125,21 @@ def decompose_uncertainty(member_means: np.ndarray,
                                     mu_star, var_star)
 
 
+# Members per stack (see network.train_pnn) when members outnumber the
+# workers. In one process at one BLAS thread, on windows the size of the
+# benchmark's train workload (876 of 100 steps, 18 features, [32, 16],
+# batch 32), a stack of 2 took 1.52x one member's time and a stack of 3
+# took 2.03x. So pairs train 3 members on 2 CPUs in 1.52x, where one stack
+# of 3 would take 2.03x, and a worker holds two members' training buffers
+# (8.3 MiB each), not three. With no more members than workers, every
+# member has a worker of its own and trains alone, in 1.0x.
+STACK_SIZE = 2
+
+
 def _worker_count(n_jobs: int) -> int:
-    """Processes to train n_jobs members in: one per CPU this process may
-    run on (os.cpu_count() where affinity is unknown), at most one per
-    member."""
+    """Processes to run n_jobs jobs (members or stacks) in: one per CPU
+    this process may run on (os.cpu_count() where affinity is unknown), at
+    most one per job."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity API on this platform
@@ -134,21 +147,21 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, cpus)
 
 
-def _train_member(arch: Architecture, train_windows: tuple,
-                  train_cfg: TrainingConfig, job: tuple[int, int]
-                  ) -> tuple[PnnParams, TrainHistory]:
-    """Member k = job[0] with seed job[1]; a divergence names the member."""
-    k, seed = job
-    try:
-        return train_pnn(arch, train_windows, train_cfg, seed)
-    except DivergenceError as exc:
-        raise DivergenceError(
-            f"member {k} (seed {seed}) diverged: {exc}",
-            sample_index=exc.sample_index, epoch=exc.epoch,
-            member=k) from None
+def _train_stack(arch: Architecture, train_windows: tuple,
+                 train_cfg: TrainingConfig, jobs: list[tuple[int, int]]
+                 ) -> list[tuple[PnnParams, TrainHistory] | DivergenceError]:
+    """Members k with seeds s, (k, s) in jobs, trained as one stack; a
+    divergence names its member."""
+    results = train_pnn(arch, train_windows, train_cfg,
+                        [seed for _, seed in jobs])
+    return [DivergenceError(f"member {k} (seed {seed}) diverged: {result}",
+                            sample_index=result.sample_index,
+                            epoch=result.epoch, member=k)
+            if isinstance(result, DivergenceError) else result
+            for (k, seed), result in zip(jobs, results)]
 
 
-# In a pool worker, the parent's member trainer, inherited through fork.
+# In a pool worker, the parent's stack trainer, inherited through fork.
 _worker_train = None
 
 
@@ -160,31 +173,31 @@ def _start_worker(train: Callable) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _train_in_worker(job: tuple[int, int]) -> tuple[PnnParams, TrainHistory]:
-    return _worker_train(job)
+def _train_in_worker(jobs: list[tuple[int, int]]) -> list:
+    return _worker_train(jobs)
 
 
 @contextmanager
-def _member_results(train: Callable, jobs: list[tuple[int, int]]
-                    ) -> Iterator[Iterator[tuple[PnnParams, TrainHistory]]]:
-    """train(job) for every job, in job order.
+def _stack_results(train: Callable, stacks: list[list[tuple[int, int]]]
+                   ) -> Iterator[Iterator[list]]:
+    """train(stack) for every stack, in stack order.
 
-    With more than one worker (see _worker_count), the jobs run in a pool
+    With more than one worker (see _worker_count), the stacks run in a pool
     of forked processes: each inherits the data, the architecture, the
-    config and the BLAS setting, so only a job's (k, seed) goes out and
-    its (params, history) comes back. Otherwise they run here, one after
+    config and the BLAS setting, so only a stack's (k, seed) pairs go out
+    and its results come back. Otherwise they run here, one after
     another. Leaving the block stops and reaps every worker.
     """
-    n_workers = _worker_count(len(jobs))
+    n_workers = _worker_count(len(stacks))
     if n_workers <= 1:
-        yield map(train, jobs)
+        yield map(train, stacks)
         return
     # imported here: the inference commands import this module too
     import multiprocessing
     with multiprocessing.get_context("fork").Pool(
             n_workers, initializer=_start_worker,
             initargs=(train,)) as pool:
-        yield pool.imap(_train_in_worker, jobs)
+        yield pool.imap(_train_in_worker, stacks)
 
 
 def train_ensemble(arch: Architecture,
@@ -204,14 +217,17 @@ def train_ensemble(arch: Architecture,
     resume(k, seed) is asked for every member first and may return
     finished parameters, used as they are (history None). The others train
     in forked worker processes, one per CPU this process may run on and at
-    most one per member, or in this process when that is one (`taskset -c
-    0` gives the serial run); the worker count never changes a bit.
+    most one per stack, or in this process when that is one (`taskset -c
+    0` gives the serial run). Where the members outnumber those workers,
+    they train in stacks of STACK_SIZE consecutive members, otherwise one
+    to a worker; neither the stacks nor the worker count change a bit.
     progress(k, params, history) sees each newly trained member in member
     order as soon as it and those before it are done, so a caller can
-    persist it. A diverging member raises DivergenceError naming the
-    member, and an error or interrupt stops every worker. prep, the
-    preprocessing that made the windows, rides along on the model so
-    inference can re-create the model's input space.
+    persist it. The first diverging member raises DivergenceError naming
+    the member, after the members before it have gone to progress, and an
+    error or interrupt stops every worker. prep, the preprocessing that
+    made the windows, rides along on the model so inference can re-create
+    the model's input space.
     """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
@@ -220,12 +236,17 @@ def train_ensemble(arch: Architecture,
                for k, seed in enumerate(seeds)]
     histories: list[TrainHistory | None] = [None] * n_members
     jobs = [(k, seed) for k, seed in enumerate(seeds) if members[k] is None]
-    train = functools.partial(_train_member, arch, train_windows, train_cfg)
-    with _member_results(train, jobs) as results:
-        for (k, _), (params, history) in zip(jobs, results):
-            members[k], histories[k] = params, history
-            if progress is not None:
-                progress(k, params, history)
+    size = STACK_SIZE if _worker_count(len(jobs)) < len(jobs) else 1
+    stacks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+    train = functools.partial(_train_stack, arch, train_windows, train_cfg)
+    with _stack_results(train, stacks) as results:
+        for stack, stack_results in zip(stacks, results):
+            for (k, _), result in zip(stack, stack_results):
+                if isinstance(result, DivergenceError):
+                    raise result
+                members[k], histories[k] = result
+                if progress is not None:
+                    progress(k, *result)
     return EnsembleModel(arch, members, base_seed, prep), histories
 
 

@@ -9,7 +9,10 @@ and makes finite-difference verification meaningful.
 A member is one float64 vector [n_params], the bytes its file stores, and
 M members are one [M, n_params] matrix. Architecture.unflatten alone maps
 offsets to names: the forward pass reads its named views, grad writes into
-them, and Adam updates the whole vector in place.
+them, and Adam updates the whole matrix in place. Inference runs every
+member of an ensemble as one such stack; training runs a stack of members
+in lockstep, each on its own batches, and a member's bits do not depend on
+the stack it trained in.
 
 The variance head emits a raw real s with sigma^2 = softplus(s) + 1e-6, so
 predicted variances are smooth and strictly positive.
@@ -129,6 +132,15 @@ class PnnParams:
 
 
 @dataclass
+class Stack:
+    """M members of one architecture, their parameters one float64 matrix
+    [M, n_params] with a member per row, as grad takes them."""
+
+    arch: Architecture
+    vectors: np.ndarray
+
+
+@dataclass
 class TrainHistory:
     epoch_losses: list[float] = field(default_factory=list)
     stop_epoch: int = 0
@@ -172,12 +184,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def _check_input(arch: Architecture, x: np.ndarray) -> None:
-    """Feature width, length and finiteness of inputs [..., T, F]."""
+def _check_input(arch: Architecture, x: np.ndarray, steps: int) -> None:
+    """Feature width, length and finiteness of inputs [..., F] over steps
+    time steps."""
     if x.shape[-1] != arch.input_dim:
         raise ValueError(f"input has {x.shape[-1]} features, architecture "
                          f"expects {arch.input_dim}")
-    if x.shape[-2] < 1:
+    if steps < 1:
         raise ValueError("need at least one time step")
     if not np.isfinite(x).all():
         raise ValueError("non-finite values in network input")
@@ -200,25 +213,28 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
          ) -> tuple[np.ndarray, np.ndarray]:
     """The one forward time-step loop, shared by training and inference.
 
-    x is time-major [T, B, F] with rows sorted so that the first active[t]
-    are the sequences still running at step t; vectors [M, n_params] holds
-    one member's parameters per row. All layers plus the Gaussian
-    head advance one step at a time with state [M, active[t], H], and the
-    input projection is computed per step, so nothing of size [M, B, T, 4H]
-    is held unless recorded. Returns mean and variance [M, B, T].
+    x is time-major, [T, B, F] for one batch that every member reads or
+    [T, M, B, F] for one batch per member, with rows sorted so that the
+    first active[t] are the sequences still running at step t; vectors
+    [M, n_params] holds one member's parameters per row. All layers plus
+    the Gaussian head advance one step at a time with state [M, active[t],
+    H], and the input projection is computed per step, so nothing of size
+    [M, B, T, 4H] is held unless recorded. Returns mean and variance
+    [M, B, T].
 
     Given a tape (a dict of buffers, see _buffer), it also records what
-    backpropagation through time needs, each activation once: per LSTM
-    layer k the gates "lstm{k}.gates" [T, M, B, 4H] (g block after tanh),
-    h and c "lstm{k}.h", "lstm{k}.c" [T + 1, M, B, H] from the zero initial
-    state, and tanh(c) "lstm{k}.tc" [T, M, B, H]; per hidden dense layer k
-    its tanh output "dense{k}.out" [T, M, B, width]; and the raw variance
-    output "raw" [M, B, T]. The input of dense layer 0 is the top LSTM
-    layer's h[1:], and that of dense layer k > 0 is dense{k-1}.out. The
-    tape is overwritten, not zeroed, so recording one needs the full batch
-    at every step.
+    backpropagation through time needs, member-major and each activation
+    once: per LSTM layer k the gates "lstm{k}.gates" [M, T, B, 4H] (g block
+    after tanh) and h and c "lstm{k}.h", "lstm{k}.c" [M, T + 1, B, H] from
+    the zero initial state; per hidden dense layer k its tanh output
+    "dense{k}.out" [M, T, B, width]; and the raw variance output "raw"
+    [M, B, T]. tanh(c) is not recorded: the backward pass recomputes it
+    from c, the same function of the same values. The input of dense layer
+    0 is the top LSTM layer's h[:, 1:], and that of dense layer k > 0 is
+    dense{k-1}.out. The tape is overwritten, not zeroed, so recording one
+    needs the full batch at every step.
     """
-    T, B, _ = x.shape
+    T, B = x.shape[0], x.shape[-2]
     M, _ = vectors.shape
     arrays = arch.unflatten(vectors)
     lstm = [(hidden, arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"],
@@ -233,20 +249,19 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
         raw = np.zeros((M, B, T))
     else:
         assert (active == B).all(), "a tape needs the full batch at every step"
-        recs = [{key: _buffer(tape, f"lstm{k}.{key}", (n, M, B, width))
+        recs = [{key: _buffer(tape, f"lstm{k}.{key}", (M, n, B, width))
                  for key, n, width in (("gates", T, 4 * hidden),
                                        ("h", T + 1, hidden),
-                                       ("c", T + 1, hidden),
-                                       ("tc", T, hidden))}
+                                       ("c", T + 1, hidden))}
                 for k, (hidden, *_) in enumerate(lstm)]
         for rec in recs:
-            rec["h"][0] = rec["c"][0] = 0.0
-        dense_out = [_buffer(tape, f"dense{k}.out", (T, M, B, w.shape[-1]))
+            rec["h"][:, 0] = rec["c"][:, 0] = 0.0
+        dense_out = [_buffer(tape, f"dense{k}.out", (M, T, B, w.shape[-1]))
                      for k, (w, _) in enumerate(dense[:-1])]
         raw = _buffer(tape, "raw", (M, B, T))
     for t in range(T):
         b = active[t]
-        a = x[t, :b]
+        a = x[t, ..., :b, :]
         for k, (hidden, w_x, w_h, bias) in enumerate(lstm):
             # association (x w_x + b) + h w_h
             z = a @ w_x + bias
@@ -256,21 +271,19 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
             np.tanh(z[..., 2 * hidden:3 * hidden], out=g)
             c = gates[..., hidden:2 * hidden] * cs[k][:, :b]
             c += gates[..., :hidden] * g
-            tc = np.tanh(c)
-            a = gates[..., 3 * hidden:] * tc
+            a = gates[..., 3 * hidden:] * np.tanh(c)
             hs[k], cs[k] = a, c
             if tape is not None:
                 rec = recs[k]
-                rec["gates"][t] = gates
-                rec["h"][t + 1] = a
-                rec["c"][t + 1] = c
-                rec["tc"][t] = tc
+                rec["gates"][:, t] = gates
+                rec["h"][:, t + 1] = a
+                rec["c"][:, t + 1] = c
         for k, (w, bias) in enumerate(dense):
             a = a @ w + bias
             if k < len(dense) - 1:
                 a = np.tanh(a)
                 if tape is not None:
-                    dense_out[k][t] = a
+                    dense_out[k][:, t] = a
         mu[:, :b, t] = a[..., 0]
         raw[:, :b, t] = a[..., 1]
     return mu, softplus(raw) + VAR_FLOOR
@@ -295,7 +308,7 @@ def forward_stacked(arch: Architecture, vectors: np.ndarray,
     for x in xs:
         if x.ndim != 2:
             raise ValueError(f"expected [time, features], got shape {x.shape}")
-        _check_input(arch, x)
+        _check_input(arch, x, len(x))
     if not xs:
         return []
 
@@ -325,68 +338,76 @@ def _nll_terms(mu: np.ndarray, var: np.ndarray, targets: np.ndarray) -> np.ndarr
         return 0.5 * np.log(var) + resid ** 2 / (2.0 * var) + HALF_LOG_2PI
 
 
-def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
-         buffers: dict | None = None):
-    """Exact gradients of the mean batch NLL for a batch of sequences.
+def grad(stack: Stack, inputs: np.ndarray, targets: np.ndarray,
+         buffers: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradients of each member's mean batch NLL, M members at once.
 
-    inputs: [B, T, F], targets: [B, T]. Returns (grads, loss), grads a new
-    vector laid out as params.vector. Raises DivergenceError with the offending
-    sample index if any per-sample loss is non-finite.
+    inputs [M * B, T, F] and targets [M * B, T] hold the members' batches
+    one after another: rows j * B to (j + 1) * B are member j's, so the
+    stack does the products of one network over M * B sequences. Returns
+    (grads, losses): grads a new array laid out as stack.vectors, losses
+    [M]. Row j is the same bits whatever the other rows hold: every
+    product is one BLAS call per member, and everything else is
+    elementwise or sums within one member. Raises DivergenceError naming
+    the first member (row) and its sample index with a non-finite loss.
 
-    The forward pass is the inference step loop with M = 1, recorded on a
-    tape (see _run). The backward pass runs in the tape's time-major
-    layout: the gradients reaching each layer are [T, B, width], so every
-    step of backpropagation through time reads and writes one contiguous
-    [B, width] block, and every product over the T * B (step, sample)
-    rows, the weight-gradient sums among them, reads the tape and the
-    time-major input copy as [T * B, width] rows by reshape, without a
-    copy.
+    The forward pass is the inference step loop, recorded on a tape (see
+    _run), over the inputs time-major, [T, M, B, F]: a view when inputs is
+    the transpose of a C-contiguous [T, M * B, F] array, as train_pnn's
+    batch buffer is, and a copy otherwise. The backward pass runs in the
+    tape's layout: the gradients reaching each layer are [M, T, B, width],
+    so every step of backpropagation through time reads and writes one
+    [M, B, width] block, and every product over a member's T * B (step,
+    sample) rows, the weight-gradient sums among them, reads the tape as
+    [M, T * B, width] by reshape, without a copy. Step t's gate gradients
+    overwrite its gates once the step has read them, so after the loop
+    the gates buffer holds the gradients of every step.
 
-    buffers, a dict the caller keeps between calls, holds the tape, the
-    time-major input copy "x" and the backward's work arrays "d_z" and
-    "d_above", so repeated calls of one shape allocate them once. Each
-    call overwrites what the previous one left there; nothing returned
-    aliases them, and the results are the same bits as with a fresh dict,
-    which is what buffers=None uses.
+    buffers, a dict the caller keeps between calls, holds the tape and the
+    backward's work array "d_above", which also takes the member-major
+    copy of the inputs that the first layer's weight gradient reads, so
+    repeated calls of one shape allocate them once. Each call overwrites
+    what the previous one left there; nothing returned aliases them, and
+    the results are the same bits as with a fresh dict, which is what
+    buffers=None uses.
     """
+    arch, vectors = stack.arch, stack.vectors
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 3 or y.shape != x.shape[:2]:
-        raise ValueError("expected inputs [B, T, F] with matching targets [B, T]")
-    B, T, F = x.shape
+    M = len(vectors)
+    if x.ndim != 3 or y.shape != x.shape[:2] or len(x) % M:
+        raise ValueError("expected inputs [M * B, T, F] with targets "
+                         "[M * B, T] for parameters [M, n_params]")
+    T, F = x.shape[1:]
+    B = len(x) // M
     if B < 1:
         raise ValueError("batch must be nonempty")
-    arch = params.arch
-    _check_input(arch, x)
+    _check_input(arch, x, T)
     if buffers is None:
         buffers = {}
+    x = np.ascontiguousarray(x.swapaxes(0, 1)).reshape(T, M, B, F)
+    y = y.reshape(M, B, T)
 
-    x_time_major = _buffer(buffers, "x", (T, B, F))
-    np.copyto(x_time_major, x.transpose(1, 0, 2))
-    mu, var = _run(arch, params.vector[None], x_time_major, np.full(T, B),
-                   buffers)
-    mu, var, raw = mu[0], var[0], buffers["raw"][0]
-    terms = _nll_terms(mu, var, y)
-    per_sample = terms.mean(axis=1)
-    if not np.isfinite(per_sample).all():
-        bad = int(np.flatnonzero(~np.isfinite(per_sample))[0])
-        raise DivergenceError(
-            f"non-finite loss for sample {bad} in batch", sample_index=bad)
-    loss = float(per_sample.mean())
+    mu, var = _run(arch, vectors, x, np.full(T, B), buffers)
+    raw = buffers["raw"]
+    per_sample = _nll_terms(mu, var, y).mean(axis=-1)
+    diverged = np.argwhere(~np.isfinite(per_sample))
+    if len(diverged):
+        member, bad = (int(i) for i in diverged[0])
+        raise DivergenceError(f"non-finite loss for sample {bad} in batch",
+                              sample_index=bad, member=member)
+    losses = per_sample.mean(axis=-1)
 
-    # each role has one buffer for all layers, sized for the widest of them
-    widest = max(arch.recurrent_layers)
-    d_z_buf = _buffer(buffers, "d_z", (T * B * 4 * widest,))
-    d_above_buf = _buffer(buffers, "d_above", (T * B * widest,))
-
-    def head(buf: np.ndarray, *shape: int) -> np.ndarray:
-        """The leading elements of a flat buffer, as an array of shape."""
-        return buf[:int(np.prod(shape))].reshape(shape)
+    # one buffer for all layers, sized for the widest of them and the input
+    d_above_buf = _buffer(buffers, "d_above",
+                          (M * T * B * max(*arch.recurrent_layers, F),))
 
     def above(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """d @ w.T, the gradient reaching the layer below, as [T, B, W]."""
-        out = head(d_above_buf, T * B, w.shape[0])
-        return np.matmul(d, w.T, out=out).reshape(T, B, -1)
+        """d @ w.T per member, the gradient reaching the layer below, as
+        [M, T, B, W]."""
+        width = w.shape[-2]
+        out = d_above_buf[:M * T * B * width].reshape(M, T * B, width)
+        return np.matmul(d, w.swapaxes(1, 2), out=out).reshape(M, T, B, width)
 
     scale = 1.0 / (B * T)
     resid = mu - y
@@ -394,22 +415,23 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
     dvar = (var - resid ** 2) / (2.0 * var ** 2) * scale
     draw = dvar * sigmoid(raw)                  # d softplus(s)/ds = sigmoid(s)
 
-    arrays = params.arrays
-    flat_grads = np.empty_like(params.vector)
+    arrays = arch.unflatten(vectors)
+    flat_grads = np.empty_like(vectors)
     grads = arch.unflatten(flat_grads)
     top = len(arch.recurrent_layers) - 1
-    d_a = np.stack([dmu.T, draw.T], axis=-1).reshape(T * B, 2)
+    d_a = np.stack([dmu.swapaxes(1, 2), draw.swapaxes(1, 2)],
+                   axis=-1).reshape(M, T * B, 2)
 
     # dense stack, top down
     for k in range(len(arch.dense_layers) - 1, -1, -1):
-        dense_in = (buffers[f"lstm{top}.h"][1:] if k == 0
-                    else buffers[f"dense{k - 1}.out"]).reshape(T * B, -1)
+        dense_in = (buffers[f"lstm{top}.h"][:, 1:] if k == 0
+                    else buffers[f"dense{k - 1}.out"]).reshape(M, T * B, -1)
         w = arrays[f"dense{k}.w"]
-        np.matmul(dense_in.T, d_a, out=grads[f"dense{k}.w"])
-        np.sum(d_a, axis=0, out=grads[f"dense{k}.b"])
+        np.matmul(dense_in.swapaxes(1, 2), d_a, out=grads[f"dense{k}.w"])
+        np.sum(d_a, axis=1, out=grads[f"dense{k}.b"])
         if k > 0:
             # through tanh(z_{k-1}), whose output is the input of layer k
-            d_a = d_a @ w.T * (1.0 - dense_in ** 2)
+            d_a = d_a @ w.swapaxes(1, 2) * (1.0 - dense_in ** 2)
         else:
             d_above = above(d_a, w)
 
@@ -417,35 +439,44 @@ def grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
     for k in range(top, -1, -1):
         hidden = arch.recurrent_layers[k]
         w_x, w_h = arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"]
-        gates, hs, cs, tc = (buffers[f"lstm{k}.{key}"][:, 0]
-                             for key in ("gates", "h", "c", "tc"))
-        gi, gf, gg, go = (gates[..., j * hidden:(j + 1) * hidden]
-                          for j in range(4))
-        d_z = head(d_z_buf, T, B, 4 * hidden)
-        dh_carry, dc_carry = np.zeros((2, B, hidden))
+        gates, hs, cs = (buffers[f"lstm{k}.{key}"] for key in ("gates", "h", "c"))
+        dh_carry, dc_carry = np.zeros((2, M, B, hidden))
+        # the gradients reaching the sigmoid gates' outputs, i, f and o; the
+        # g block stays 0, as the g gradient is taken on its own
+        d_gates = np.zeros((M, B, 4 * hidden))
+        d_i, d_f, _, d_o = (d_gates[..., j * hidden:(j + 1) * hidden]
+                            for j in range(4))
         for t in range(T - 1, -1, -1):
-            dh = d_above[t] + dh_carry
-            d_o = dh * tc[t]
-            dc = dc_carry + dh * go[t] * (1.0 - tc[t] ** 2)
-            d_i = dc * gg[t]
-            d_g = dc * gi[t]
-            d_f = dc * cs[t]                      # c_{t-1}
-            d_z[t, :, :hidden] = d_i * gi[t] * (1.0 - gi[t])
-            d_z[t, :, hidden:2 * hidden] = d_f * gf[t] * (1.0 - gf[t])
-            d_z[t, :, 2 * hidden:3 * hidden] = d_g * (1.0 - gg[t] ** 2)
-            d_z[t, :, 3 * hidden:] = d_o * go[t] * (1.0 - go[t])
-            dh_carry = d_z[t] @ w_h.T
-            dc_carry = dc * gf[t]
-        flat_dz = d_z.reshape(T * B, -1)
-        layer_in = x_time_major if k == 0 else buffers[f"lstm{k - 1}.h"][1:]
-        for name, rows in (("w_x", layer_in), ("w_h", hs[:T])):
-            np.matmul(rows.reshape(T * B, -1).T, flat_dz,
+            d_z = gates[:, t]           # read as gates, then overwritten
+            gi, gf, gg, go = (d_z[..., j * hidden:(j + 1) * hidden]
+                              for j in range(4))
+            tc = np.tanh(cs[:, t + 1])
+            dh = d_above[:, t] + dh_carry
+            np.multiply(dh, tc, out=d_o)
+            dc = dc_carry + dh * go * (1.0 - tc ** 2)
+            np.multiply(dc, gg, out=d_i)
+            np.multiply(dc, cs[:, t], out=d_f)    # c_{t-1}
+            dc_carry = dc * gf
+            d_g = dc * gi * (1.0 - gg ** 2)       # through tanh
+            one_minus = 1.0 - d_z
+            d_z *= d_gates                        # through the sigmoids
+            d_z *= one_minus
+            gg[...] = d_g
+            dh_carry = d_z @ w_h.swapaxes(1, 2)
+        flat_dz = gates.reshape(M, T * B, -1)
+        if k > 0:
+            layer_in = buffers[f"lstm{k - 1}.h"][:, 1:]
+        else:       # d_above is spent: it takes the inputs member-major
+            layer_in = d_above_buf[:x.size].reshape(M, T, B, F)
+            np.copyto(layer_in, x.swapaxes(0, 1))
+        for name, rows in (("w_x", layer_in), ("w_h", hs[:, :T])):
+            np.matmul(rows.reshape(M, T * B, -1).swapaxes(1, 2), flat_dz,
                       out=grads[f"lstm{k}.{name}"])
-        np.sum(flat_dz, axis=0, out=grads[f"lstm{k}.b"])
+        np.sum(flat_dz, axis=1, out=grads[f"lstm{k}.b"])
         if k > 0:
             d_above = above(flat_dz, w_x)
 
-    return flat_grads, loss
+    return flat_grads, losses
 
 
 def adam_step(theta: np.ndarray, g: np.ndarray, m: np.ndarray,
@@ -472,76 +503,135 @@ def clip_global_norm(grads: dict[str, np.ndarray],
     return grads, total
 
 
+@dataclass
+class _Member:
+    """What train_pnn keeps for one member of its stack."""
+
+    seed: int
+    shuffle: np.random.Generator
+    best: np.ndarray                    # parameters at the best epoch loss
+    history: TrainHistory = field(default_factory=TrainHistory)
+    since_best: int = 0
+    order: np.ndarray | None = None     # this epoch's window order
+    loss_sum: float = 0.0
+    result: tuple[PnnParams, TrainHistory] | DivergenceError | None = None
+
+
 def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
-              seed: int) -> tuple[PnnParams, TrainHistory]:
-    """Train one member with Adam on shuffled mini-batches.
+              seeds: Sequence[int]
+              ) -> list[tuple[PnnParams, TrainHistory] | DivergenceError]:
+    """Train one member per seed with Adam on shuffled mini-batches, all in
+    lockstep as one stack: every step is one grad call over [M, n_params]
+    and one adam_step.
 
-    train_windows is (inputs, targets); each supports len() and indexing by
-    an index array, giving [B, T, F] and [B, T]. Numpy arrays qualify, and
-    so do the gathering views of cmapss.TrainWindows.
+    train_windows is (inputs, targets), the cmapss.WindowView pair of a
+    cmapss.TrainWindows. Every step gathers the members' batches from
+    their rows, time-major, straight into the batch buffer grad reads.
 
-    Deterministic: the parameter draw and the per-epoch shuffle stream both
-    derive from the seed, so (seed, data, config) fully determines the
-    result at a given BLAS thread count, which sets how BLAS splits its
-    sums. The CLI runs OpenBLAS on one thread unless the caller sets
-    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. Early stopping starts watching
-    at cfg.early_stop_start and fires after cfg.patience consecutive epochs
-    without a new best training loss; the returned parameters are the
-    best-loss snapshot.
+    Deterministic: a member's parameter draw and per-epoch shuffle stream
+    both derive from its seed, so (seed, data, config) fully determines it
+    at a given BLAS thread count, which sets how BLAS splits its sums; its
+    stack-mates change none of its bits (see grad). The CLI runs OpenBLAS
+    on one thread unless the caller sets OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS. Each member clips its own gradient norm. Early
+    stopping starts watching a member at cfg.early_stop_start and fires
+    after cfg.patience consecutive epochs without a new best training
+    loss; the member then leaves the stack with its best-loss snapshot.
 
-    Every batch reuses one dict of grad buffers, which lives only as long
-    as this call, so nothing carries over from one member to the next.
+    Returns, in seed order, each member's (best-loss parameters, history).
+    A member whose loss goes non-finite ends the list with its
+    DivergenceError: an ensemble with a diverged member fails, so the
+    members after it stop training at once, and those before it train on.
+
+    Every batch reuses one dict of buffers, which lives only as long as
+    this call, so nothing carries over from one stack to the next.
     """
     inputs, targets = train_windows
-    n = len(inputs)
+    n = len(inputs.starts)
     if n == 0:
         raise ValueError("no training windows")
 
-    params = init_params(arch, seed)
-    m, v = np.zeros((2, arch.n_params()))     # Adam's moment vectors
-    step = 0
-    shuffle_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=(1,)))
+    members = [_Member(int(seed), np.random.default_rng(
+        np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=(1,))),
+        init_params(arch, seed).vector) for seed in seeds]
+    live = list(members)        # the members in training, one per row
+    # per row: the member's parameters, then Adam's moments m and v
+    state = np.zeros((3, len(members), arch.n_params()))
+    state[0] = [mem.best for mem in members]
 
+    def diverge(r: int, error: DivergenceError) -> None:
+        """Row r's member leaves with error, and the members after it."""
+        nonlocal members, live, state
+        live[r].result = error
+        members = members[:members.index(live[r]) + 1]
+        live, state = live[:r], state[:, :r]
+
+    step = 0
+    steps = np.arange(inputs.length)[:, None]
     buffers: dict = {}
-    history = TrainHistory()
-    best_params = params.copy()
-    epochs_since_best = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
+        for mem in live:
+            mem.order = mem.shuffle.permutation(n)
+            mem.loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            try:
-                grads, loss = grad(params, inputs[idx], targets[idx], buffers)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"diverged at epoch {epoch}: {exc}",
-                    sample_index=exc.sample_index, epoch=epoch) from None
-            _, norm = clip_global_norm(arch.unflatten(grads), cfg.clip_norm)
-            if cfg.clip_norm > 0 and norm > cfg.clip_norm:
-                history.clip_events += 1
-                logger.debug("epoch %d: clipped gradient norm %.3f", epoch, norm)
+            picks = np.concatenate([mem.order[start:start + cfg.batch_size]
+                                    for mem in live])
+            batch = len(picks) // len(live)
+            index = inputs.starts[picks] + steps        # [T, M * B] rows
+            x = _buffer(buffers, "x", index.shape + inputs.rows.shape[1:])
+            y = _buffer(buffers, "y", index.T.shape)
+            # the indices are valid; mode="clip" writes straight into out,
+            # where the default mode goes through a copy
+            np.take(inputs.rows, index, axis=0, out=x, mode="clip")
+            np.take(targets.rows, index.T, axis=0, out=y, mode="clip")
+            while True:     # again without a member that diverges
+                rows = len(live) * batch
+                try:
+                    grads, losses = grad(Stack(arch, state[0]),
+                                         x[:, :rows].swapaxes(0, 1),
+                                         y[:rows], buffers)
+                    break
+                except DivergenceError as exc:
+                    diverge(exc.member, DivergenceError(
+                        f"diverged at epoch {epoch}: {exc}",
+                        sample_index=exc.sample_index, epoch=epoch))
+                    if not live:
+                        return [mem.result for mem in members]
+            for r, mem in enumerate(live):
+                _, norm = clip_global_norm(arch.unflatten(grads[r]),
+                                           cfg.clip_norm)
+                if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+                    mem.history.clip_events += 1
+                    logger.debug("epoch %d: clipped gradient norm %.3f",
+                                 epoch, norm)
+                mem.loss_sum += float(losses[r]) * batch
             step += 1
-            adam_step(params.vector, grads, m, v, step, cfg)
-            loss_sum += loss * len(idx)
-        epoch_loss = loss_sum / n
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(f"non-finite epoch loss at epoch {epoch}",
-                                  epoch=epoch)
-        history.epoch_losses.append(epoch_loss)
-        if epoch_loss < history.best_loss:
-            history.best_loss = epoch_loss
-            history.best_epoch = epoch
-            best_params = params.copy()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-        if epoch >= cfg.early_stop_start and epochs_since_best >= cfg.patience:
-            history.stop_epoch = epoch
-            history.stop_reason = "early_stop"
+            adam_step(state[0], grads, state[1], state[2], step, cfg)
+        for r, mem in enumerate(live):
+            history = mem.history
+            epoch_loss = mem.loss_sum / n
+            if not np.isfinite(epoch_loss):
+                diverge(r, DivergenceError(
+                    f"non-finite epoch loss at epoch {epoch}", epoch=epoch))
+                break
+            history.epoch_losses.append(epoch_loss)
+            if epoch_loss < history.best_loss:
+                history.best_loss = epoch_loss
+                history.best_epoch = epoch
+                mem.best = state[0, r].copy()
+                mem.since_best = 0
+            else:
+                mem.since_best += 1
+            if epoch >= cfg.early_stop_start and mem.since_best >= cfg.patience:
+                history.stop_epoch = epoch
+                history.stop_reason = "early_stop"
+                mem.result = (PnnParams(arch, mem.seed, mem.best), history)
+        keep = [r for r, mem in enumerate(live) if mem.result is None]
+        live, state = [live[r] for r in keep], state[:, keep]
+        if not live:
             break
-    else:
-        history.stop_epoch = cfg.max_epochs
-        history.stop_reason = "max_epochs"
-    return best_params, history
+    for mem in live:
+        mem.history.stop_epoch = cfg.max_epochs
+        mem.history.stop_reason = "max_epochs"
+        mem.result = (PnnParams(arch, mem.seed, mem.best), mem.history)
+    return [mem.result for mem in members]

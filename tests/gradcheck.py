@@ -1,5 +1,6 @@
 """Test oracles for rulens.network: a single-sequence forward, the
-Gaussian NLL, and the finite-difference check on the hand-derived gradients.
+Gaussian NLL, and the finite-difference check on the hand-derived gradients;
+and the window helpers that turn arrays into what training reads.
 
 Shared by the network, ensemble and gradient tests and acceptance
 criterion 1; they check the library, they are not part of it.
@@ -9,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rulens.network import PnnParams, _nll_terms, forward_stacked, grad
+from rulens.cmapss import WindowView
+from rulens.network import (PnnParams, Stack, _nll_terms, forward_stacked,
+                            grad)
 
 
 @dataclass
@@ -53,6 +56,15 @@ def batch_loss(params: PnnParams, inputs: np.ndarray, targets: np.ndarray) -> fl
     return float(_nll_terms(mu, var, np.asarray(targets, dtype=np.float64)).mean())
 
 
+def member_grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
+                buffers: dict | None = None) -> tuple[np.ndarray, float]:
+    """grad for one member over a batch [B, T, F] with targets [B, T] ->
+    (gradient laid out as params.vector, loss)."""
+    grads, losses = grad(Stack(params.arch, params.vector[None]), inputs,
+                         targets, buffers)
+    return grads[0], float(losses[0])
+
+
 def finite_diff_check(params: PnnParams, inputs: np.ndarray,
                       targets: np.ndarray, epsilon: float = 1e-5,
                       buffers: dict | None = None) -> float:
@@ -60,14 +72,14 @@ def finite_diff_check(params: PnnParams, inputs: np.ndarray,
 
     Perturbs every coordinate, so the parameter count is capped at 10,000.
     Relative error per coordinate: |a - n| / max(1e-8, |a| + |n|). The
-    analytic gradients come from grad with the given buffers.
+    analytic gradients come from member_grad with the given buffers.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
     n_params = params.arch.n_params()
     if n_params > 10_000:
         raise ValueError(f"{n_params} parameters; finite differences capped at 10000")
-    analytic, _ = grad(params, inputs, targets, buffers)
+    analytic, _ = member_grad(params, inputs, targets, buffers)
     work = params.copy()
     worst = 0.0
     flat = work.vector
@@ -83,3 +95,26 @@ def finite_diff_check(params: PnnParams, inputs: np.ndarray,
         err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
         worst = max(worst, err)
     return worst
+
+
+def as_windows(inputs: np.ndarray, targets: np.ndarray
+            ) -> tuple[WindowView, WindowView]:
+    """Windows [N, T, F] and their targets [N, T] as the (inputs, targets)
+    pair of WindowView that train_pnn reads: window i is rows i * T to
+    (i + 1) * T of one flat copy."""
+    x = np.array(inputs, dtype=np.float64)
+    y = np.array(targets, dtype=np.float64)
+    n, length = y.shape
+    starts = np.arange(n) * length
+    return (WindowView(x.reshape((n * length,) + x.shape[2:]), length, starts),
+            WindowView(y.reshape(n * length), length, starts))
+
+
+def window(view: WindowView, i: int) -> np.ndarray:
+    """Window i of a WindowView, a view of its rows."""
+    return view.rows[view.starts[i]:view.starts[i] + view.length]
+
+
+def gather(view: WindowView, idx) -> np.ndarray:
+    """Windows idx of a WindowView, stacked into a new array."""
+    return np.stack([window(view, i) for i in np.arange(len(view))[idx]])

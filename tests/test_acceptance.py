@@ -20,7 +20,7 @@ from rulens.config import TrainingConfig
 from rulens.ensemble import (aggregate, decompose_uncertainty, predict_members,
                              train_ensemble)
 from rulens.metrics import interval_bounds, nasa_score, nmpiw, picp
-from gradcheck import finite_diff_check
+from gradcheck import as_windows, finite_diff_check
 from rulens.network import Architecture, init_params
 
 
@@ -166,7 +166,7 @@ class TestCriterion5SyntheticCalibration:
 
         arch = Architecture(2, (12,), (2,))
         cfg = TrainingConfig(max_epochs=30, early_stop_start=20, patience=3)
-        model, _ = train_ensemble(arch, (x_train, y_train), cfg,
+        model, _ = train_ensemble(arch, as_windows(x_train, y_train), cfg,
                                   n_members=5, base_seed=902)
 
         preds = predict_members(model, list(x_test))

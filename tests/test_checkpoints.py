@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradcheck import as_windows
 from rulens.checkpoints import (ensemble_fingerprint, load_ensemble,
                                 load_member, member_path, save_member,
                                 write_ensemble_manifest)
@@ -25,12 +26,12 @@ CFG = TrainingConfig(max_epochs=2, batch_size=8)
 def _toy_data(seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(16, 5, 2))
-    return x, x.sum(axis=-1)
+    return as_windows(x, x.sum(axis=-1))
 
 
 @pytest.fixture(scope="module")
 def trained():
-    params, history = train_pnn(ARCH, _toy_data(), CFG, seed=21)
+    [(params, history)] = train_pnn(ARCH, _toy_data(), CFG, [21])
     return params, history
 
 
@@ -247,8 +248,8 @@ class TestEnsembleCheckpoint:
         model, hists = small_ensemble
         save_ensemble(tmp_path, model, hists, CFG)
         # regenerate member 0 with different parameters but a valid file
-        other, other_hist = train_pnn(ARCH, _toy_data(seed=9), CFG,
-                                      seed=model.member_seeds[0])
+        [(other, other_hist)] = train_pnn(ARCH, _toy_data(seed=9), CFG,
+                                          [model.member_seeds[0]])
         save_member(member_path(tmp_path, 0), other, other_hist, CFG)
         with pytest.raises(DataIntegrityError, match="checksum"):
             load_ensemble(tmp_path)

@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 from conftest import run_cli
+from gradcheck import as_windows, gather
 from rulens import checkpoints, cli, ensemble
 from rulens.checkpoints import load_member, member_path
 from rulens.cmapss import load_archive, parse_cmapss
@@ -184,14 +185,14 @@ class TestTrain:
         config = load_config(trained_run["config"])
         split, _ = load_archive(trained_run["archive"])
         every = np.arange(len(split.train_windows))
-        data = (split.train_windows.inputs[every],
-                split.train_windows.targets[every])
+        data = as_windows(gather(split.train_windows.inputs, every),
+                          gather(split.train_windows.targets, every))
         arch = Architecture(len(split.prep.norm_stats.feature_names),
                             config.architecture.recurrent_layers,
                             config.architecture.dense_layers)
         for k in range(config.ensemble.members):
-            solo, history = train_pnn(arch, data, config.training,
-                                      config.ensemble.base_seed + k)
+            [(solo, history)] = train_pnn(arch, data, config.training,
+                                          [config.ensemble.base_seed + k])
             payload = b"".join(solo.arrays[name].astype("<f8").tobytes()
                                for name in arch.param_shapes())
             path = member_path(trained_run["checkpoint"], k)
@@ -449,7 +450,7 @@ class TestTrain:
         proc = _start_train(config, trained_run["archive"], out)
         try:
             assert proc.stdout.readline().startswith("training 3 members")
-            workers = ensemble._worker_count(3)
+            workers = ensemble._worker_count(3)     # 3 members
             deadline = time.monotonic() + 30
             while (workers > 1 and len(_children(proc.pid)) < workers
                    and time.monotonic() < deadline):
@@ -570,6 +571,28 @@ class TestEvaluate:
                        "--archive", other, "--out", tmp_path / "r")
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(preprocess=5),
+         "'preprocess' must be an object or null, got 5"),
+        (lambda m: m.update(member_files=5),
+         "'member_files' must be a list, got 5"),
+        (lambda m: m["norm_stats"].pop("mean"), "'norm_stats' lacks 'mean'"),
+    ], ids=["preprocess", "member_files", "norm_stats.mean"])
+    def test_malformed_manifest_is_user_error(self, evaluated_run, tmp_path,
+                                              capsys, edit, message):
+        # a manifest of another shape exits 2, naming ensemble.json and the
+        # entry, not as an internal error or a bare key
+        ckpt = tmp_path / "ck"
+        shutil.copytree(evaluated_run["checkpoint"], ckpt)
+        manifest = _read_json(ckpt / "ensemble.json")
+        edit(manifest)
+        (ckpt / "ensemble.json").write_text(json.dumps(manifest))
+        code = run_cli("evaluate", "--config", evaluated_run["config"],
+                       "--checkpoint", ckpt, "--archive",
+                       evaluated_run["archive"], "--out", tmp_path / "r")
+        assert code == 2
+        assert f"ensemble.json: {message}" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_user_error(self, evaluated_run, tmp_path):
         assert run_cli("evaluate", "--config", evaluated_run["config"],

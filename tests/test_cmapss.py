@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import gather, window
 from rulens.cmapss import (N_SENSORS, NormStats, UnitSeries, apply_norm,
                            build_windows, drop_sensors, fit_norm_stats,
                            format_cmapss, load_archive, load_true_rul,
@@ -46,6 +47,14 @@ class TestUnitSeries:
         assert unit.features.shape == (4, 5)
         parsed = parse_cmapss(io.StringIO(_text_for([_row(1, 1)])))[0]
         assert parsed.features is parsed.features
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 5), (5,)])
+    def test_refuses_a_width_other_than_its_names(self, shape):
+        # 3 settings and sensor_2 name 4 columns
+        with pytest.raises(DataIntegrityError, match="unit 9: .* 4 feature"):
+            UnitSeries(9, np.arange(1, 6), np.zeros(shape), sensor_ids=(2,))
+        assert UnitSeries(9, np.arange(1, 6), np.zeros((5, 4)),
+                          sensor_ids=(2,)).feature_names[-1] == "sensor_2"
 
 
 class TestParse:
@@ -297,13 +306,11 @@ class TestWindows:
         wins = build_windows([unit], 30, 2, 10)
         assert len(wins) == 6
         assert list(wins.inputs.starts) == [0, 2, 4, 6, 8, 10]
-        assert not wins.inputs.view.flags.owndata
-        assert np.array_equal(wins.inputs[1], unit.features[2:32])
-        assert np.array_equal(wins.targets[1], targets[2:32])
-        assert np.array_equal(wins.inputs[np.array([5])][0],
-                              unit.features[10:40])
-        batch = wins.inputs[np.array([4, 1])]
-        assert batch.shape == (2, 30, 24) and batch.flags.c_contiguous
+        # one flat copy of the unit's rows, not one per window
+        assert wins.inputs.rows.shape == (40, 24) and wins.inputs.length == 30
+        assert np.array_equal(window(wins.inputs, 1), unit.features[2:32])
+        assert np.array_equal(window(wins.targets, 1), targets[2:32])
+        assert np.array_equal(window(wins.inputs, 5), unit.features[10:40])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 200))
@@ -338,8 +345,8 @@ class TestWindows:
                 expected_y.append(targets[s:s + length])
         assert len(wins) == len(expected_x)
         for k in range(len(wins)):
-            assert np.array_equal(wins.inputs[k], expected_x[k])
-            assert np.array_equal(wins.targets[k], expected_y[k])
+            assert np.array_equal(window(wins.inputs, k), expected_x[k])
+            assert np.array_equal(window(wins.targets, k), expected_y[k])
 
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError, match="stride"):
@@ -355,7 +362,8 @@ class TestPrepareSplit:
         assert len(split.prep.norm_stats.feature_names) == 18
         # constant columns of the synthetic set mirror the real pattern
         assert set(split.prep.norm_stats.constant_features) == {"setting_3"}
-        assert split.train_windows.inputs.view.shape[1:] == (30, 18)
+        assert split.train_windows.inputs.rows.shape[1:] == (18,)
+        assert split.train_windows.inputs.length == 30
         expected = sum(len(u) - 30 + 1 for u in train)
         assert len(split.train_windows) == expected
         # test units normalized with train stats, stats finite
@@ -397,8 +405,8 @@ class TestArchive:
         assert manifest["fingerprint"] == manifest2["fingerprint"]
         assert again.prep.fingerprint == split.prep.fingerprint
         assert len(again.train_windows) == len(split.train_windows)
-        assert np.array_equal(again.train_windows.inputs[0],
-                              split.train_windows.inputs[0])
+        assert np.array_equal(window(again.train_windows.inputs, 0),
+                              window(split.train_windows.inputs, 0))
         assert [u.true_final_rul for u in again.test_units] == \
                [u.true_final_rul for u in split.test_units]
         assert np.array_equal(again.prep.norm_stats.mean,
@@ -410,8 +418,10 @@ class TestArchive:
         ours, theirs = split.train_windows, again.train_windows
         assert np.array_equal(ours.inputs.starts, theirs.inputs.starts)
         every = np.arange(len(ours))
-        assert np.array_equal(ours.inputs[every], theirs.inputs[every])
-        assert np.array_equal(ours.targets[every], theirs.targets[every])
+        assert np.array_equal(gather(ours.inputs, every),
+                              gather(theirs.inputs, every))
+        assert np.array_equal(gather(ours.targets, every),
+                              gather(theirs.targets, every))
 
     def test_overwrite_guard(self, split, tmp_path):
         save_archive(split, tmp_path / "arc", {})

@@ -1,8 +1,10 @@
 """Ensemble aggregation, uncertainty split, member training, profiles."""
 
 import logging
-import multiprocessing.pool
+import multiprocessing
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gradcheck import forward
-from rulens import ensemble
+from gradcheck import as_windows, forward, window
+from rulens import ensemble, network
 from rulens.cmapss import NormStats, Preprocessing, UnitSeries, build_windows
 from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, aggregate,
@@ -180,23 +182,23 @@ class TestDecompose:
 
 class TestTrainEnsemble:
     def test_member_seeds_are_base_plus_index(self):
-        data = _toy_data(n=8)
+        data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
         model, _ = train_ensemble(ARCH, data, cfg, n_members=15, base_seed=237)
         assert model.member_seeds == tuple(range(237, 252))
         assert model.base_seed == 237
 
     def test_single_member_degenerates_to_train_pnn(self):
-        data = _toy_data()
+        data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=3, batch_size=8)
         model, hists = train_ensemble(ARCH, data, cfg, n_members=1, base_seed=41)
-        solo, solo_hist = train_pnn(ARCH, data, cfg, seed=41)
+        [(solo, solo_hist)] = train_pnn(ARCH, data, cfg, [41])
         assert all(np.array_equal(model.members[0].arrays[k], solo.arrays[k])
                    for k in solo.arrays)
         assert hists[0].epoch_losses == solo_hist.epoch_losses
 
     def test_repeat_runs_bit_identical(self):
-        data = _toy_data()
+        data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
         a, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=7)
         b, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=7)
@@ -207,18 +209,18 @@ class TestTrainEnsemble:
     def test_each_member_matches_train_pnn_alone(self):
         # a member depends on its seed and the data only, not on the
         # members trained before it
-        data = _toy_data()
+        data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
         model, hists = train_ensemble(ARCH, data, cfg, n_members=4,
                                       base_seed=3)
         for k in (3, 1):
-            solo, solo_hist = train_pnn(ARCH, data, cfg, seed=3 + k)
+            [(solo, solo_hist)] = train_pnn(ARCH, data, cfg, [3 + k])
             assert all(np.array_equal(model.members[k].arrays[name],
                                       solo.arrays[name]) for name in solo.arrays)
             assert hists[k].epoch_losses == solo_hist.epoch_losses
 
     def test_resume_hook_skips_finished_members(self):
-        data = _toy_data(n=8)
+        data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
         done = init_params(ARCH, seed=51)
         asked, trained = [], []
@@ -241,12 +243,75 @@ class TestTrainEnsemble:
         y[1] = 1e200
         cfg = TrainingConfig(max_epochs=1, batch_size=4)
         with pytest.raises(DivergenceError) as err:
-            train_ensemble(ARCH, (x, y), cfg, n_members=2, base_seed=0)
+            train_ensemble(ARCH, as_windows(x, y), cfg, n_members=2,
+                           base_seed=0)
         assert err.value.member == 0
         assert "member 0" in str(err.value)
 
+    @staticmethod
+    def _one_diverges():
+        # on this target only seed 13's loss overflows, at epoch 1
+        x, y = _toy_data(n=8)
+        y = y.copy()
+        y[5, 2] = 1.26e154
+        return as_windows(x, y)
+
+    def test_second_member_of_a_stack_diverges(self, monkeypatch):
+        # one worker, so seeds 12 and 13 train as one stack. Member 0 still
+        # reaches progress, the error is the one member 1 gives alone, and
+        # the stack raises no warning that the members alone do not
+        monkeypatch.setattr(ensemble, "_worker_count", lambda n: min(n, 1))
+        data = self._one_diverges()
+        cfg = TrainingConfig(max_epochs=2, batch_size=4)
+
+        def warned(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = fn()
+            return result, {(w.category, str(w.message), w.filename, w.lineno)
+                            for w in caught}
+
+        [(first, first_hist)], first_warnings = warned(
+            lambda: train_pnn(ARCH, data, cfg, [12]))
+        [alone], alone_warnings = warned(
+            lambda: train_pnn(ARCH, data, cfg, [13]))
+        seen = []
+
+        def train():
+            with pytest.raises(DivergenceError) as err:
+                train_ensemble(ARCH, data, cfg, n_members=2, base_seed=12,
+                               progress=lambda k, p, h: seen.append((k, p, h)))
+            return err.value
+
+        error, stack_warnings = warned(train)
+        assert [(k, p.vector.tobytes(), h) for k, p, h in seen] == \
+            [(0, first.vector.tobytes(), first_hist)]
+        assert str(error) == ("member 1 (seed 13) diverged: diverged at "
+                              "epoch 1: non-finite loss for sample 0 in batch")
+        assert str(error) == f"member 1 (seed 13) diverged: {alone}"
+        assert (error.member, error.epoch, error.sample_index) == \
+            (1, alone.epoch, alone.sample_index)
+        assert stack_warnings <= first_warnings | alone_warnings
+
+    def test_members_after_a_diverged_one_stop_with_it(self, monkeypatch):
+        # seed 13 diverges at epoch 1 ahead of seed 12 in one stack: the
+        # results end with its error, and seed 12, whose result no ensemble
+        # could use, stops with it instead of training to max_epochs
+        data = self._one_diverges()
+        cfg = TrainingConfig(max_epochs=50, batch_size=4)
+        [alone] = train_pnn(ARCH, data, cfg, [13])
+        calls = []
+        real = network.grad
+        monkeypatch.setattr(network, "grad", lambda stack, *args: calls.append(
+            len(stack.vectors)) or real(stack, *args))
+        [error] = train_pnn(ARCH, data, cfg, [13, 12])
+        assert (str(error), error.epoch, error.sample_index) == \
+            (str(alone), alone.epoch, alone.sample_index)
+        # at most epoch 1's two batches, each over both members
+        assert calls in ([2], [2, 2])
+
     def test_progress_callback_sees_every_member(self):
-        data = _toy_data(n=8)
+        data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
         seen = []
         model, _ = train_ensemble(
@@ -255,7 +320,7 @@ class TestTrainEnsemble:
         assert seen == [(k, model.members[k], 1) for k in range(3)]
 
     def test_argument_guards(self):
-        data = _toy_data(n=4)
+        data = as_windows(*_toy_data(n=4))
         cfg = TrainingConfig(max_epochs=1)
         with pytest.raises(ValueError):
             train_ensemble(ARCH, data, cfg, n_members=0, base_seed=0)
@@ -263,7 +328,8 @@ class TestTrainEnsemble:
 
 class TestWorkers:
     """Members that resume does not supply train in forked workers, one per
-    allowed CPU (ensemble._worker_count); the count never changes a bit."""
+    allowed CPU (ensemble._worker_count), in stacks of two where they
+    outnumber the workers; neither the count nor the stacks change a bit."""
 
     @staticmethod
     def _serial(monkeypatch):
@@ -275,32 +341,54 @@ class TestWorkers:
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
 
     @staticmethod
+    def _pairs(monkeypatch):
+        # two workers, so more than two members train in stacks of two
+        monkeypatch.setattr(ensemble, "_worker_count", lambda n: min(n, 2))
+
+    @staticmethod
     def _parallel(monkeypatch):
-        # one worker per member, however many CPUs this machine has
+        # one worker per member, however many CPUs this machine has, so
+        # every member trains alone
         monkeypatch.setattr(ensemble, "_worker_count", lambda n: n)
 
     def _train(self, monkeypatch, layout, **kwargs):
         with monkeypatch.context() as m:
             layout(m)
-            return train_ensemble(ARCH, kwargs.pop("data", _toy_data()),
+            data = kwargs.pop("data", as_windows(*_toy_data()))
+            return train_ensemble(ARCH, data,
                                   TrainingConfig(max_epochs=3, batch_size=8),
                                   **kwargs)
 
     def test_worker_count_never_changes_bits(self, monkeypatch):
+        # stacks (0, 1) and (2) in this process, the same stacks in two
+        # workers, and every member alone in a worker of its own
         runs = [self._train(monkeypatch, layout, n_members=3, base_seed=17)
-                for layout in (self._serial, self._parallel)]
-        (serial, serial_hists), (parallel, parallel_hists) = runs
-        for a, b in zip(serial.members, parallel.members):
-            assert a.seed == b.seed
-            assert a.vector.tobytes() == b.vector.tobytes()
-        assert serial_hists == parallel_hists
+                for layout in (self._serial, self._pairs, self._parallel)]
+        serial, serial_hists = runs[0]
+        for model, hists in runs[1:]:
+            for a, b in zip(serial.members, model.members):
+                assert a.seed == b.seed
+                assert a.vector.tobytes() == b.vector.tobytes()
+            assert hists == serial_hists
         assert serial_hists[2].epoch_losses
+
+    def test_stacks_only_where_members_outnumber_workers(self, monkeypatch):
+        # a pair takes about 1.5x one member, so members with a worker each
+        # train alone
+        stacks = []
+        real = ensemble._stack_results
+        monkeypatch.setattr(ensemble, "_stack_results", lambda train, jobs: (
+            stacks.append([[k for k, _ in stack] for stack in jobs])
+            or real(train, jobs)))
+        for layout in (self._serial, self._pairs, self._parallel):
+            self._train(monkeypatch, layout, n_members=3, base_seed=17)
+        assert stacks == [[[0, 1], [2]], [[0, 1], [2]], [[0], [1], [2]]]
 
     def test_progress_in_member_order_from_workers(self, monkeypatch):
         seen = []
         done = init_params(ARCH, seed=41)
         model, hists = self._train(
-            monkeypatch, self._parallel, n_members=4, base_seed=40,
+            monkeypatch, self._pairs, n_members=4, base_seed=40,
             resume=lambda k, seed: done if k == 1 else None,
             progress=lambda k, p, h: seen.append((k, p, h)))
         assert [k for k, _, _ in seen] == [0, 2, 3]
@@ -309,22 +397,25 @@ class TestWorkers:
         assert model.members[1] is done and hists[1] is None
 
     def test_divergence_in_a_worker_names_member(self, monkeypatch):
-        # member 0 is resumed, so members 1 and 2 diverge in the workers;
-        # the parent raises member 1's error as the serial run does
+        # member 0 is resumed, so the stacks (1, 2) and (3, 4) diverge in
+        # two workers; the parent raises member 1's error as the serial run
+        # does
         x, y = _toy_data(n=8)
         y = y.copy()
         y[1] = 1e200
         done = init_params(ARCH, seed=1)
-        errors = []
-        for layout in (self._serial, self._parallel):
+        errors, pools = [], []
+        real = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: pools.append(method) or real(method))
+        for layout in (self._serial, self._pairs):
             with pytest.raises(DivergenceError) as err:
-                self._train(monkeypatch, layout, data=(x, y), n_members=3,
-                            base_seed=0, resume=lambda k, s: done if k == 0
-                            else None)
+                self._train(monkeypatch, layout, data=as_windows(x, y),
+                            n_members=5, base_seed=0,
+                            resume=lambda k, s: done if k == 0 else None)
             errors.append(err.value)
         serial, parallel = errors
-        assert isinstance(parallel.__cause__,
-                          multiprocessing.pool.RemoteTraceback)
+        assert pools == ["fork"]
         assert multiprocessing.active_children() == []
         assert parallel.member == 1
         assert parallel.epoch == 1 and parallel.sample_index is not None
@@ -347,15 +438,19 @@ class TestWorkers:
 
 @pytest.fixture(scope="module")
 def tiny_model():
-    data = _toy_data()
+    data = as_windows(*_toy_data())
     cfg = TrainingConfig(max_epochs=2, batch_size=8)
     model, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=11)
     return model
 
 
 def _every_step(model, x):
-    """The predict command's read-out: every step of one sequence."""
-    unit = UnitSeries(1, np.arange(1, len(x) + 1), x)
+    """The predict command's read-out: every step of one sequence. The
+    model has no preprocessing record, so read_out reads only the unit's
+    id, cycles and features; a UnitSeries cannot hold ARCH's 2 features,
+    since its names start with the 3 operational settings."""
+    unit = SimpleNamespace(unit_id=1, cycles=np.arange(1, len(x) + 1),
+                           features=x)
     return read_out(model, [unit], [np.arange(len(x))])[2]
 
 
@@ -437,8 +532,8 @@ def profile_model():
     prep = Preprocessing(NormStats(np.zeros(4), np.ones(4), names),
                          window_length=5, stride=2, rul_cap=128,
                          dropped_sensors=())
-    model, _ = train_ensemble(arch, (x, y), cfg, n_members=2, base_seed=1,
-                              prep=prep)
+    model, _ = train_ensemble(arch, as_windows(x, y), cfg, n_members=2,
+                              base_seed=1, prep=prep)
     return model
 
 
@@ -497,7 +592,7 @@ class TestDatasetUncertaintyProfile:
         windows = build_windows(units, 5, 2, 128)
         assert len(seen) == len(ids) == len(windows) == 7
         for k, seq in enumerate(seen):
-            assert np.array_equal(seq, windows.inputs[k])
+            assert np.array_equal(seq, window(windows.inputs, k))
         assert list(zip(ids.tolist(), cycles.tolist())) == \
             [(1, 5), (1, 7), (1, 9), (3, 5), (3, 7), (3, 9), (3, 11)]
 

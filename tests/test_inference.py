@@ -125,11 +125,12 @@ def test_ragged_input_validation():
 
 
 def _unit(unit_id, n_cycles, seed, true_rul=None):
+    # the 3 operational settings and no sensor: 3 columns under 3 names
     rng = np.random.default_rng(seed)
     return UnitSeries(unit_id=unit_id, cycles=np.arange(1, n_cycles + 1),
                       features=np.hstack([rng.normal(size=(n_cycles, 2)),
                                           rng.normal(size=(n_cycles, 1))]),
-                      sensor_ids=(2,), true_final_rul=true_rul)
+                      sensor_ids=(), true_final_rul=true_rul)
 
 
 def test_empty_unit_list_returns_empty():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import as_windows
 from rulens.cmapss import UnitSeries
 from rulens.config import TrainingConfig
 from rulens.ensemble import train_ensemble
@@ -318,8 +319,8 @@ def eval_model():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(16, 6, 4))
     y = np.abs(x.sum(axis=-1)) + 50.0
-    model, _ = train_ensemble(arch, (x, y), TrainingConfig(max_epochs=1,
-                                                           batch_size=8),
+    model, _ = train_ensemble(arch, as_windows(x, y),
+                              TrainingConfig(max_epochs=1, batch_size=8),
                               n_members=2, base_seed=3)
     return model
 

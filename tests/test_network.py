@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import (GaussianSeqPrediction, batch_forward, batch_loss,
-                       finite_diff_check, forward, gaussian_nll)
+                       as_windows, finite_diff_check, forward, gaussian_nll,
+                       member_grad)
 from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
 from rulens.config import TrainingConfig
 from rulens.errors import DivergenceError
 from rulens.network import (VAR_FLOOR, Architecture, PnnParams, adam_step,
-                            clip_global_norm, grad, init_params, sigmoid,
-                            train_pnn)
+                            Stack, clip_global_norm, grad, init_params,
+                            sigmoid, train_pnn)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -312,7 +313,7 @@ class TestGrad:
         # exactly-zero network on zero targets: residual is 0, so only the
         # variance bias receives gradient
         params = _zero_params(Architecture(2, (3,), (2,)))
-        flat, _ = grad(params, np.zeros((2, 4, 2)), np.zeros((2, 4)))
+        flat, _ = member_grad(params, np.zeros((2, 4, 2)), np.zeros((2, 4)))
         grads = params.arch.unflatten(flat)
         assert grads["dense0.b"][0] == 0.0
         assert grads["dense0.b"][1] > 0.0
@@ -324,8 +325,9 @@ class TestGrad:
         params = init_params(arch, seed=1)
         x = np.random.default_rng(2).normal(size=(1, 4, 2))
         y = np.zeros((1, 4))
-        g1, l1 = grad(params, x, y)
-        g2, l2 = grad(params, np.repeat(x, 2, axis=0), np.repeat(y, 2, axis=0))
+        g1, l1 = member_grad(params, x, y)
+        g2, l2 = member_grad(params, np.repeat(x, 2, axis=0),
+                             np.repeat(y, 2, axis=0))
         assert l1 == pytest.approx(l2)
         assert np.allclose(g1, g2)
 
@@ -338,11 +340,39 @@ class TestGrad:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(batch, 100, 18))
         y = rng.uniform(0.0, 120.0, size=(batch, 100))
-        _, loss = grad(params, x, y)
+        _, loss = member_grad(params, x, y)
         mu, var = batch_forward(params, x)
         nll = np.mean([gaussian_nll(GaussianSeqPrediction(m, v), t)
                        for m, v, t in zip(mu, var, y)])
         assert loss == nll
+
+    @pytest.mark.parametrize("arch", [Architecture(18, (32, 16), (2,)),
+                                      Architecture(5, (8, 4, 6), (3, 2))])
+    def test_stack_rows_are_the_bits_of_members_alone(self, arch):
+        # row j of a stack's gradients and losses depends on member j's
+        # parameters and batch only
+        rng = np.random.default_rng(12)
+        M, B, T = 3, 13, 20
+        vectors = np.stack([init_params(arch, seed=s).vector
+                            for s in range(M)])
+        x = rng.normal(size=(M * B, T, arch.input_dim))
+        y = rng.uniform(0.0, 120.0, size=(M * B, T))
+        grads, losses = grad(Stack(arch, vectors), x, y)
+        for j in range(M):
+            rows = slice(j * B, (j + 1) * B)
+            alone, loss = grad(Stack(arch, vectors[j:j + 1]), x[rows],
+                               y[rows])
+            assert grads[j].tobytes() == alone[0].tobytes()
+            assert losses[j] == loss[0]
+
+    def test_divergence_names_stack_row(self):
+        arch = Architecture(2, (3,), (2,))
+        vectors = np.stack([init_params(arch, seed=s).vector for s in (1, 2)])
+        y = np.zeros((6, 4))
+        y[3 + 2] = 1e200        # member 1's sample 2
+        with pytest.raises(DivergenceError) as err:
+            grad(Stack(arch, vectors), np.zeros((6, 4, 2)), y)
+        assert (err.value.member, err.value.sample_index) == (1, 2)
 
     def test_divergence_reports_sample_index(self):
         arch = Architecture(2, (3,), (2,))
@@ -351,7 +381,7 @@ class TestGrad:
         y = np.zeros((3, 4))
         y[2] = 1e200  # residual overflows for this sample only
         with pytest.raises(DivergenceError) as err:
-            grad(params, x, y)
+            member_grad(params, x, y)
         assert err.value.sample_index == 2
 
     def test_finite_diff_check_guards(self):
@@ -393,8 +423,8 @@ class TestGradBuffers:
         shapes = [(32, 30), (32, 30), (12, 30), (32, 30), (32, 11), (32, 11)]
         for i, (B, T) in enumerate(shapes):
             x, y = self._batch(arch, i, B, T)
-            got, loss = grad(params, x, y, buffers)
-            ref, ref_loss = grad(params, x, y)
+            got, loss = member_grad(params, x, y, buffers)
+            ref, ref_loss = member_grad(params, x, y)
             assert loss == ref_loss
             assert got.tobytes() == ref.tobytes()
             _poison(buffers)
@@ -403,51 +433,57 @@ class TestGradBuffers:
     def test_returned_gradients_do_not_alias_buffers(self, arch):
         params = init_params(arch, seed=4)
         buffers: dict = {}
-        first, _ = grad(params, *self._batch(arch, 0, 16, 12), buffers)
+        first, _ = member_grad(params, *self._batch(arch, 0, 16, 12),
+                               buffers)
         kept = first.copy()
         assert not any(np.shares_memory(first, buf)
                        for buf in buffers.values())
-        grad(params, *self._batch(arch, 1, 16, 12), buffers)
+        member_grad(params, *self._batch(arch, 1, 16, 12), buffers)
         assert np.array_equal(first, kept)
 
     def test_same_shape_calls_allocate_once(self):
         arch = self.ARCHS[0]
         params = init_params(arch, seed=5)
         buffers: dict = {}
-        grad(params, *self._batch(arch, 0, 8, 10), buffers)
+        member_grad(params, *self._batch(arch, 0, 8, 10), buffers)
         before = dict(buffers)
-        grad(params, *self._batch(arch, 1, 8, 10), buffers)
+        member_grad(params, *self._batch(arch, 1, 8, 10), buffers)
         assert buffers.keys() == before.keys()
         assert all(buffers[k] is before[k] for k in before)
 
     @staticmethod
     def _tape_keys(arch) -> set[str]:
         return {f"lstm{k}.{key}" for k in range(len(arch.recurrent_layers))
-                for key in ("gates", "h", "c", "tc")} | {"raw"}
+                for key in ("gates", "h", "c")} | {"raw"}
 
     def test_buffers_hold_each_activation_once(self):
-        # the tape, the time-major input copy "x" and the two backward work
-        # arrays, sized for the widest LSTM layer; nothing else
+        # the tape and the one backward work array, sized for the widest
+        # LSTM layer; nothing else. The gate gradients go into the gates,
+        # tanh(c) is recomputed, and the input batch is the caller's:
+        # train_pnn gathers it into its own buffer, T * B * F more per member
         arch = self.ARCHS[0]
         B, T, F = 32, 100, 18
         buffers: dict = {}
-        grad(init_params(arch, seed=6), *self._batch(arch, 0, B, T), buffers)
-        assert buffers.keys() == self._tape_keys(arch) | {"x", "d_z", "d_above"}
-        tape = sum(T * B * 4 * h + 2 * (T + 1) * B * h + T * B * h
+        member_grad(init_params(arch, seed=6), *self._batch(arch, 0, B, T),
+                    buffers)
+        assert buffers.keys() == self._tape_keys(arch) | {"d_above"}
+        tape = sum(T * B * 4 * h + 2 * (T + 1) * B * h
                    for h in arch.recurrent_layers) + B * T
-        work = T * B * F + T * B * 4 * 32 + T * B * 32
+        work = T * B * 32
         assert sum(buf.nbytes for buf in buffers.values()) == \
-            8 * (tape + work) == 13_208_576
+            8 * (tape + work) == 8_242_176
+        assert 8 * (tape + work + T * B * F) == 8_702_976
 
     def test_hidden_dense_layers_record_only_their_output(self):
         # dense layer 0 reads the top LSTM layer's h from the tape, and
         # dense layer k > 0 the recorded tanh output of layer k - 1
         arch = self.ARCHS[1]
         buffers: dict = {}
-        grad(init_params(arch, seed=7), *self._batch(arch, 0, 4, 9), buffers)
+        member_grad(init_params(arch, seed=7), *self._batch(arch, 0, 4, 9),
+                    buffers)
         assert buffers.keys() == self._tape_keys(arch) | {
-            "dense0.out", "x", "d_z", "d_above"}
-        assert buffers["dense0.out"].shape == (9, 1, 4, 3)
+            "dense0.out", "d_above"}
+        assert buffers["dense0.out"].shape == (1, 9, 4, 3)
 
     def test_matches_central_differences_through_buffers(self):
         # the buffers hold another batch of the same shape, poisoned
@@ -456,7 +492,7 @@ class TestGradBuffers:
         for _ in range(6):
             params, x, y = random_small_net(rng)
             buffers: dict = {}
-            grad(params, x + 1.0, y * 0.5, buffers)
+            member_grad(params, x + 1.0, y * 0.5, buffers)
             _poison(buffers)
             worst = max(worst,
                         finite_diff_check(params, x, y, CHECK_EPS, buffers))
@@ -569,21 +605,23 @@ class TestTrainLoop:
         x, y = self._data()
         arch = Architecture(2, (4,), (2,))
         cfg = TrainingConfig(max_epochs=4, batch_size=8)
-        a, ha = train_pnn(arch, (x, y), cfg, seed=11)
-        b, hb = train_pnn(arch, (x, y), cfg, seed=11)
+        [(a, ha)] = train_pnn(arch, as_windows(x, y), cfg, [11])
+        [(b, hb)] = train_pnn(arch, as_windows(x, y), cfg, [11])
         assert all(np.array_equal(a.arrays[k], b.arrays[k]) for k in a.arrays)
         assert ha.epoch_losses == hb.epoch_losses
 
     def test_loss_decreases_on_learnable_data(self):
         x, y = self._data(n=80)
         cfg = TrainingConfig(max_epochs=12, batch_size=16)
-        _, hist = train_pnn(Architecture(2, (6,), (2,)), (x, y), cfg, seed=1)
+        [(_, hist)] = train_pnn(Architecture(2, (6,), (2,)), as_windows(x, y),
+                                cfg, [1])
         assert hist.epoch_losses[-1] < hist.epoch_losses[0]
 
     def test_stop_reason_max_epochs(self):
         x, y = self._data()
         cfg = TrainingConfig(max_epochs=3, early_stop_start=35, patience=3)
-        _, hist = train_pnn(Architecture(2, (3,), (2,)), (x, y), cfg, seed=2)
+        [(_, hist)] = train_pnn(Architecture(2, (3,), (2,)), as_windows(x, y),
+                                cfg, [2])
         assert hist.stop_reason == "max_epochs"
         assert hist.stop_epoch == 3
         assert len(hist.epoch_losses) == 3
@@ -597,7 +635,8 @@ class TestTrainLoop:
         cfg = TrainingConfig(max_epochs=100, early_stop_start=6, patience=3)
         # configs refuse lr=0, so freeze the parameters after construction
         cfg.learning_rate = 0.0
-        _, hist = train_pnn(Architecture(2, (3,), (2,)), (x, y), cfg, seed=3)
+        [(_, hist)] = train_pnn(Architecture(2, (3,), (2,)), as_windows(x, y),
+                                cfg, [3])
         assert hist.stop_reason == "early_stop"
         assert hist.stop_epoch >= cfg.early_stop_start
         assert len(hist.epoch_losses) == hist.stop_epoch
@@ -610,7 +649,9 @@ class TestTrainLoop:
     def test_returns_best_snapshot(self):
         x, y = self._data(n=60)
         cfg = TrainingConfig(max_epochs=10, batch_size=16)
-        params, hist = train_pnn(Architecture(2, (4,), (2,)), (x, y), cfg, seed=4)
+        [(params, hist)] = train_pnn(Architecture(2, (4,), (2,)),
+                                     as_windows(x, y), cfg,
+                                     [4])
         assert hist.best_loss == min(hist.epoch_losses)
         assert hist.best_epoch == int(np.argmin(hist.epoch_losses)) + 1
         assert hist.stop_epoch <= cfg.max_epochs
@@ -619,13 +660,14 @@ class TestTrainLoop:
         x, y = self._data(n=20)
         y[3] = 1e200
         cfg = TrainingConfig(max_epochs=2)
-        with pytest.raises(DivergenceError) as err:
-            train_pnn(Architecture(2, (3,), (2,)), (x, y), cfg, seed=0)
-        assert err.value.epoch == 1
+        [err] = train_pnn(Architecture(2, (3,), (2,)), as_windows(x, y), cfg,
+                          [0])
+        assert isinstance(err, DivergenceError)
+        assert err.epoch == 1
 
     def test_gathered_views_match_stacked_arrays(self):
-        # windows gathered from the sliding views train bit-identically to
-        # the same windows stacked into [N, T, F] / [N, T] arrays
+        # windows picked by start from the units' overlapping rows train
+        # bit-identically to the same windows copied out one after another
         rng = np.random.default_rng(8)
         units = [UnitSeries(uid, np.arange(1, n + 1),
                             np.hstack([rng.normal(size=(n, 3)),
@@ -638,15 +680,34 @@ class TestTrainLoop:
         assert x.shape == (15, 6, 5) and len(windows) == 15
         arch = Architecture(5, (3,), (2,))
         cfg = TrainingConfig(max_epochs=3, batch_size=4)
-        params, hist = train_pnn(arch, (windows.inputs, windows.targets), cfg, 7)
-        direct, hist2 = train_pnn(arch, (x, y), cfg, 7)
+        [(params, hist)] = train_pnn(arch, (windows.inputs, windows.targets),
+                                     cfg, [7])
+        [(direct, hist2)] = train_pnn(arch, as_windows(x, y), cfg, [7])
         assert all(np.array_equal(params.arrays[k], direct.arrays[k])
                    for k in params.arrays)
         assert hist.epoch_losses == hist2.epoch_losses
+
+    def test_stack_members_equal_members_trained_alone(self):
+        # in one stack, seed 4 stops early at epoch 3, seed 3 at epoch 5 and
+        # seed 5 at epoch 11; each leaves with its own best snapshot, and
+        # the last batch of every epoch is short
+        x, y = self._data()
+        arch = Architecture(2, (4,), (2,))
+        cfg = TrainingConfig(max_epochs=20, batch_size=16, early_stop_start=2,
+                             patience=1, learning_rate=0.3)
+        stack = train_pnn(arch, as_windows(x, y), cfg, [3, 4, 5])
+        assert [(h.stop_reason, h.stop_epoch) for _, h in stack] == \
+            [("early_stop", 5), ("early_stop", 3), ("early_stop", 11)]
+        for seed, (params, hist) in zip((3, 4, 5), stack):
+            [(alone, alone_hist)] = train_pnn(arch, as_windows(x, y), cfg,
+                                              [seed])
+            assert params.seed == seed
+            assert params.vector.tobytes() == alone.vector.tobytes()
+            assert hist == alone_hist
 
     def test_batch_loss_matches_grad_loss(self):
         x, y = self._data(n=6)
         arch = Architecture(2, (3,), (2,))
         params = init_params(arch, seed=9)
-        _, loss = grad(params, x, y)
+        _, loss = member_grad(params, x, y)
         assert batch_loss(params, x, y) == pytest.approx(loss, rel=1e-12)
