@@ -5,10 +5,11 @@ ensemble predictive distribution is the uniform Gaussian mixture over
 members, summarized by its first two moments; the predictive variance then
 splits into an aleatoric part (mean of member log variances) and an
 epistemic part (the rest), both in nats with additive constants dropped.
-Inference runs all members at once over their parameter vectors stacked
-into one [M, n_params] matrix, so every member must share one architecture;
-training, where the members outnumber the workers, runs them in stacks of
-STACK_SIZE the same way.
+Inference runs the members over their parameter vectors stacked into one
+[M, n_params] matrix, so every member must share one architecture: all of
+them at once in this process over full histories, and in contiguous row
+chunks of at least READ_CHUNK_MEMBERS, one per forked worker, over windows. Training, where the members
+outnumber the workers, runs them in stacks of STACK_SIZE the same way.
 """
 
 from __future__ import annotations
@@ -136,10 +137,22 @@ def decompose_uncertainty(member_means: np.ndarray,
 STACK_SIZE = 2
 
 
+# Fewest members in one chunk of the windowed read-out (see read_out). A
+# forward_stacked call pays a fixed cost per step whatever its member
+# count, so every extra chunk adds CPU time on any number of CPUs. In one
+# process at one BLAS thread, on the benchmark's window_profile inputs (15
+# members, windows of 100 steps, [32, 16]), reading the members in 3
+# chunks took 3-7% more CPU than in one, 5 chunks 3-11%, 8 chunks 15-24%
+# and 15 one-member chunks 41-60%. Chunks of at least 5 hold that cost
+# near a tenth: a 15-member model forks at most 3 workers, and a model of
+# fewer than 10 members reads out in this process.
+READ_CHUNK_MEMBERS = 5
+
+
 def _worker_count(n_jobs: int) -> int:
-    """Processes to run n_jobs jobs (members or stacks) in: one per CPU
-    this process may run on (os.cpu_count() where affinity is unknown), at
-    most one per job."""
+    """Processes to run n_jobs jobs (stacks or member chunks) in: one per
+    CPU this process may run on (os.cpu_count() where affinity is unknown),
+    at most one per job."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity API on this platform
@@ -161,43 +174,43 @@ def _train_stack(arch: Architecture, train_windows: tuple,
             for (k, seed), result in zip(jobs, results)]
 
 
-# In a pool worker, the parent's stack trainer, inherited through fork.
-_worker_train = None
+# In a pool worker, the parent's job function, inherited through fork.
+_worker_job = None
 
 
-def _start_worker(train: Callable) -> None:
-    global _worker_train
-    _worker_train = train
+def _start_worker(job: Callable) -> None:
+    global _worker_job
+    _worker_job = job
     # Ctrl-C reaches the whole process group; the parent alone reacts, and
     # tears the pool down
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _train_in_worker(jobs: list[tuple[int, int]]) -> list:
-    return _worker_train(jobs)
+def _run_in_worker(arg):
+    return _worker_job(arg)
 
 
 @contextmanager
-def _stack_results(train: Callable, stacks: list[list[tuple[int, int]]]
-                   ) -> Iterator[Iterator[list]]:
-    """train(stack) for every stack, in stack order.
+def _pool_results(job: Callable, args: list) -> Iterator[Iterator]:
+    """job(arg) for every arg, in order.
 
-    With more than one worker (see _worker_count), the stacks run in a pool
-    of forked processes: each inherits the data, the architecture, the
-    config and the BLAS setting, so only a stack's (k, seed) pairs go out
-    and its results come back. Otherwise they run here, one after
-    another. Leaving the block stops and reaps every worker.
+    With more than one worker (see _worker_count), the jobs run in a pool
+    of forked processes: each inherits job and all it holds (data, model,
+    config, the BLAS setting), so only an arg goes out and its result comes
+    back. Otherwise they run here, one after another. An error in a job
+    reaches the caller as the job raised it, and leaving the block stops
+    and reaps every worker.
     """
-    n_workers = _worker_count(len(stacks))
+    n_workers = _worker_count(len(args))
     if n_workers <= 1:
-        yield map(train, stacks)
+        yield map(job, args)
         return
     # imported here: the inference commands import this module too
     import multiprocessing
     with multiprocessing.get_context("fork").Pool(
             n_workers, initializer=_start_worker,
-            initargs=(train,)) as pool:
-        yield pool.imap(_train_in_worker, stacks)
+            initargs=(job,)) as pool:
+        yield pool.imap(_run_in_worker, args)
 
 
 def train_ensemble(arch: Architecture,
@@ -239,7 +252,7 @@ def train_ensemble(arch: Architecture,
     size = STACK_SIZE if _worker_count(len(jobs)) < len(jobs) else 1
     stacks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
     train = functools.partial(_train_stack, arch, train_windows, train_cfg)
-    with _stack_results(train, stacks) as results:
+    with _pool_results(train, stacks) as results:
         for stack, stack_results in zip(stacks, results):
             for (k, _), result in zip(stack, stack_results):
                 if isinstance(result, DivergenceError):
@@ -250,17 +263,22 @@ def train_ensemble(arch: Architecture,
     return EnsembleModel(arch, members, base_seed, prep), histories
 
 
-def predict_members(model: EnsembleModel, seqs: Sequence[np.ndarray]
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every member over a ragged list of sequences [T_i, F] in one stacked
-    pass -> per sequence, in input order, member means/vars [M, T_i].
-
-    A reading may differ in the last bits with the sequences it is batched
-    with (BLAS summation order follows the batch shape); the same call
-    always returns the same bits.
-    """
-    vectors = np.stack([p.vector for p in model.members])
-    return forward_stacked(model.architecture, vectors, seqs)
+def _member_readings(arch: Architecture, vectors: np.ndarray,
+                     passes: list[list[tuple[np.ndarray, Sequence[int]]]],
+                     rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The readings of members vectors[rows] -> their means and variances
+    [m, N]: every pass is one forward_stacked call over its (sequence,
+    steps) pairs, and each sequence is read at its steps."""
+    vectors = vectors[rows]
+    means = [np.empty((len(vectors), 0))]
+    varis = [np.empty((len(vectors), 0))]
+    for pairs in passes:
+        preds = forward_stacked(arch, vectors, [seq for seq, _ in pairs])
+        for (m, v), (_, steps) in zip(preds, pairs):
+            # indexing by steps copies, so no pass's output stays alive
+            means.append(m[:, steps])
+            varis.append(v[:, steps])
+    return np.concatenate(means, axis=1), np.concatenate(varis, axis=1)
 
 
 def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
@@ -270,10 +288,15 @@ def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
     ends[i], decomposed in one call -> (unit ids, cycles, decomposition),
     one column entry per reading, in unit order, then in the order of ends.
 
-    By default all units' full histories run in one pass. With a window
-    length, each reading comes from the window of that many steps ending at
-    it instead, one pass per unit holding all of its windows. A model with
-    a preprocessing record refuses a unit of another feature layout.
+    By default all units' full histories run in one pass, here. With a
+    window length, each reading comes from the window of that many steps
+    ending at it instead, one pass per unit holding all of its windows, and
+    the members run in contiguous row chunks of at least READ_CHUNK_MEMBERS,
+    one per forked worker (see _worker_count; `taskset -c 0` gives the
+    serial run, as do no windows at all). The chunks change no bit: every
+    product in a pass is one BLAS call per member, the rest is elementwise,
+    and member_mean ignores member order and layout. A model with a
+    preprocessing record refuses a unit of another feature layout.
     """
     if model.prep is not None:
         for unit in units:
@@ -281,18 +304,21 @@ def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
     if window is None:
         passes = [[(unit.features, e) for unit, e in zip(units, ends)]]
     else:
-        passes = ([(unit.features[i - window + 1:i + 1], [-1]) for i in e]
-                  for unit, e in zip(units, ends))
-    means = [np.empty((model.n_members, 0))]
-    varis = [np.empty((model.n_members, 0))]
-    for pairs in passes:
-        preds = predict_members(model, [seq for seq, _ in pairs])
-        for (m, v), (_, steps) in zip(preds, pairs):
-            # indexing by steps copies, so no pass's output stays alive
-            means.append(m[:, steps])
-            varis.append(v[:, steps])
-    dec = decompose_uncertainty(np.concatenate(means, axis=1),
-                                np.concatenate(varis, axis=1))
+        passes = [[(unit.features[i - window + 1:i + 1], [-1]) for i in e]
+                  for unit, e in zip(units, ends)]
+    n = 1
+    if window is not None and any(passes):
+        n = _worker_count(max(1, model.n_members // READ_CHUNK_MEMBERS))
+    bounds = [model.n_members * j // n for j in range(n + 1)]
+    read = functools.partial(_member_readings, model.architecture,
+                             np.stack([p.vector for p in model.members]),
+                             passes)
+    with _pool_results(read, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+                       ) as results:
+        chunks = list(results)
+    means = np.concatenate([m for m, _ in chunks])
+    varis = np.concatenate([v for _, v in chunks])
+    dec = decompose_uncertainty(means, varis)
     unit_ids = np.repeat(np.array([unit.unit_id for unit in units], np.int64),
                          [len(e) for e in ends])
     cycles = np.concatenate([np.zeros(0, np.int64)]

@@ -2,8 +2,9 @@
 Gaussian NLL, and the finite-difference check on the hand-derived gradients;
 and the window helpers that turn arrays into what training reads.
 
-Shared by the network, ensemble and gradient tests and acceptance
-criterion 1; they check the library, they are not part of it.
+Shared by the network, ensemble, inference and gradient tests and
+acceptance criteria 1 and 5; they check the library, they are not part of
+it.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,14 @@ def forward(params: PnnParams, inputs: np.ndarray) -> GaussianSeqPrediction:
     """Predict per-time-step (mean, variance) for one sequence [T, F]."""
     [(mu, var)] = forward_stacked(params.arch, params.vector[None], [inputs])
     return GaussianSeqPrediction(means=mu[0], variances=var[0])
+
+
+def predict_members(model, seqs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every member of an ensemble.EnsembleModel over a ragged list of
+    sequences [T_i, F] in one forward_stacked call -> per sequence, in
+    input order, member means/vars [M, T_i]."""
+    vectors = np.stack([p.vector for p in model.members])
+    return forward_stacked(model.architecture, vectors, seqs)
 
 
 def gaussian_nll(pred: GaussianSeqPrediction, targets: np.ndarray) -> float:

@@ -17,10 +17,9 @@ import yaml
 
 from conftest import cmapss_dir, fd001_files, needs_fd001, run_cli
 from rulens.config import TrainingConfig
-from rulens.ensemble import (aggregate, decompose_uncertainty, predict_members,
-                             train_ensemble)
+from rulens.ensemble import aggregate, decompose_uncertainty, train_ensemble
 from rulens.metrics import interval_bounds, nasa_score, nmpiw, picp
-from gradcheck import as_windows, finite_diff_check
+from gradcheck import as_windows, finite_diff_check, predict_members
 from rulens.network import Architecture, init_params
 
 

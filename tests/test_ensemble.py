@@ -3,6 +3,7 @@
 import logging
 import multiprocessing
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gradcheck import as_windows, forward, window
+from gradcheck import as_windows, forward, predict_members, window
 from rulens import ensemble, network
 from rulens.cmapss import NormStats, Preprocessing, UnitSeries, build_windows
 from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, aggregate,
                              dataset_uncertainty_profile, decompose_uncertainty,
-                             member_mean, predict_members, read_out,
-                             train_ensemble)
+                             member_mean, read_out, train_ensemble)
 from rulens.errors import DataIntegrityError, DivergenceError
 from rulens.network import Architecture, init_params, train_pnn
 
@@ -329,7 +329,9 @@ class TestTrainEnsemble:
 class TestWorkers:
     """Members that resume does not supply train in forked workers, one per
     allowed CPU (ensemble._worker_count), in stacks of two where they
-    outnumber the workers; neither the count nor the stacks change a bit."""
+    outnumber the workers; the windowed read-out runs the members in one
+    contiguous row chunk per worker, of at least READ_CHUNK_MEMBERS members.
+    Neither the count, the stacks nor the chunks change a bit."""
 
     @staticmethod
     def _serial(monkeypatch):
@@ -342,14 +344,17 @@ class TestWorkers:
 
     @staticmethod
     def _pairs(monkeypatch):
-        # two workers, so more than two members train in stacks of two
+        # two workers, so more than two members train in stacks of two, and
+        # the read-out splits the members in two chunks, however few
         monkeypatch.setattr(ensemble, "_worker_count", lambda n: min(n, 2))
+        monkeypatch.setattr(ensemble, "READ_CHUNK_MEMBERS", 1)
 
     @staticmethod
     def _parallel(monkeypatch):
         # one worker per member, however many CPUs this machine has, so
-        # every member trains alone
+        # every member trains, and is read out, alone
         monkeypatch.setattr(ensemble, "_worker_count", lambda n: n)
+        monkeypatch.setattr(ensemble, "READ_CHUNK_MEMBERS", 1)
 
     def _train(self, monkeypatch, layout, **kwargs):
         with monkeypatch.context() as m:
@@ -376,8 +381,8 @@ class TestWorkers:
         # a pair takes about 1.5x one member, so members with a worker each
         # train alone
         stacks = []
-        real = ensemble._stack_results
-        monkeypatch.setattr(ensemble, "_stack_results", lambda train, jobs: (
+        real = ensemble._pool_results
+        monkeypatch.setattr(ensemble, "_pool_results", lambda train, jobs: (
             stacks.append([[k for k, _ in stack] for stack in jobs])
             or real(train, jobs)))
         for layout in (self._serial, self._pairs, self._parallel):
@@ -422,6 +427,120 @@ class TestWorkers:
         assert (str(parallel), parallel.epoch, parallel.sample_index) == \
             (str(serial), serial.epoch, serial.sample_index)
         assert "member 1 (seed 1)" in str(parallel)
+
+    @staticmethod
+    def _five_members(profile_model):
+        # five members, so the two-worker chunks (rows 0-1 and 2-4) and one
+        # worker per member are different layouts
+        arch = profile_model.architecture
+        return EnsembleModel(arch, [init_params(arch, seed=k)
+                                    for k in range(5)],
+                             base_seed=0, prep=profile_model.prep)
+
+    @staticmethod
+    def _windows(monkeypatch, layout, model, units):
+        with monkeypatch.context() as m:
+            layout(m)
+            return dataset_uncertainty_profile(model, units, per_window=True)
+
+    def test_windowed_read_out_same_bits_in_every_layout(self, monkeypatch,
+                                                         profile_model):
+        model = self._five_members(profile_model)
+        units = [_make_unit(1, 9, seed=6), _make_unit(2, 3, seed=7),
+                 _make_unit(3, 12, seed=8)]
+        pools = []
+        real = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: pools.append(method) or real(method))
+        runs = [self._windows(monkeypatch, layout, model, units)
+                for layout in (self._serial, self._pairs, self._parallel)]
+        assert pools == ["fork", "fork"]
+        assert multiprocessing.active_children() == []
+        serial_ids, serial_cycles, serial = runs[0]
+        assert serial_ids.tolist() == [1, 1, 1, 3, 3, 3, 3]
+        for ids, cycles, dec in runs[1:]:
+            assert ids.tobytes() == serial_ids.tobytes()
+            assert cycles.tobytes() == serial_cycles.tobytes()
+            for field in ("aleatoric", "epistemic", "total", "mean",
+                          "variance"):
+                assert getattr(dec, field).tobytes() == \
+                    getattr(serial, field).tobytes(), field
+
+    def test_full_history_read_out_starts_no_pool(self, monkeypatch,
+                                                  profile_model):
+        # one worker per member on offer, yet every full-history read-out
+        # runs in this process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for a full-history read-out")
+
+        monkeypatch.setattr(ensemble, "_worker_count", lambda n: n)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        model = self._five_members(profile_model)
+        units = [_make_unit(1, 9, seed=6), _make_unit(2, 3, seed=7)]
+        ids, cycles, _ = dataset_uncertainty_profile(model, units)
+        assert (ids.tolist(), cycles.tolist()) == ([1, 2], [9, 3])
+        ids, cycles, dec = read_out(model, units, [np.arange(len(unit))
+                                                   for unit in units])
+        assert cycles.tolist() == list(range(1, 10)) + [1, 2, 3]
+        assert dec.total.shape == (12,)
+
+    def test_error_in_a_read_out_worker_reaches_the_caller(self, monkeypatch,
+                                                           profile_model):
+        # a non-finite input value, in the second unit's last windows: the
+        # workers raise the serial run's error, and none is left running
+        model = self._five_members(profile_model)
+        bad = _make_unit(2, 9, seed=9)
+        features = bad.features.copy()
+        features[6, 1] = np.nan
+        units = [_make_unit(1, 9, seed=6), replace(bad, features=features)]
+        errors = []
+        for layout in (self._serial, self._pairs, self._parallel):
+            with pytest.raises(ValueError) as err:
+                self._windows(monkeypatch, layout, model, units)
+            errors.append(err.value)
+        assert multiprocessing.active_children() == []
+        assert [(type(e), str(e)) for e in errors] == \
+            [(ValueError, "non-finite values in network input")] * 3
+
+    def test_read_out_chunks_hold_at_least_read_chunk_members(
+            self, monkeypatch, profile_model):
+        # on 16 CPUs, 15 members read out in 3 chunks of 5, and 9 members
+        # in this process; on 2 CPUs, 10 members in 2 chunks of 5
+        chunks = []
+
+        @contextmanager
+        def recording(job, args):
+            chunks.append([(rows.start, rows.stop) for rows in args])
+            yield map(job, args)
+
+        monkeypatch.setattr(ensemble, "_pool_results", recording)
+        arch = profile_model.architecture
+        units = [_make_unit(1, 9, seed=6)]
+        for cpus, n_members in ((16, 15), (16, 9), (2, 10)):
+            monkeypatch.setattr(ensemble.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)),
+                                raising=False)
+            model = EnsembleModel(arch, [init_params(arch, seed=k)
+                                         for k in range(n_members)],
+                                  base_seed=0, prep=profile_model.prep)
+            dataset_uncertainty_profile(model, units, per_window=True)
+        assert chunks == [[(0, 5), (5, 10), (10, 15)], [(0, 9)],
+                          [(0, 5), (5, 10)]]
+
+    def test_read_out_of_no_windows_starts_no_pool(self, monkeypatch,
+                                                   profile_model):
+        # every unit is shorter than the window, so one worker per member
+        # would have nothing to read
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for no windows")
+
+        self._parallel(monkeypatch)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        model = self._five_members(profile_model)
+        units = [_make_unit(1, 3, seed=6), _make_unit(2, 4, seed=7)]
+        ids, cycles, dec = dataset_uncertainty_profile(model, units,
+                                                       per_window=True)
+        assert ids.size == cycles.size == dec.total.size == 0
 
     def test_worker_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(ensemble.os, "sched_getaffinity",
@@ -581,12 +700,15 @@ class TestDatasetUncertaintyProfile:
         units = [_make_unit(1, 9, seed=6), _make_unit(2, 3, seed=7),
                  _make_unit(3, 12, seed=8)]
         seen = []
+        real = ensemble.forward_stacked
 
-        def recording(model, seqs):
+        def recording(arch, vectors, seqs):
             seen.extend(seqs)
-            return predict_members(model, seqs)
+            return real(arch, vectors, seqs)
 
-        monkeypatch.setattr(ensemble, "predict_members", recording)
+        # in this process: a record made in a forked worker is lost
+        TestWorkers._serial(monkeypatch)
+        monkeypatch.setattr(ensemble, "forward_stacked", recording)
         ids, cycles, _ = dataset_uncertainty_profile(profile_model, units,
                                                      per_window=True)
         windows = build_windows(units, 5, 2, 128)

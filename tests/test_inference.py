@@ -5,9 +5,9 @@ per-sequence float64 forward kept here as the oracle."""
 import numpy as np
 import pytest
 
+from gradcheck import predict_members
 from rulens.cmapss import NormStats, Preprocessing, UnitSeries
-from rulens.ensemble import (EnsembleModel, dataset_uncertainty_profile,
-                             predict_members)
+from rulens.ensemble import EnsembleModel, dataset_uncertainty_profile
 from rulens.metrics import unit_predictions
 from rulens.network import Architecture, init_params
 
