@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_write
-from .cmapss import PREPROCESSING_KEYS, Preprocessing
+from .cmapss import Preprocessing
 from .config import TrainingConfig
 from .ensemble import EnsembleModel
 from .errors import DataIntegrityError
@@ -37,7 +37,7 @@ def member_path(ckpt_dir: Path | str, k: int) -> Path:
 
 def member_provenance(seed: int, arch: Architecture,
                       train_cfg: TrainingConfig,
-                      data_fingerprint: str | None) -> dict:
+                      data_fingerprint: str) -> dict:
     """What a member's parameters were trained from: its seed, architecture,
     training config, the archive's data fingerprint and the numerics in
     force (see network.numerics). A member header records it, and a resumed
@@ -48,8 +48,7 @@ def member_provenance(seed: int, arch: Architecture,
 
 
 def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
-                train_cfg: TrainingConfig,
-                data_fingerprint: str | None = None) -> str:
+                train_cfg: TrainingConfig, data_fingerprint: str) -> str:
     """Write one member checkpoint; returns the payload checksum. The
     header holds the member's provenance (member_provenance)."""
     payload = params.vector.astype("<f8", copy=False).tobytes()
@@ -117,7 +116,7 @@ def ensemble_fingerprint(manifest: dict) -> str:
 def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
                             train_cfg: TrainingConfig,
                             member_checksums: Sequence[str],
-                            config_echo: dict | None = None) -> str:
+                            config_echo: dict) -> str:
     """Write ensemble.json for member files already on disk, given the
     payload checksum of each (as save_member returns it, or as load_member
     read it); the files are not read again."""
@@ -136,8 +135,7 @@ def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
         "member_seeds": list(model.member_seeds),
         "member_files": files,
         "member_checksums": list(member_checksums),
-        **(model.prep.to_manifest() if model.prep is not None
-           else dict.fromkeys(PREPROCESSING_KEYS)),
+        **model.prep.to_manifest(),
         "train_config": dataclasses.asdict(train_cfg),
         "config": config_echo,
     }
@@ -156,15 +154,15 @@ _ENSEMBLE_ENTRIES = {
     "member_files": ((list,), str),
     "member_checksums": ((list,), str),
     "member_seeds": ((list,), int),
-    "norm_stats": ((dict, type(None)), ("feature_names", "mean", "std",
-                                        "constant_features")),
-    "preprocess": ((dict, type(None)), ("window_length", "stride", "rul_cap",
-                                        "dropped_sensors")),
-    "data_fingerprint": ((str, type(None)), None),
+    "norm_stats": ((dict,), ("feature_names", "mean", "std",
+                             "constant_features")),
+    "preprocess": ((dict,), ("window_length", "stride", "rul_cap",
+                             "dropped_sensors")),
+    "data_fingerprint": ((str,), None),
     "fingerprint": ((str,), None),
 }
 _JSON_TYPES = {dict: "an object", list: "a list", int: "an integer",
-               str: "a string", type(None): "null"}
+               str: "a string"}
 
 
 def _check_entries(manifest: dict, path: Path) -> None:

@@ -184,10 +184,10 @@ def cmd_train(args) -> int:
               f"{history.best_epoch}, stopped ({history.stop_reason}) "
               f"after {history.stop_epoch} epochs")
 
-    model, _ = train_ensemble(
+    members, _ = train_ensemble(
         arch, (windows.inputs, windows.targets), config.training, n_members,
-        base_seed, resume=reuse if args.resume else None, progress=save,
-        prep=split.prep)
+        base_seed, resume=reuse if args.resume else None, progress=save)
+    model = EnsembleModel(arch, members, base_seed, split.prep)
     fingerprint = write_ensemble_manifest(
         ckpt_dir, model, config.training,
         [checksums[k] for k in range(n_members)], config.resolved())
@@ -196,12 +196,12 @@ def cmd_train(args) -> int:
 
 
 def _check_pairing(model: EnsembleModel, archive_manifest: dict) -> None:
-    trained_on = model.prep.fingerprint if model.prep is not None else None
+    trained_on = model.prep.fingerprint
     if trained_on != archive_manifest["fingerprint"]:
         raise DataIntegrityError(
             "checkpoint/archive mismatch: the checkpoint was trained on a "
             "different preprocessing pipeline than this archive "
-            f"({str(trained_on)[:12]} vs "
+            f"({trained_on[:12]} vs "
             f"{archive_manifest['fingerprint'][:12]})")
 
 
@@ -276,9 +276,6 @@ def _parse_named_paths(specs: list[str]) -> list[tuple[str, Path]]:
 def cmd_uncertainty(args) -> int:
     config = _load_run_config(args)
     model, ckpt_manifest = load_ensemble(args.checkpoint)
-    if model.prep is None:
-        raise ValueError("checkpoint carries no normalization stats; "
-                         "train from an ingested archive first")
     datasets = _parse_named_paths(args.test)
     out = _out_dir(args, config, "uncertainty")
     comments = [f"checkpoint_fingerprint {ckpt_manifest['fingerprint']}",

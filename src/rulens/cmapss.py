@@ -224,7 +224,7 @@ def drop_sensors(units: Sequence[UnitSeries],
 
 
 def fit_norm_stats(train_units: Sequence[UnitSeries],
-                   on_constant: str = "error") -> NormStats:
+                   on_constant: str) -> NormStats:
     """Per-feature mean and population std over all training rows.
 
     A zero-variance feature either raises (on_constant="error", naming the
@@ -325,10 +325,6 @@ def build_windows(units: Sequence[UnitSeries], window_length: int,
                         WindowView(targets, window_length, starts))
 
 
-# the ensemble.json entries of a Preprocessing, all null without one
-PREPROCESSING_KEYS = ("norm_stats", "preprocess", "data_fingerprint")
-
-
 @dataclass(frozen=True)
 class Preprocessing:
     """Everything that turns raw units into a model's input space: sensor
@@ -365,7 +361,8 @@ class Preprocessing:
                           self.norm_stats)
 
     def to_manifest(self) -> dict:
-        """The PREPROCESSING_KEYS entries of ensemble.json."""
+        """The norm_stats, preprocess and data_fingerprint entries of
+        ensemble.json."""
         stats = self.norm_stats
         return {
             "norm_stats": {"feature_names": list(stats.feature_names),
@@ -379,24 +376,17 @@ class Preprocessing:
         }
 
     @classmethod
-    def from_manifest(cls, manifest: dict) -> Preprocessing | None:
-        """Inverse of to_manifest; None if the entries are all null.
-        Refuses entries that are partly null, or whose stats and windowing
+    def from_manifest(cls, manifest: dict) -> Preprocessing:
+        """Inverse of to_manifest. Refuses entries whose stats and windowing
         do not hash to the recorded data fingerprint."""
-        entries = [manifest.get(key) for key in PREPROCESSING_KEYS]
-        if all(entry is None for entry in entries):
-            return None
-        if None in entries:
-            raise DataIntegrityError(
-                f"{', '.join(PREPROCESSING_KEYS)} must be all null or all set")
-        stats, windowing, recorded = entries
+        stats, windowing = manifest["norm_stats"], manifest["preprocess"]
         prep = cls(NormStats(np.array(stats["mean"], dtype=np.float64),
                              np.array(stats["std"], dtype=np.float64),
                              tuple(stats["feature_names"]),
                              tuple(stats["constant_features"])),
                    windowing["window_length"], windowing["stride"],
                    windowing["rul_cap"], tuple(windowing["dropped_sensors"]))
-        if prep.fingerprint != recorded:
+        if prep.fingerprint != manifest["data_fingerprint"]:
             raise DataIntegrityError("normalization stats and windowing do "
                                      "not match the recorded data fingerprint")
         return prep

@@ -8,8 +8,9 @@ epistemic part (the rest), both in nats with additive constants dropped.
 Inference runs the members over their parameter vectors stacked into one
 [M, n_params] matrix, so every member must share one architecture: all of
 them at once in this process over full histories, and in contiguous row
-chunks of at least READ_CHUNK_MEMBERS, one per forked worker, over windows. Training, where the members
-outnumber the workers, runs them in stacks of STACK_SIZE the same way.
+chunks of at least READ_CHUNK_MEMBERS, one per forked worker, over
+windows. Training, where the members outnumber the workers, runs them in
+stacks of STACK_SIZE the same way.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class EnsembleModel:
     architecture: Architecture
     members: list[PnnParams]
     base_seed: int
-    prep: Preprocessing | None = None
+    prep: Preprocessing
 
     def __post_init__(self):
         if len(self.members) < 1:
@@ -221,8 +222,7 @@ def train_ensemble(arch: Architecture,
                    resume: Callable[[int, int], PnnParams | None] | None = None,
                    progress: Callable[[int, PnnParams, TrainHistory], None]
                    | None = None,
-                   prep: Preprocessing | None = None,
-                   ) -> tuple[EnsembleModel, list[TrainHistory | None]]:
+                   ) -> tuple[list[PnnParams], list[TrainHistory | None]]:
     """Train n_members networks with seeds base_seed + k, k = 0..M-1.
 
     train_windows is the (inputs, targets) pair train_pnn takes; a member
@@ -238,9 +238,8 @@ def train_ensemble(arch: Architecture,
     order as soon as it and those before it are done, so a caller can
     persist it. The first diverging member raises DivergenceError naming
     the member, after the members before it have gone to progress, and an
-    error or interrupt stops every worker. prep, the preprocessing that
-    made the windows, rides along on the model so inference can re-create
-    the model's input space.
+    error or interrupt stops every worker. Returns (members, histories),
+    both in member order.
     """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
@@ -260,7 +259,7 @@ def train_ensemble(arch: Architecture,
                 members[k], histories[k] = result
                 if progress is not None:
                     progress(k, *result)
-    return EnsembleModel(arch, members, base_seed, prep), histories
+    return members, histories
 
 
 def _member_readings(arch: Architecture, vectors: np.ndarray,
@@ -295,12 +294,11 @@ def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
     one per forked worker (see _worker_count; `taskset -c 0` gives the
     serial run, as do no windows at all). The chunks change no bit: every
     product in a pass is one BLAS call per member, the rest is elementwise,
-    and member_mean ignores member order and layout. A model with a
-    preprocessing record refuses a unit of another feature layout.
+    and member_mean ignores member order and layout. A unit of another
+    feature layout than the model's preprocessing is refused.
     """
-    if model.prep is not None:
-        for unit in units:
-            check_features(unit, model.prep.norm_stats)
+    for unit in units:
+        check_features(unit, model.prep.norm_stats)
     if window is None:
         passes = [[(unit.features, e) for unit, e in zip(units, ends)]]
     else:
@@ -341,9 +339,6 @@ def dataset_uncertainty_profile(model: EnsembleModel,
     """
     if not per_window:
         return read_out(model, units, [[len(unit) - 1] for unit in units])
-    if model.prep is None:
-        raise ValueError("model carries no windowing settings; "
-                         "per-window profiling needs them")
     length = model.prep.window_length
     all_starts = window_starts(units, length, model.prep.stride, "test")
     return read_out(model, units, [starts + length - 1 for starts in all_starts],

@@ -226,7 +226,12 @@ _REPORT_FIELDS = ("rmse", "score", "picp", "nmpiw", "n", "alpha",
 
 
 def report_to_dict(report: MetricReport) -> dict:
-    return {k: getattr(report, k) for k in _REPORT_FIELDS}
+    """The fields of report.json; an undefined NMPIW is None (JSON null),
+    since strict JSON has no NaN."""
+    fields = {k: getattr(report, k) for k in _REPORT_FIELDS}
+    if not np.isfinite(fields["nmpiw"]):
+        fields["nmpiw"] = None
+    return fields
 
 
 def report_to_text(report: MetricReport, extra: dict | None = None) -> str:

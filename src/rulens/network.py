@@ -55,8 +55,8 @@ class Architecture:
     """
 
     input_dim: int
-    recurrent_layers: tuple[int, ...] = (32, 16)
-    dense_layers: tuple[int, ...] = (2,)
+    recurrent_layers: tuple[int, ...]
+    dense_layers: tuple[int, ...]
 
     def __post_init__(self):
         self.recurrent_layers = tuple(int(h) for h in self.recurrent_layers)
@@ -126,9 +126,6 @@ class PnnParams:
     @property
     def arrays(self) -> dict[str, np.ndarray]:     # named views of vector
         return self.arch.unflatten(self.vector)
-
-    def copy(self) -> "PnnParams":
-        return PnnParams(self.arch, self.seed, self.vector.copy())
 
 
 @dataclass
@@ -339,7 +336,7 @@ def _nll_terms(mu: np.ndarray, var: np.ndarray, targets: np.ndarray) -> np.ndarr
 
 
 def grad(stack: Stack, inputs: np.ndarray, targets: np.ndarray,
-         buffers: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+         buffers: dict) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of each member's mean batch NLL, M members at once.
 
     inputs [M * B, T, F] and targets [M * B, T] hold the members' batches
@@ -368,8 +365,7 @@ def grad(stack: Stack, inputs: np.ndarray, targets: np.ndarray,
     copy of the inputs that the first layer's weight gradient reads, so
     repeated calls of one shape allocate them once. Each call overwrites
     what the previous one left there; nothing returned aliases them, and
-    the results are the same bits as with a fresh dict, which is what
-    buffers=None uses.
+    the results are the same bits as with a fresh dict.
     """
     arch, vectors = stack.arch, stack.vectors
     x = np.asarray(inputs, dtype=np.float64)
@@ -383,8 +379,6 @@ def grad(stack: Stack, inputs: np.ndarray, targets: np.ndarray,
     if B < 1:
         raise ValueError("batch must be nonempty")
     _check_input(arch, x, T)
-    if buffers is None:
-        buffers = {}
     x = np.ascontiguousarray(x.swapaxes(0, 1)).reshape(T, M, B, F)
     y = y.reshape(M, B, T)
 

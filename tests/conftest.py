@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Sequence
 
+import numpy as np
 import pytest
 import yaml
 
 from rulens.cli import main as cli_main
+from rulens.cmapss import NormStats, Preprocessing
 from rulens.synthetic import write_synthetic_dataset
 
 
@@ -41,6 +44,18 @@ needs_fd001 = pytest.mark.skipif(
 
 def run_cli(*argv: str) -> int:
     return cli_main([str(a) for a in argv])
+
+
+def toy_prep(feature_names: Sequence[str], window_length: int = 5,
+             stride: int = 1) -> Preprocessing:
+    """Preprocessing with identity Z-norm stats over feature_names, no
+    dropped sensors and rul_cap 128: what an ensemble.EnsembleModel needs
+    in a test whose inputs are already in model feature space."""
+    n = len(feature_names)
+    return Preprocessing(NormStats(np.zeros(n), np.ones(n),
+                                   tuple(feature_names)),
+                         window_length, stride, rul_cap=128,
+                         dropped_sensors=())
 
 
 @pytest.fixture(scope="session")

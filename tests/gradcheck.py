@@ -30,12 +30,17 @@ def forward(params: PnnParams, inputs: np.ndarray) -> GaussianSeqPrediction:
     return GaussianSeqPrediction(means=mu[0], variances=var[0])
 
 
-def predict_members(model, seqs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every member of an ensemble.EnsembleModel over a ragged list of
+def predict_members(members, seqs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Members (PnnParams of one architecture) over a ragged list of
     sequences [T_i, F] in one forward_stacked call -> per sequence, in
     input order, member means/vars [M, T_i]."""
-    vectors = np.stack([p.vector for p in model.members])
-    return forward_stacked(model.architecture, vectors, seqs)
+    vectors = np.stack([p.vector for p in members])
+    return forward_stacked(members[0].arch, vectors, seqs)
+
+
+def copy_params(params: PnnParams) -> PnnParams:
+    """A member with its own copy of the parameter vector."""
+    return PnnParams(params.arch, params.seed, params.vector.copy())
 
 
 def gaussian_nll(pred: GaussianSeqPrediction, targets: np.ndarray) -> float:
@@ -68,9 +73,10 @@ def batch_loss(params: PnnParams, inputs: np.ndarray, targets: np.ndarray) -> fl
 def member_grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
                 buffers: dict | None = None) -> tuple[np.ndarray, float]:
     """grad for one member over a batch [B, T, F] with targets [B, T] ->
-    (gradient laid out as params.vector, loss)."""
+    (gradient laid out as params.vector, loss); without buffers, grad gets
+    a fresh dict."""
     grads, losses = grad(Stack(params.arch, params.vector[None]), inputs,
-                         targets, buffers)
+                         targets, {} if buffers is None else buffers)
     return grads[0], float(losses[0])
 
 
@@ -89,7 +95,7 @@ def finite_diff_check(params: PnnParams, inputs: np.ndarray,
     if n_params > 10_000:
         raise ValueError(f"{n_params} parameters; finite differences capped at 10000")
     analytic, _ = member_grad(params, inputs, targets, buffers)
-    work = params.copy()
+    work = copy_params(params)
     worst = 0.0
     flat = work.vector
     for j in range(flat.size):

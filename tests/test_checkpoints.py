@@ -13,14 +13,15 @@ from rulens.checkpoints import (ensemble_fingerprint, load_ensemble,
 from rulens.cmapss import (NormStats, Preprocessing, apply_norm, drop_sensors,
                            window_starts)
 from rulens.config import TrainingConfig
-from rulens.ensemble import (dataset_uncertainty_profile, read_out,
-                             train_ensemble)
+from rulens.ensemble import (EnsembleModel, dataset_uncertainty_profile,
+                             read_out, train_ensemble)
 from rulens.errors import DataIntegrityError
 from rulens.network import TRAINING_BITS, Architecture, train_pnn
 from rulens.synthetic import make_synthetic_units
 
 ARCH = Architecture(2, (3,), (2,))
 CFG = TrainingConfig(max_epochs=2, batch_size=8)
+FP = "ab" * 32      # a data fingerprint for member headers
 
 
 def _toy_data(seed=0):
@@ -40,11 +41,11 @@ def small_ensemble():
     stats = NormStats(mean=np.array([0.0, 1.0]), std=np.array([1.0, 2.0]),
                       feature_names=("setting_1", "sensor_2"),
                       constant_features=("setting_1",))
-    model, hists = train_ensemble(
-        ARCH, _toy_data(), CFG, n_members=3, base_seed=100,
-        prep=Preprocessing(stats, window_length=5, stride=1, rul_cap=128,
-                           dropped_sensors=(1, 5)))
-    return model, hists
+    members, hists = train_ensemble(ARCH, _toy_data(), CFG, n_members=3,
+                                    base_seed=100)
+    prep = Preprocessing(stats, window_length=5, stride=1, rul_cap=128,
+                         dropped_sensors=(1, 5))
+    return EnsembleModel(ARCH, members, 100, prep), hists
 
 
 def save_ensemble(ckpt_dir, model, hists, train_cfg, config_echo=None):
@@ -61,7 +62,7 @@ class TestMemberRoundTrip:
     def test_params_bit_exact(self, trained, tmp_path):
         params, history = trained
         path = tmp_path / "m.ckpt"
-        checksum = save_member(path, params, history, CFG)
+        checksum = save_member(path, params, history, CFG, FP)
         loaded, manifest = load_member(path)
         assert loaded.seed == params.seed
         assert loaded.arch == params.arch
@@ -71,12 +72,12 @@ class TestMemberRoundTrip:
         assert manifest["history"]["stop_reason"] == history.stop_reason
         assert manifest["history"]["epoch_losses"] == list(history.epoch_losses)
         assert manifest["train_config"]["max_epochs"] == CFG.max_epochs
-        assert manifest["data_fingerprint"] is None
+        assert manifest["data_fingerprint"] == FP
 
     def test_payload_is_the_parameter_vector(self, trained, tmp_path):
         params, history = trained
         path = tmp_path / "m.ckpt"
-        save_member(path, params, history, CFG)
+        save_member(path, params, history, CFG, FP)
         assert path.read_bytes().split(b"\n", 1)[1] == params.vector.tobytes()
         loaded, manifest = load_member(path)
         assert np.array_equal(loaded.vector, params.vector)
@@ -86,23 +87,23 @@ class TestMemberRoundTrip:
     def test_header_records_data_fingerprint(self, trained, tmp_path):
         params, history = trained
         path = tmp_path / "m.ckpt"
-        checksum = save_member(path, params, history, CFG, "ab" * 32)
+        checksum = save_member(path, params, history, CFG, FP)
         _, manifest = load_member(path)
-        assert manifest["data_fingerprint"] == "ab" * 32
+        assert manifest["data_fingerprint"] == FP
         # the header is outside the payload checksum
         assert checksum == save_member(tmp_path / "n.ckpt", params, history,
-                                       CFG)
+                                       CFG, "cd" * 32)
 
     def test_repeat_saves_byte_identical(self, trained, tmp_path):
         params, history = trained
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_member(a, params, history, CFG)
-        save_member(b, params, history, CFG)
+        save_member(a, params, history, CFG, FP)
+        save_member(b, params, history, CFG, FP)
         assert a.read_bytes() == b.read_bytes()
 
     def test_no_leftover_tmp_file(self, trained, tmp_path):
         params, history = trained
-        save_member(tmp_path / "m.ckpt", params, history, CFG)
+        save_member(tmp_path / "m.ckpt", params, history, CFG, FP)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
@@ -110,7 +111,7 @@ class TestMemberVerification:
     def _saved(self, trained, tmp_path):
         params, history = trained
         path = tmp_path / "m.ckpt"
-        save_member(path, params, history, CFG)
+        save_member(path, params, history, CFG, FP)
         return path
 
     def test_payload_tamper_detected(self, trained, tmp_path):
@@ -229,8 +230,9 @@ class TestEnsembleCheckpoint:
         # write member 0's file in every slot, with a manifest whose
         # checksums match those files
         checksums = [save_member(member_path(tmp_path, k), model.members[0],
-                                 hists[0], CFG) for k in (0, 1, 2)]
-        write_ensemble_manifest(tmp_path, model, CFG, checksums)
+                                 hists[0], CFG, model.prep.fingerprint)
+                     for k in (0, 1, 2)]
+        write_ensemble_manifest(tmp_path, model, CFG, checksums, None)
         with pytest.raises(DataIntegrityError, match="seed 100 does not "
                                                      "match expected member "
                                                      "seed 101"):
@@ -240,7 +242,7 @@ class TestEnsembleCheckpoint:
                                                     tmp_path):
         model, _ = small_ensemble
         with pytest.raises(ValueError, match="2 member checksums for 3"):
-            write_ensemble_manifest(tmp_path, model, CFG, ["aa", "bb"])
+            write_ensemble_manifest(tmp_path, model, CFG, ["aa", "bb"], None)
         assert not (tmp_path / "ensemble.json").exists()
 
     def test_checksum_mismatch_against_manifest(self, small_ensemble,
@@ -250,7 +252,8 @@ class TestEnsembleCheckpoint:
         # regenerate member 0 with different parameters but a valid file
         [(other, other_hist)] = train_pnn(ARCH, _toy_data(seed=9), CFG,
                                           [model.member_seeds[0]])
-        save_member(member_path(tmp_path, 0), other, other_hist, CFG)
+        save_member(member_path(tmp_path, 0), other, other_hist, CFG,
+                    model.prep.fingerprint)
         with pytest.raises(DataIntegrityError, match="checksum"):
             load_ensemble(tmp_path)
 
@@ -307,28 +310,18 @@ class TestPreprocessingEntries:
                            match="ensemble.json: .*data fingerprint"):
             load_ensemble(tmp_path)
 
-    @pytest.mark.parametrize("key", ["norm_stats", "preprocess",
-                                     "data_fingerprint"])
-    def test_partly_null_entries_refused(self, small_ensemble, tmp_path,
-                                         key):
+    @pytest.mark.parametrize("key, kind", [
+        ("norm_stats", "an object"), ("preprocess", "an object"),
+        ("data_fingerprint", "a string")],
+        ids=["norm_stats", "preprocess", "data_fingerprint"])
+    def test_null_entry_refused(self, small_ensemble, tmp_path, key, kind):
         def edit(manifest):
             manifest[key] = None
         self._edited(small_ensemble, tmp_path, edit)
         with pytest.raises(DataIntegrityError,
-                           match="ensemble.json: .*all null or all set"):
+                           match=f"ensemble.json: '{key}' must be {kind}, "
+                                 "got null"):
             load_ensemble(tmp_path)
-
-    def test_model_without_preprocessing_round_trips(self, tmp_path):
-        model, hists = train_ensemble(ARCH, _toy_data(), CFG, n_members=1,
-                                      base_seed=3)
-        checksums = [save_member(member_path(tmp_path, 0), model.members[0],
-                                 hists[0], CFG)]
-        write_ensemble_manifest(tmp_path, model, CFG, checksums)
-        manifest = json.loads((tmp_path / "ensemble.json").read_text())
-        assert [manifest[k] for k in ("norm_stats", "preprocess",
-                                      "data_fingerprint")] == [None] * 3
-        loaded, _ = load_ensemble(tmp_path)
-        assert loaded.prep is None
 
 
 # An ensemble checkpoint written by the code that kept the preprocessing in

@@ -574,7 +574,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.update(preprocess=5),
-         "'preprocess' must be an object or null, got 5"),
+         "'preprocess' must be an object, got 5"),
         (lambda m: m.update(member_files=5),
          "'member_files' must be a list, got 5"),
         (lambda m: m["norm_stats"].pop("mean"), "'norm_stats' lacks 'mean'"),
@@ -593,6 +593,40 @@ class TestEvaluate:
                        evaluated_run["archive"], "--out", tmp_path / "r")
         assert code == 2
         assert f"ensemble.json: {message}" in capsys.readouterr().err
+
+    def test_report_json_is_strict_json_for_one_test_unit(
+            self, evaluated_run, tmp_path):
+        # one test unit: its targets are constant, so NMPIW is undefined;
+        # report.json writes it as null, which strict parsers accept, and
+        # report.txt keeps nan
+        cfg = yaml.safe_load(evaluated_run["config"].read_text())
+        data = cfg["data"]
+        rows = Path(data["test_file"]).read_text().splitlines()
+        first = rows[0].split()[0]
+        one_unit = tmp_path / "test_one.txt"
+        one_unit.write_text("\n".join(r for r in rows
+                                      if r.split()[0] == first) + "\n")
+        rul = tmp_path / "rul_one.txt"
+        rul.write_text(Path(data["rul_file"]).read_text().splitlines()[0]
+                       + "\n")
+        data.update(test_file=str(one_unit), rul_file=str(rul))
+        config = tmp_path / "one.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        assert run_cli("ingest", "--config", config,
+                       "--out", tmp_path / "archive") == 0
+        assert run_cli("evaluate", "--config", config,
+                       "--checkpoint", evaluated_run["checkpoint"],
+                       "--archive", tmp_path / "archive",
+                       "--out", tmp_path / "r") == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads((tmp_path / "r" / "report.json").read_text(),
+                             parse_constant=refuse)
+        assert payload["metrics"]["n"] == 1
+        assert payload["metrics"]["nmpiw"] is None
+        assert "nmpiw = nan" in (tmp_path / "r" / "report.txt").read_text()
 
     def test_missing_checkpoint_is_user_error(self, evaluated_run, tmp_path):
         assert run_cli("evaluate", "--config", evaluated_run["config"],

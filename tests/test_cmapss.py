@@ -185,7 +185,7 @@ class TestNormStats:
     def test_population_convention(self):
         unit = _unit(3, n_sensors=1)
         unit.features[:, 3] = [1.0, 2.0, 3.0]
-        stats = fit_norm_stats([unit])
+        stats = fit_norm_stats([unit], on_constant="error")
         j = stats.feature_names.index("sensor_1")
         assert stats.mean[j] == pytest.approx(2.0)
         assert stats.std[j] == pytest.approx(np.sqrt(2.0 / 3.0))
@@ -208,7 +208,7 @@ class TestNormStats:
 
     def test_centering_and_unit_scaling(self):
         unit = _unit(50, seed=3)
-        stats = fit_norm_stats([unit])
+        stats = fit_norm_stats([unit], on_constant="error")
         at_mean = UnitSeries(1, np.array([1]), stats.mean[None, :],
                              sensor_ids=unit.sensor_ids)
         assert np.allclose(apply_norm([at_mean], stats)[0].features, 0.0)
@@ -220,12 +220,12 @@ class TestNormStats:
     def test_train_stats_leave_test_mean_off_zero(self):
         train, test = _unit(80, seed=1), _unit(80, unit_id=2, seed=2)
         test.features[:, 3:] += 5.0
-        stats = fit_norm_stats([train])
+        stats = fit_norm_stats([train], on_constant="error")
         normed = apply_norm([test], stats)[0]
         assert abs(normed.features[:, 3:].mean()) > 0.5
 
     def test_layout_mismatch_rejected(self):
-        stats = fit_norm_stats([_unit(10)])
+        stats = fit_norm_stats([_unit(10)], on_constant="error")
         smaller = drop_sensors([_unit(10)], (1,))
         with pytest.raises(DataIntegrityError, match="feature layout"):
             apply_norm(smaller, stats)
@@ -234,7 +234,7 @@ class TestNormStats:
     @given(st.integers(0, 2**31 - 1))
     def test_invert_norm_identity(self, seed):
         unit = _unit(30, seed=seed)
-        stats = fit_norm_stats([unit])
+        stats = fit_norm_stats([unit], on_constant="error")
         normed = apply_norm([unit], stats)[0]
         back = normed.features * stats.std + stats.mean
         assert np.allclose(back, unit.features, rtol=1e-12, atol=1e-9)

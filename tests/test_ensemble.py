@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gradcheck import as_windows, forward, predict_members, window
+from conftest import toy_prep
+from gradcheck import as_windows, copy_params, forward, predict_members, window
 from rulens import ensemble, network
-from rulens.cmapss import NormStats, Preprocessing, UnitSeries, build_windows
+from rulens.cmapss import NormStats, UnitSeries, build_windows
 from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, aggregate,
                              dataset_uncertainty_profile, decompose_uncertainty,
@@ -24,6 +25,9 @@ from rulens.errors import DataIntegrityError, DivergenceError
 from rulens.network import Architecture, init_params, train_pnn
 
 ARCH = Architecture(2, (3,), (2,))
+# ARCH's 2 features, under names a UnitSeries cannot hold: its names start
+# with the 3 operational settings
+TOY_PREP = toy_prep(("x_1", "x_2"))
 
 
 def _toy_data(n=24, t=5, f=2, seed=0):
@@ -184,16 +188,17 @@ class TestTrainEnsemble:
     def test_member_seeds_are_base_plus_index(self):
         data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
-        model, _ = train_ensemble(ARCH, data, cfg, n_members=15, base_seed=237)
-        assert model.member_seeds == tuple(range(237, 252))
-        assert model.base_seed == 237
+        members, _ = train_ensemble(ARCH, data, cfg, n_members=15,
+                                    base_seed=237)
+        assert [p.seed for p in members] == list(range(237, 252))
 
     def test_single_member_degenerates_to_train_pnn(self):
         data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=3, batch_size=8)
-        model, hists = train_ensemble(ARCH, data, cfg, n_members=1, base_seed=41)
+        members, hists = train_ensemble(ARCH, data, cfg, n_members=1,
+                                        base_seed=41)
         [(solo, solo_hist)] = train_pnn(ARCH, data, cfg, [41])
-        assert all(np.array_equal(model.members[0].arrays[k], solo.arrays[k])
+        assert all(np.array_equal(members[0].arrays[k], solo.arrays[k])
                    for k in solo.arrays)
         assert hists[0].epoch_losses == solo_hist.epoch_losses
 
@@ -202,7 +207,7 @@ class TestTrainEnsemble:
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
         a, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=7)
         b, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=7)
-        for pa, pb in zip(a.members, b.members):
+        for pa, pb in zip(a, b):
             assert all(np.array_equal(pa.arrays[k], pb.arrays[k])
                        for k in pa.arrays)
 
@@ -211,11 +216,11 @@ class TestTrainEnsemble:
         # members trained before it
         data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
-        model, hists = train_ensemble(ARCH, data, cfg, n_members=4,
-                                      base_seed=3)
+        members, hists = train_ensemble(ARCH, data, cfg, n_members=4,
+                                        base_seed=3)
         for k in (3, 1):
             [(solo, solo_hist)] = train_pnn(ARCH, data, cfg, [3 + k])
-            assert all(np.array_equal(model.members[k].arrays[name],
+            assert all(np.array_equal(members[k].arrays[name],
                                       solo.arrays[name]) for name in solo.arrays)
             assert hists[k].epoch_losses == solo_hist.epoch_losses
 
@@ -229,12 +234,12 @@ class TestTrainEnsemble:
             asked.append((k, seed))
             return done if k == 1 else None
 
-        model, hists = train_ensemble(
+        members, hists = train_ensemble(
             ARCH, data, cfg, n_members=3, base_seed=50, resume=resume,
             progress=lambda k, p, h: trained.append(k))
         assert asked == [(0, 50), (1, 51), (2, 52)]
         assert trained == [0, 2]
-        assert model.members[1] is done and hists[1] is None
+        assert members[1] is done and hists[1] is None
         assert hists[0].stop_epoch == hists[2].stop_epoch == 1
 
     def test_divergence_names_member(self):
@@ -314,10 +319,10 @@ class TestTrainEnsemble:
         data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
         seen = []
-        model, _ = train_ensemble(
+        members, _ = train_ensemble(
             ARCH, data, cfg, n_members=3, base_seed=9,
             progress=lambda k, p, h: seen.append((k, p, h.stop_epoch)))
-        assert seen == [(k, model.members[k], 1) for k in range(3)]
+        assert seen == [(k, members[k], 1) for k in range(3)]
 
     def test_argument_guards(self):
         data = as_windows(*_toy_data(n=4))
@@ -370,8 +375,8 @@ class TestWorkers:
         runs = [self._train(monkeypatch, layout, n_members=3, base_seed=17)
                 for layout in (self._serial, self._pairs, self._parallel)]
         serial, serial_hists = runs[0]
-        for model, hists in runs[1:]:
-            for a, b in zip(serial.members, model.members):
+        for members, hists in runs[1:]:
+            for a, b in zip(serial, members):
                 assert a.seed == b.seed
                 assert a.vector.tobytes() == b.vector.tobytes()
             assert hists == serial_hists
@@ -392,14 +397,13 @@ class TestWorkers:
     def test_progress_in_member_order_from_workers(self, monkeypatch):
         seen = []
         done = init_params(ARCH, seed=41)
-        model, hists = self._train(
+        members, hists = self._train(
             monkeypatch, self._pairs, n_members=4, base_seed=40,
             resume=lambda k, seed: done if k == 1 else None,
             progress=lambda k, p, h: seen.append((k, p, h)))
         assert [k for k, _, _ in seen] == [0, 2, 3]
-        assert all(p is model.members[k] and h is hists[k]
-                   for k, p, h in seen)
-        assert model.members[1] is done and hists[1] is None
+        assert all(p is members[k] and h is hists[k] for k, p, h in seen)
+        assert members[1] is done and hists[1] is None
 
     def test_divergence_in_a_worker_names_member(self, monkeypatch):
         # member 0 is resumed, so the stacks (1, 2) and (3, 4) diverge in
@@ -559,16 +563,16 @@ class TestWorkers:
 def tiny_model():
     data = as_windows(*_toy_data())
     cfg = TrainingConfig(max_epochs=2, batch_size=8)
-    model, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=11)
-    return model
+    members, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=11)
+    return EnsembleModel(ARCH, members, 11, TOY_PREP)
 
 
 def _every_step(model, x):
-    """The predict command's read-out: every step of one sequence. The
-    model has no preprocessing record, so read_out reads only the unit's
-    id, cycles and features; a UnitSeries cannot hold ARCH's 2 features,
-    since its names start with the 3 operational settings."""
+    """The predict command's read-out: every step of one sequence, as a
+    unit that holds only what read_out reads of one (id, cycles, feature
+    names and features), laid out as TOY_PREP."""
     unit = SimpleNamespace(unit_id=1, cycles=np.arange(1, len(x) + 1),
+                           feature_names=TOY_PREP.norm_stats.feature_names,
                            features=x)
     return read_out(model, [unit], [np.arange(len(x))])[2]
 
@@ -592,8 +596,9 @@ class TestPredictEnsemble:
 
     def test_degenerate_ensemble_collapses(self):
         params = init_params(ARCH, seed=5)
-        model = EnsembleModel(ARCH, [params, params.copy(), params.copy()],
-                              base_seed=5)
+        model = EnsembleModel(ARCH, [params, copy_params(params),
+                                     copy_params(params)],
+                              base_seed=5, prep=TOY_PREP)
         x = np.random.default_rng(2).normal(size=(4, 2))
         dec = _every_step(model, x)
         single = forward(params, x)
@@ -612,7 +617,8 @@ class TestLastStepView:
         # members' only step
         unit = _make_unit(4, 1, seed=3)
         ids, cycles, dec = dataset_uncertainty_profile(profile_model, [unit])
-        [(means, varis)] = predict_members(profile_model, [unit.features])
+        [(means, varis)] = predict_members(profile_model.members,
+                                           [unit.features])
         direct = decompose_uncertainty(means[:, 0], varis[:, 0])
         assert (ids.tolist(), cycles.tolist()) == ([4], [1])
         assert (dec.aleatoric[0], dec.epistemic[0], dec.total[0]) == \
@@ -647,13 +653,11 @@ def profile_model():
     x = rng.normal(size=(16, 5, 4))
     y = x.sum(axis=-1)
     cfg = TrainingConfig(max_epochs=1, batch_size=8)
-    names = _make_unit(0, 1, seed=0).feature_names
-    prep = Preprocessing(NormStats(np.zeros(4), np.ones(4), names),
-                         window_length=5, stride=2, rul_cap=128,
-                         dropped_sensors=())
-    model, _ = train_ensemble(arch, as_windows(x, y), cfg, n_members=2,
-                              base_seed=1, prep=prep)
-    return model
+    members, _ = train_ensemble(arch, as_windows(x, y), cfg, n_members=2,
+                                base_seed=1)
+    prep = toy_prep(_make_unit(0, 1, seed=0).feature_names, window_length=5,
+                    stride=2)
+    return EnsembleModel(arch, members, 1, prep)
 
 
 class TestDatasetUncertaintyProfile:
@@ -663,7 +667,8 @@ class TestDatasetUncertaintyProfile:
         assert ids.tolist() == [3, 9]
         assert cycles.tolist() == [8, 6]
         # readings must agree with the one-sequence prediction path
-        [(means, varis)] = predict_members(profile_model, [units[0].features])
+        [(means, varis)] = predict_members(profile_model.members,
+                                           [units[0].features])
         one = decompose_uncertainty(means[:, -1], varis[:, -1])
         assert dec.epistemic[0] == pytest.approx(one.epistemic, rel=1e-12)
         assert dec.aleatoric[0] == pytest.approx(one.aleatoric, rel=1e-12)
@@ -718,14 +723,6 @@ class TestDatasetUncertaintyProfile:
         assert list(zip(ids.tolist(), cycles.tolist())) == \
             [(1, 5), (1, 7), (1, 9), (3, 5), (3, 7), (3, 9), (3, 11)]
 
-    def test_per_window_requires_window_settings(self):
-        params = init_params(Architecture(4, (3,), (2,)), seed=0)
-        bare = EnsembleModel(Architecture(4, (3,), (2,)), [params],
-                             base_seed=0)
-        with pytest.raises(ValueError, match="window"):
-            dataset_uncertainty_profile(bare, [_make_unit(1, 6, seed=0)],
-                                        per_window=True)
-
     def test_feature_space_mismatch_rejected(self, profile_model):
         model = EnsembleModel(
             profile_model.architecture, profile_model.members,
@@ -751,18 +748,20 @@ class TestDatasetUncertaintyProfile:
 class TestEnsembleModelValidation:
     def test_needs_a_member(self):
         with pytest.raises(ValueError, match="at least one"):
-            EnsembleModel(ARCH, [], base_seed=0)
+            EnsembleModel(ARCH, [], base_seed=0, prep=TOY_PREP)
 
     def test_member_seeds_follow_members(self):
         params = [init_params(ARCH, seed=seed) for seed in (4, 2)]
-        assert EnsembleModel(ARCH, params, base_seed=0).member_seeds == (4, 2)
+        model = EnsembleModel(ARCH, params, base_seed=0, prep=TOY_PREP)
+        assert model.member_seeds == (4, 2)
 
     def test_refuses_member_of_another_architecture(self):
         # both have 62 parameters, so their vectors alone stack and run
         wide = Architecture(4, (2,), (2,))
         deep = Architecture(4, (1, 2), (2,))
         assert wide.n_params() == deep.n_params() == 62
+        prep = toy_prep(_make_unit(0, 1, seed=0).feature_names)
         with pytest.raises(ValueError, match="member 1 has architecture"):
             EnsembleModel(wide, [init_params(wide, seed=0),
                                  init_params(deep, seed=1)],
-                          base_seed=0)
+                          base_seed=0, prep=prep)

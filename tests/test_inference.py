@@ -5,8 +5,9 @@ per-sequence float64 forward kept here as the oracle."""
 import numpy as np
 import pytest
 
+from conftest import toy_prep
 from gradcheck import predict_members
-from rulens.cmapss import NormStats, Preprocessing, UnitSeries
+from rulens.cmapss import UnitSeries
 from rulens.ensemble import EnsembleModel, dataset_uncertainty_profile
 from rulens.metrics import unit_predictions
 from rulens.network import Architecture, init_params
@@ -45,18 +46,13 @@ def oracle_forward(arrays: dict, arch: Architecture, x: np.ndarray):
     return np.array(means), np.array(variances)
 
 
-def _model(n_members: int, window: tuple[int, int] | None = None
+def _model(n_members: int, window: tuple[int, int] = (5, 1)
            ) -> EnsembleModel:
-    """n_members fresh members; with window = (length, stride), also a
-    preprocessing record for the layout of _unit."""
+    """n_members fresh members, with a preprocessing record for the layout
+    of _unit and window = (length, stride)."""
     members = [init_params(ARCH, seed=40 + k) for k in range(n_members)]
-    prep = None
-    if window is not None:
-        names = _unit(0, 1, 0).feature_names
-        prep = Preprocessing(NormStats(np.zeros(len(names)),
-                                       np.ones(len(names)), names),
-                             *window, rul_cap=128, dropped_sensors=())
-    return EnsembleModel(ARCH, members, base_seed=40, prep=prep)
+    return EnsembleModel(ARCH, members, base_seed=40,
+                         prep=toy_prep(_unit(0, 1, 0).feature_names, *window))
 
 
 def _seqs(lengths, seed=0):
@@ -79,15 +75,15 @@ def test_ragged_batch_matches_oracle(n_members):
     # a length-1 sequence, tied lengths, and lengths out of sorted order
     seqs = _seqs([6, 1, 9, 6, 3, 9, 2])
     model = _model(n_members)
-    _assert_matches_oracle(model, seqs, predict_members(model, seqs))
+    _assert_matches_oracle(model, seqs, predict_members(model.members, seqs))
 
 
 def test_rows_come_back_in_input_order():
     seqs = _seqs([2, 7, 4, 7, 1])
     model = _model(3)
-    preds = predict_members(model, seqs)
+    preds = predict_members(model.members, seqs)
     assert [m.shape[1] for m, _ in preds] == [2, 7, 4, 7, 1]
-    reversed_preds = predict_members(model, seqs[::-1])
+    reversed_preds = predict_members(model.members, seqs[::-1])
     for (m_a, v_a), (m_b, v_b) in zip(preds, reversed_preds[::-1]):
         np.testing.assert_allclose(m_a, m_b, rtol=RTOL, atol=0)
         np.testing.assert_allclose(v_a, v_b, rtol=RTOL, atol=0)
@@ -96,9 +92,9 @@ def test_rows_come_back_in_input_order():
 def test_unit_alone_agrees_with_mixed_batch():
     seqs = _seqs([5, 12, 3, 8], seed=1)
     model = _model(3)
-    mixed = predict_members(model, seqs)
+    mixed = predict_members(model.members, seqs)
     for x, (means, varis) in zip(seqs, mixed):
-        [(alone_m, alone_v)] = predict_members(model, [x])
+        [(alone_m, alone_v)] = predict_members(model.members, [x])
         np.testing.assert_allclose(means, alone_m, rtol=RTOL, atol=0)
         np.testing.assert_allclose(varis, alone_v, rtol=RTOL, atol=0)
 
@@ -106,8 +102,8 @@ def test_unit_alone_agrees_with_mixed_batch():
 def test_repeat_call_is_bit_identical():
     seqs = _seqs([4, 9, 9, 1], seed=2)
     model = _model(3)
-    for (m_a, v_a), (m_b, v_b) in zip(predict_members(model, seqs),
-                                      predict_members(model, seqs)):
+    for (m_a, v_a), (m_b, v_b) in zip(predict_members(model.members, seqs),
+                                      predict_members(model.members, seqs)):
         assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b)
 
 
@@ -115,13 +111,15 @@ def test_ragged_input_validation():
     model = _model(2)
     good = np.zeros((4, ARCH.input_dim))
     with pytest.raises(ValueError, match="features"):
-        predict_members(model, [good, np.zeros((4, ARCH.input_dim + 1))])
+        predict_members(model.members,
+                        [good, np.zeros((4, ARCH.input_dim + 1))])
     with pytest.raises(ValueError, match="time step"):
-        predict_members(model, [good, np.zeros((0, ARCH.input_dim))])
+        predict_members(model.members, [good, np.zeros((0, ARCH.input_dim))])
     with pytest.raises(ValueError, match="non-finite"):
-        predict_members(model, [good, np.full((3, ARCH.input_dim), np.inf)])
+        predict_members(model.members,
+                        [good, np.full((3, ARCH.input_dim), np.inf)])
     with pytest.raises(ValueError, match="time, features"):
-        predict_members(model, [good[None]])
+        predict_members(model.members, [good[None]])
 
 
 def _unit(unit_id, n_cycles, seed, true_rul=None):
@@ -135,7 +133,7 @@ def _unit(unit_id, n_cycles, seed, true_rul=None):
 
 def test_empty_unit_list_returns_empty():
     model = _model(2, window=(3, 1))
-    assert predict_members(model, []) == []
+    assert predict_members(model.members, []) == []
     ids, cycles, targets, dec = unit_predictions(model, [])
     assert ids.size == cycles.size == targets.size == dec.mean.size == 0
     for per_window in (False, True):

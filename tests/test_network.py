@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import (GaussianSeqPrediction, batch_forward, batch_loss,
-                       as_windows, finite_diff_check, forward, gaussian_nll,
-                       member_grad)
+                       as_windows, copy_params, finite_diff_check, forward,
+                       gaussian_nll, member_grad)
 from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
 from rulens.config import TrainingConfig
 from rulens.errors import DivergenceError
@@ -30,11 +30,13 @@ def _zero_params(arch: Architecture) -> PnnParams:
 class TestArchitecture:
     def test_dense_head_must_be_two_wide(self):
         with pytest.raises(ValueError, match="2-unit"):
-            Architecture(input_dim=4, dense_layers=(3,))
+            Architecture(input_dim=4, recurrent_layers=(32, 16),
+                         dense_layers=(3,))
 
     def test_needs_recurrent_layer(self):
         with pytest.raises(ValueError):
-            Architecture(input_dim=4, recurrent_layers=())
+            Architecture(input_dim=4, recurrent_layers=(),
+                         dense_layers=(2,))
 
     def test_param_count_matches_shape_formula(self):
         # independent oracle: 4*(in + h + 1)*h per recurrent layer,
@@ -125,8 +127,6 @@ class TestLayout:
         assert params.vector.shape == (self.ARCH.n_params(),)
         params.arrays["dense1.b"][:] = [7.0, 8.0]
         assert np.array_equal(params.vector[-2:], [7.0, 8.0])
-        copy = params.copy()
-        assert not np.shares_memory(copy.vector, params.vector)
 
 
 class TestForward:
@@ -357,11 +357,11 @@ class TestGrad:
                             for s in range(M)])
         x = rng.normal(size=(M * B, T, arch.input_dim))
         y = rng.uniform(0.0, 120.0, size=(M * B, T))
-        grads, losses = grad(Stack(arch, vectors), x, y)
+        grads, losses = grad(Stack(arch, vectors), x, y, {})
         for j in range(M):
             rows = slice(j * B, (j + 1) * B)
             alone, loss = grad(Stack(arch, vectors[j:j + 1]), x[rows],
-                               y[rows])
+                               y[rows], {})
             assert grads[j].tobytes() == alone[0].tobytes()
             assert losses[j] == loss[0]
 
@@ -371,7 +371,7 @@ class TestGrad:
         y = np.zeros((6, 4))
         y[3 + 2] = 1e200        # member 1's sample 2
         with pytest.raises(DivergenceError) as err:
-            grad(Stack(arch, vectors), np.zeros((6, 4, 2)), y)
+            grad(Stack(arch, vectors), np.zeros((6, 4, 2)), y, {})
         assert (err.value.member, err.value.sample_index) == (1, 2)
 
     def test_divergence_reports_sample_index(self):
@@ -533,7 +533,7 @@ class TestAdam:
 
     def test_first_step_is_signed_learning_rate(self):
         params, m, v = self._setup()
-        before = params.copy()
+        before = copy_params(params)
         grads = np.full_like(params.vector, 0.25)
         params.arch.unflatten(grads)["lstm0.w_x"][0, 0] = -0.25
         adam_step(params.vector, grads, m, v, 1, self.CFG)
