@@ -28,7 +28,7 @@ from .cmapss import Preprocessing, UnitSeries, check_features, window_starts
 from .config import TrainingConfig
 from .errors import DivergenceError
 from .network import (Architecture, PnnParams, TrainHistory, forward_stacked,
-                      train_pnn)
+                      forward_windows, train_pnn)
 
 
 def member_mean(values: np.ndarray) -> np.ndarray:
@@ -139,14 +139,15 @@ STACK_SIZE = 2
 
 
 # Fewest members in one chunk of the windowed read-out (see read_out). A
-# forward_stacked call pays a fixed cost per step whatever its member
-# count, so every extra chunk adds CPU time on any number of CPUs. In one
-# process at one BLAS thread, on the benchmark's window_profile inputs (15
-# members, windows of 100 steps, [32, 16]), reading the members in 3
-# chunks took 3-7% more CPU than in one, 5 chunks 3-11%, 8 chunks 15-24%
-# and 15 one-member chunks 41-60%. Chunks of at least 5 hold that cost
-# near a tenth: a 15-member model forks at most 3 workers, and a model of
-# fewer than 10 members reads out in this process.
+# forward_windows call pays a fixed cost per step whatever its member
+# count, so small chunks add CPU time on any number of CPUs. In one process
+# at one BLAS thread, on the benchmark's window_profile inputs (15 members,
+# windows of 100 steps, [32, 16]; seeds 11 and 12, 5 runs each), reading
+# the members in 3 chunks took 2-4% less CPU than in one, 5 chunks 0-3%
+# more, 8 chunks 11-27% more and 15 one-member chunks 36-40% more. Chunks
+# of at least 5 hold that cost near zero: a 15-member model forks at most
+# 3 workers, and a model of fewer than 10 members reads out in this
+# process.
 READ_CHUNK_MEMBERS = 5
 
 
@@ -262,22 +263,45 @@ def train_ensemble(arch: Architecture,
     return members, histories
 
 
-def _member_readings(arch: Architecture, vectors: np.ndarray,
-                     passes: list[list[tuple[np.ndarray, Sequence[int]]]],
-                     rows: slice) -> tuple[np.ndarray, np.ndarray]:
+def _member_readings(arch: Architecture, vectors: np.ndarray, passes: list,
+                     window: int | None, rows: slice
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """The readings of members vectors[rows] -> their means and variances
-    [m, N]: every pass is one forward_stacked call over its (sequence,
-    steps) pairs, and each sequence is read at its steps."""
+    [m, N]. Without a window, passes is one list of (sequence, steps) pairs,
+    run in one forward_stacked call, each sequence read at its steps; with
+    one, every pass is the (rows, hop) of one unit's windows, run in one
+    forward_windows call."""
     vectors = vectors[rows]
-    means = [np.empty((len(vectors), 0))]
-    varis = [np.empty((len(vectors), 0))]
-    for pairs in passes:
+    if window is None:
+        [pairs] = passes
         preds = forward_stacked(arch, vectors, [seq for seq, _ in pairs])
-        for (m, v), (_, steps) in zip(preds, pairs):
-            # indexing by steps copies, so no pass's output stays alive
-            means.append(m[:, steps])
-            varis.append(v[:, steps])
-    return np.concatenate(means, axis=1), np.concatenate(varis, axis=1)
+        # indexing by steps copies, so no pass's output stays alive
+        readings = [(m[:, steps], v[:, steps])
+                    for (m, v), (_, steps) in zip(preds, pairs)]
+    else:
+        readings = [forward_windows(arch, vectors, unit_rows, window, hop)
+                    for unit_rows, hop in passes]
+    empty = np.empty((len(vectors), 0))
+    return (np.concatenate([empty] + [m for m, _ in readings], axis=1),
+            np.concatenate([empty] + [v for _, v in readings], axis=1))
+
+
+def _window_rows(features: np.ndarray, ends: Sequence[int], window: int
+                 ) -> tuple[np.ndarray, int]:
+    """The rows that the windows of window steps ending at ends read, and
+    the hop between consecutive windows' first rows among them, as
+    forward_windows takes them. The ends must be evenly spaced and
+    ascending, as cmapss.window_starts gives them."""
+    starts = np.asarray(ends, dtype=np.intp) - (window - 1)
+    stride = int(starts[1] - starts[0]) if len(starts) > 1 else window
+    if (stride < 1 or starts[0] < 0 or starts[-1] + window > len(features)
+            or np.any(starts != starts[0] + stride * np.arange(len(starts)))):
+        raise ValueError(f"windows of {window} steps ending at {ends} are not "
+                         "evenly spaced within the unit")
+    if stride <= window:        # the windows cover one run of rows
+        return features[starts[0]:starts[-1] + window], stride
+    # rows between the windows are read by none of them
+    return features[(starts[:, None] + np.arange(window)).ravel()], window
 
 
 def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
@@ -289,28 +313,30 @@ def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
 
     By default all units' full histories run in one pass, here. With a
     window length, each reading comes from the window of that many steps
-    ending at it instead, one pass per unit holding all of its windows, and
-    the members run in contiguous row chunks of at least READ_CHUNK_MEMBERS,
-    one per forked worker (see _worker_count; `taskset -c 0` gives the
-    serial run, as do no windows at all). The chunks change no bit: every
-    product in a pass is one BLAS call per member, the rest is elementwise,
-    and member_mean ignores member order and layout. A unit of another
-    feature layout than the model's preprocessing is refused.
+    ending at it instead, and a unit's ends must be evenly spaced: one
+    forward_windows pass per unit holds all of its windows, projects each
+    of the rows they read once and runs the head at their last steps only.
+    The members then run in contiguous row chunks of at least
+    READ_CHUNK_MEMBERS, one per forked worker (see _worker_count; `taskset
+    -c 0` gives the serial run, as do no windows at all). The chunks change
+    no bit: every product in a pass is one BLAS call per member, the rest
+    is elementwise, and member_mean ignores member order and layout. A unit
+    of another feature layout than the model's preprocessing is refused.
     """
     for unit in units:
         check_features(unit, model.prep.norm_stats)
     if window is None:
         passes = [[(unit.features, e) for unit, e in zip(units, ends)]]
     else:
-        passes = [[(unit.features[i - window + 1:i + 1], [-1]) for i in e]
-                  for unit, e in zip(units, ends)]
+        passes = [_window_rows(unit.features, e, window)
+                  for unit, e in zip(units, ends) if len(e)]
     n = 1
-    if window is not None and any(passes):
+    if window is not None and passes:
         n = _worker_count(max(1, model.n_members // READ_CHUNK_MEMBERS))
     bounds = [model.n_members * j // n for j in range(n + 1)]
     read = functools.partial(_member_readings, model.architecture,
                              np.stack([p.vector for p in model.members]),
-                             passes)
+                             passes, window)
     with _pool_results(read, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
                        ) as results:
         chunks = list(results)

@@ -12,7 +12,15 @@ offsets to names: the forward pass reads its named views, grad writes into
 them, and Adam updates the whole matrix in place. Inference runs every
 member of an ensemble as one such stack; training runs a stack of members
 in lockstep, each on its own batches, and a member's bits do not depend on
-the stack it trained in.
+the stack it trained in. A unit's windows run as one pass over the rows
+they read (forward_windows): each row is projected into the first layer
+once, however many windows read it, and the head runs only at the
+windows' last step, the one that is read.
+
+Measured on OpenBLAS: a product over 2 or more rows gives each row the
+same bits whatever the row count, and a one-row product takes another
+BLAS path. So forward_windows gives the bits of the per-step pass over the
+same windows, and it projects a unit's one window one row per product.
 
 The variance head emits a raw real s with sigma^2 = softplus(s) + 1e-6, so
 predicted variances are smooth and strictly positive.
@@ -23,8 +31,9 @@ from __future__ import annotations
 import logging
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -205,19 +214,55 @@ def _buffer(buffers: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
+@contextmanager
+def _gates_negated(lstm: list[tuple]) -> Iterator[None]:
+    """The i, f and o gate columns of each (hidden, w_x, w_h, bias) layer's
+    weights negated in place, for the block; the sign flip is exact, so
+    leaving the block restores every bit."""
+    flips = [np.repeat([-1.0, -1.0, 1.0, -1.0], hidden)     # i, f, g, o
+             for hidden, *_ in lstm]
+    for (_, *weights), flip in zip(lstm, flips):
+        for w in weights:
+            w *= flip
+    try:
+        yield
+    finally:
+        for (_, *weights), flip in zip(lstm, flips):
+            for w in weights:
+                w *= flip
+
+
 def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
-         active: np.ndarray, tape: dict | None = None
+         active: np.ndarray, tape: dict | None = None, hop: int = 0
          ) -> tuple[np.ndarray, np.ndarray]:
     """The one forward time-step loop, shared by training and inference.
 
     x is time-major, [T, B, F] for one batch that every member reads or
     [T, M, B, F] for one batch per member, with rows sorted so that the
-    first active[t] are the sequences still running at step t; vectors
-    [M, n_params] holds one member's parameters per row. All layers plus
-    the Gaussian head advance one step at a time with state [M, active[t],
-    H], and the input projection is computed per step, so nothing of size
-    [M, B, T, 4H] is held unless recorded. Returns mean and variance
-    [M, B, T].
+    first active[t] of the B = active[0] are the sequences still running at
+    step t; T = len(active), and vectors [M, n_params] holds one member's
+    parameters per row. All layers plus the Gaussian head advance one step
+    at a time with state [M, active[t], H], and the input projection is
+    computed per step, so nothing of size [M, B, T, 4H] is held unless
+    recorded. Returns mean and variance [M, B, T].
+
+    With a hop, x is instead [n, F], the rows of B windows of T steps
+    that every member reads, window j on rows j * hop to j * hop + T - 1;
+    active is then B at every step. The first layer's input projection is
+    computed once per row, not once per window that reads it, and the
+    head runs at the last step only, so mean and variance are [M, B, 1].
+    The readings are the bits of the per-step pass over the windows
+    stacked time-major: a product over 2 or more rows gives each row the
+    same bits whatever the row count, and a unit's one window, whose
+    per-step product is one row, is projected one row per product.
+
+    The loop reads the i, f and o gate columns of every LSTM layer's w_x,
+    w_h and b negated: the call negates them in vectors, in place, and
+    restores them on return, so vectors must be writable. Negation is
+    exact, so those columns of each step's products are -z, which the
+    sigmoid 1 / (1 + exp(-z)) exponentiates as it is, and vectors comes
+    back bit for bit. exp(-z) overflows to inf below z of about -709.8,
+    where the gate is exactly 0, so overflow is silenced over the loop.
 
     Given a tape (a dict of buffers, see _buffer), it also records what
     backpropagation through time needs, member-major and each activation
@@ -231,7 +276,7 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
     dense{k-1}.out. The tape is overwritten, not zeroed, so recording one
     needs the full batch at every step.
     """
-    T, B = x.shape[0], x.shape[-2]
+    T, B = len(active), int(active[0])
     M, _ = vectors.shape
     arrays = arch.unflatten(vectors)
     lstm = [(hidden, arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"],
@@ -241,11 +286,13 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
              for k in range(len(arch.dense_layers))]
     hs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
     cs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
-    mu = np.zeros((M, B, T))
+    first_head = T - 1 if hop else 0        # the first step the head runs
+    mu = np.zeros((M, B, T - first_head))
     if tape is None:
-        raw = np.zeros((M, B, T))
+        raw = np.zeros((M, B, T - first_head))
     else:
-        assert (active == B).all(), "a tape needs the full batch at every step"
+        assert (active == B).all() and not hop, \
+            "a tape needs the full batch at every step"
         recs = [{key: _buffer(tape, f"lstm{k}.{key}", (M, n, B, width))
                  for key, n, width in (("gates", T, 4 * hidden),
                                        ("h", T + 1, hidden),
@@ -256,33 +303,50 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
         dense_out = [_buffer(tape, f"dense{k}.out", (M, T, B, w.shape[-1]))
                      for k, (w, _) in enumerate(dense[:-1])]
         raw = _buffer(tape, "raw", (M, B, T))
-    for t in range(T):
-        b = active[t]
-        a = x[t, ..., :b, :]
-        for k, (hidden, w_x, w_h, bias) in enumerate(lstm):
-            # association (x w_x + b) + h w_h
-            z = a @ w_x + bias
-            z += hs[k][:, :b] @ w_h
-            gates = sigmoid(z)          # i, f, o; g is replaced by tanh
-            g = gates[..., 2 * hidden:3 * hidden]
-            np.tanh(z[..., 2 * hidden:3 * hidden], out=g)
-            c = gates[..., hidden:2 * hidden] * cs[k][:, :b]
-            c += gates[..., :hidden] * g
-            a = gates[..., 3 * hidden:] * np.tanh(c)
-            hs[k], cs[k] = a, c
-            if tape is not None:
-                rec = recs[k]
-                rec["gates"][:, t] = gates
-                rec["h"][:, t + 1] = a
-                rec["c"][:, t + 1] = c
-        for k, (w, bias) in enumerate(dense):
-            a = a @ w + bias
-            if k < len(dense) - 1:
-                a = np.tanh(a)
+    with np.errstate(over="ignore"), _gates_negated(lstm):
+        if hop:
+            _, w_x, _, bias = lstm[0]
+            if B == 1:  # one window: one row per product, as its steps take
+                proj = (x[:, None] @ w_x[:, None])[:, :, 0] + bias
+            else:
+                proj = x @ w_x + bias
+        for t in range(T):
+            b = active[t]
+            a = None if hop else x[t, ..., :b, :]
+            for k, (hidden, w_x, w_h, bias) in enumerate(lstm):
+                if a is None:       # window rows t, t + hop, t + 2 * hop, ...
+                    z = hs[0] @ w_h
+                    z += proj[:, t::hop][:, :B]
+                else:
+                    # association (x w_x + b) + h w_h
+                    z = a @ w_x + bias
+                    z += hs[k][:, :b] @ w_h
+                # the i, f and o columns hold -z, so their gate is
+                # 1 / (1 + exp(z)); g is replaced by tanh
+                gates = np.exp(z)
+                gates += 1.0
+                np.reciprocal(gates, out=gates)
+                g = gates[..., 2 * hidden:3 * hidden]
+                np.tanh(z[..., 2 * hidden:3 * hidden], out=g)
+                c = gates[..., hidden:2 * hidden] * cs[k][:, :b]
+                c += gates[..., :hidden] * g
+                a = gates[..., 3 * hidden:] * np.tanh(c)
+                hs[k], cs[k] = a, c
                 if tape is not None:
-                    dense_out[k][:, t] = a
-        mu[:, :b, t] = a[..., 0]
-        raw[:, :b, t] = a[..., 1]
+                    rec = recs[k]
+                    rec["gates"][:, t] = gates
+                    rec["h"][:, t + 1] = a
+                    rec["c"][:, t + 1] = c
+            if t < first_head:
+                continue
+            for k, (w, bias) in enumerate(dense):
+                a = a @ w + bias
+                if k < len(dense) - 1:
+                    a = np.tanh(a)
+                    if tape is not None:
+                        dense_out[k][:, t] = a
+            mu[:, :b, t - first_head] = a[..., 0]
+            raw[:, :b, t - first_head] = a[..., 1]
     return mu, softplus(raw) + VAR_FLOOR
 
 
@@ -297,9 +361,10 @@ def forward_stacked(arch: Architecture, vectors: np.ndarray,
 
     Sequences are sorted by length, longest first (stable), padded into a
     time-major batch and run through the shared step loop, which advances
-    only the batch prefix still active. Results match a per-member,
-    per-sequence forward up to BLAS summation order, which depends on the
-    batch shape.
+    only the batch prefix still active. A product over 2 or more rows
+    gives each row the same bits whatever the row count, but a one-row
+    product takes another BLAS path, so a step where one sequence is
+    active may differ in its last bits from a per-sequence forward.
     """
     xs = [np.asarray(s, dtype=np.float64) for s in seqs]
     for x in xs:
@@ -325,6 +390,32 @@ def forward_stacked(arch: Architecture, vectors: np.ndarray,
     position[order] = np.arange(B)
     return [(mu[:, p, :n], var[:, p, :n])
             for p, n in zip(position, lengths)]
+
+
+def forward_windows(arch: Architecture, vectors: np.ndarray, rows: np.ndarray,
+                    length: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inference for M members at the last step of windows of length steps
+    over one run of rows [n, F]: window j reads rows j * hop to
+    j * hop + length - 1, for the B windows that fit, and rows holds those
+    rows and no others, so n = (B - 1) * hop + length. vectors
+    [M, n_params] holds one member's parameters per row. Returns means and
+    variances [M, B], window j's in column j.
+
+    The step loop projects each row into the first layer once and runs
+    the head only at the last step (see _run); the readings are the bits
+    forward_stacked gives at the last step of the same windows in one
+    batch.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected [rows, features], got shape {x.shape}")
+    if hop < 1 or len(x) < length or (len(x) - length) % hop:
+        raise ValueError(f"{len(x)} rows are not windows of {length} steps "
+                         f"{hop} rows apart")
+    _check_input(arch, x, length)
+    mu, var = _run(arch, vectors, x, np.full(length, (len(x) - length) // hop
+                                             + 1), hop=hop)
+    return mu[..., 0], var[..., 0]
 
 
 def _nll_terms(mu: np.ndarray, var: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -705,15 +705,17 @@ class TestDatasetUncertaintyProfile:
         units = [_make_unit(1, 9, seed=6), _make_unit(2, 3, seed=7),
                  _make_unit(3, 12, seed=8)]
         seen = []
-        real = ensemble.forward_stacked
+        real = ensemble.forward_windows
 
-        def recording(arch, vectors, seqs):
-            seen.extend(seqs)
-            return real(arch, vectors, seqs)
+        def recording(arch, vectors, rows, length, hop):
+            # window j of a pass reads rows j * hop to j * hop + length - 1
+            n = (len(rows) - length) // hop + 1
+            seen.extend(rows[j * hop:j * hop + length] for j in range(n))
+            return real(arch, vectors, rows, length, hop)
 
         # in this process: a record made in a forked worker is lost
         TestWorkers._serial(monkeypatch)
-        monkeypatch.setattr(ensemble, "forward_stacked", recording)
+        monkeypatch.setattr(ensemble, "forward_windows", recording)
         ids, cycles, _ = dataset_uncertainty_profile(profile_model, units,
                                                      per_window=True)
         windows = build_windows(units, 5, 2, 128)
@@ -722,6 +724,12 @@ class TestDatasetUncertaintyProfile:
             assert np.array_equal(seq, window(windows.inputs, k))
         assert list(zip(ids.tolist(), cycles.tolist())) == \
             [(1, 5), (1, 7), (1, 9), (3, 5), (3, 7), (3, 9), (3, 11)]
+
+    def test_read_out_refuses_windows_not_evenly_spaced(self, profile_model):
+        unit = _make_unit(2, 12, seed=5)
+        for ends in ([4, 6, 9], [6, 4], [3], [11, 12]):
+            with pytest.raises(ValueError, match="evenly spaced"):
+                read_out(profile_model, [unit], [ends], window=5)
 
     def test_feature_space_mismatch_rejected(self, profile_model):
         model = EnsembleModel(
@@ -743,6 +751,88 @@ class TestDatasetUncertaintyProfile:
         for window in (None, 5):
             with pytest.raises(DataIntegrityError, match="feature layout"):
                 read_out(profile_model, [other], [[5]], window=window)
+
+
+class TestWindowedReadOut:
+    """A unit's windows run as one pass that projects each row they read
+    once and runs the head at their last step only. Its readings are the
+    bits of forward_stacked over the unit's windows in one batch, read at
+    the last step: the per-window pass it replaces."""
+
+    @staticmethod
+    def _model(profile_model, stride):
+        arch = profile_model.architecture
+        prep = toy_prep(_make_unit(0, 1, seed=0).feature_names,
+                        window_length=5, stride=stride)
+        return EnsembleModel(arch, [init_params(arch, seed=k)
+                                    for k in range(5)], base_seed=0, prep=prep)
+
+    @staticmethod
+    def _oracle(model, units):
+        length, stride = model.prep.window_length, model.prep.stride
+        means, varis = [], []
+        for unit in units:
+            windows = [unit.features[s:s + length]
+                       for s in range(0, len(unit) - length + 1, stride)]
+            if windows:
+                for m, v in predict_members(model.members, windows):
+                    means.append(m[:, -1])
+                    varis.append(v[:, -1])
+        return decompose_uncertainty(np.stack(means, axis=1),
+                                     np.stack(varis, axis=1))
+
+    @pytest.mark.parametrize("layout", ["_serial", "_pairs"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_same_bits_as_the_per_window_pass(self, monkeypatch,
+                                              profile_model, stride, layout):
+        # unit 1 is exactly one window, whose steps are one-row products;
+        # unit 2 is shorter than the window; at stride 2 and 3 the last
+        # row of unit 3 is read by no window, so its NaN must not raise
+        model = self._model(profile_model, stride)
+        units = [_make_unit(1, 5, seed=6), _make_unit(2, 3, seed=7),
+                 _make_unit(3, 12, seed=8)]
+        if stride > 1:
+            features = units[2].features.copy()
+            features[-1] = np.nan
+            units[2] = replace(units[2], features=features)
+        with monkeypatch.context() as m:
+            getattr(TestWorkers, layout)(m)
+            ids, cycles, dec = dataset_uncertainty_profile(model, units,
+                                                           per_window=True)
+        n_windows = {1: 8, 2: 4, 3: 3}[stride]
+        assert ids.tolist() == [1] + [3] * n_windows
+        assert cycles.tolist() == [5] + list(range(5, 13, stride))[:n_windows]
+        want = self._oracle(model, units)
+        for field in ("aleatoric", "epistemic", "total", "mean", "variance"):
+            assert getattr(dec, field).tobytes() == \
+                getattr(want, field).tobytes(), field
+
+    def test_windows_apart_read_only_their_rows(self, profile_model):
+        # stride 7 > window 5: the rows between windows are read by none,
+        # so NaN there does not raise
+        model = self._model(profile_model, 7)
+        unit = _make_unit(3, 19, seed=8)
+        features = unit.features.copy()
+        features[[5, 6, 12, 13]] = np.nan
+        unit = replace(unit, features=features)
+        ids, cycles, dec = dataset_uncertainty_profile(model, [unit],
+                                                       per_window=True)
+        assert cycles.tolist() == [5, 12, 19]
+        want = self._oracle(model, [unit])
+        assert dec.total.tobytes() == want.total.tobytes()
+
+    def test_saturated_gates_warn_nothing(self, profile_model):
+        # input weights scaled so gate pre-activations pass 710 in
+        # magnitude, where exp overflows
+        model = self._model(profile_model, 1)
+        for member in model.members:
+            member.arrays["lstm0.w_x"][...] *= 3000.0
+        units = [_make_unit(1, 5, seed=6), _make_unit(3, 12, seed=8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids, _, dec = dataset_uncertainty_profile(model, units,
+                                                      per_window=True)
+        assert len(ids) == 9 and np.isfinite(dec.total).all()
 
 
 class TestEnsembleModelValidation:

@@ -12,6 +12,7 @@ from gradcheck import (GaussianSeqPrediction, batch_forward, batch_loss,
                        gaussian_nll, member_grad)
 from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
 from rulens.config import TrainingConfig
+from rulens import network
 from rulens.errors import DivergenceError
 from rulens.network import (VAR_FLOOR, Architecture, PnnParams, adam_step,
                             Stack, clip_global_norm, grad, init_params,
@@ -260,6 +261,76 @@ class TestSigmoid:
         before = x.copy()
         assert sigmoid(x) is not x
         assert x.tobytes() == before.tobytes()   # -0.0 keeps its sign
+
+
+class TestNegatedGates:
+    """The step loop reads the i, f and o gate columns negated, so each
+    product gives -z there and the sigmoid needs no negation of its own."""
+
+    @staticmethod
+    def _saturating_stack(arch, seeds):
+        # the first layer's input weights scaled so that pre-activations of
+        # both signs pass 710 in magnitude, where exp overflows
+        vectors = np.stack([init_params(arch, seed).vector for seed in seeds])
+        arch.unflatten(vectors)["lstm0.w_x"][...] *= 3000.0
+        return vectors
+
+    def test_tape_gates_are_sigmoid_of_preactivations(self):
+        arch = Architecture(3, (4, 2), (2,))
+        vectors = self._saturating_stack(arch, (1, 2))
+        before = vectors.tobytes()
+        T, M, B = 6, 2, 5
+        x = np.random.default_rng(4).normal(size=(T, M, B, 3))
+        tape = {}
+        network._run(arch, vectors, x, np.full(T, B), tape)
+        assert vectors.tobytes() == before      # the negation is undone
+        arrays = arch.unflatten(vectors)
+        saturated = np.zeros(2, dtype=int)      # gates at 0.0, at 1.0
+        for k, hidden in enumerate(arch.recurrent_layers):
+            w_x, w_h = arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"]
+            bias = arrays[f"lstm{k}.b"][:, None]
+            for t in range(T):
+                a = x[t] if k == 0 else tape[f"lstm{k - 1}.h"][:, t + 1]
+                # the un-negated pre-activations, products of the loop's shapes
+                z = a @ w_x + bias
+                z += tape[f"lstm{k}.h"][:, t] @ w_h
+                want = sigmoid(z)
+                want[..., 2 * hidden:3 * hidden] = np.tanh(
+                    z[..., 2 * hidden:3 * hidden])
+                got = tape[f"lstm{k}.gates"][:, t]
+                assert got.tobytes() == want.tobytes(), (k, t)
+                ifo = np.delete(np.arange(4 * hidden),
+                                np.arange(2 * hidden, 3 * hidden))
+                low, high = z[..., ifo] < -710.0, z[..., ifo] > 710.0
+                assert (got[..., ifo][low] == 0.0).all()
+                assert (got[..., ifo][high] == 1.0).all()
+                saturated += low.sum(), high.sum()
+        assert (saturated > 0).all()
+
+    def test_saturated_gates_warn_nothing(self):
+        arch = Architecture(3, (4, 2), (2,))
+        vectors = self._saturating_stack(arch, (1, 2))
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(10, 6, 3)), rng.normal(size=(10, 6))
+        rows = rng.normal(size=(9, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, losses = grad(Stack(arch, vectors), x, y, {})
+            means, varis = network.forward_windows(arch, vectors, rows, 5, 2)
+        assert np.isfinite(losses).all()
+        assert means.shape == varis.shape == (2, 3)
+
+    def test_forward_windows_refuses_rows_that_are_not_its_windows(self):
+        arch = Architecture(3, (4,), (2,))
+        vectors = init_params(arch, seed=0).vector[None]
+        for rows, length, hop in ((np.zeros((4, 3)), 5, 1),
+                                  (np.zeros((8, 3)), 5, 2),
+                                  (np.zeros((5, 3)), 5, 0)):
+            with pytest.raises(ValueError, match="not windows"):
+                network.forward_windows(arch, vectors, rows, length, hop)
+        with pytest.raises(ValueError, match="non-finite"):
+            network.forward_windows(arch, vectors, np.full((5, 3), np.nan),
+                                    5, 1)
 
 
 def random_small_net(rng):
