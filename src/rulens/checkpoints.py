@@ -23,7 +23,8 @@ from .atomic import atomic_write
 from .cmapss import Preprocessing
 from .config import TrainingConfig
 from .ensemble import EnsembleModel
-from .errors import DataIntegrityError
+from .errors import (INT, INTS, STR, STRS, DataIntegrityError, check_entries,
+                     read_manifest)
 from .network import Architecture, PnnParams, TrainHistory, numerics
 
 FORMAT_VERSION = 1
@@ -145,68 +146,34 @@ def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
     return manifest["fingerprint"]
 
 
-# the ensemble.json entries load_ensemble reads: key -> (the JSON types it
-# may have, then the keys an object must hold or the type of a list's items)
+# the ensemble.json entries load_ensemble reads itself, in the form of
+# errors.check_entries; Preprocessing.from_manifest checks its own
 _ENSEMBLE_ENTRIES = {
-    "architecture": ((dict,), ("input_dim", "recurrent_layers",
-                               "dense_layers")),
-    "base_seed": ((int,), None),
-    "member_files": ((list,), str),
-    "member_checksums": ((list,), str),
-    "member_seeds": ((list,), int),
-    "norm_stats": ((dict,), ("feature_names", "mean", "std",
-                             "constant_features")),
-    "preprocess": ((dict,), ("window_length", "stride", "rul_cap",
-                             "dropped_sensors")),
-    "data_fingerprint": ((str,), None),
-    "fingerprint": ((str,), None),
+    "architecture": ((dict,), {"input_dim": INT, "recurrent_layers": INTS,
+                               "dense_layers": INTS}),
+    "base_seed": INT, "member_files": STRS, "member_checksums": STRS,
+    "member_seeds": INTS, "fingerprint": STR,
 }
-_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer",
-               str: "a string"}
-
-
-def _check_entries(manifest: dict, path: Path) -> None:
-    """Refuse an ensemble.json whose entries load_ensemble cannot read,
-    naming the entry."""
-    for key, (types, inner) in _ENSEMBLE_ENTRIES.items():
-        value = manifest.get(key)
-        if key not in manifest or not isinstance(value, types):
-            got = json.dumps(value) if key in manifest else "missing"
-            raise DataIntegrityError(
-                f"{path}: {key!r} must be "
-                f"{' or '.join(_JSON_TYPES[t] for t in types)}, got {got}")
-        if isinstance(value, dict) and not set(inner) <= value.keys():
-            missing = [name for name in inner if name not in value]
-            raise DataIntegrityError(f"{path}: {key!r} lacks {missing[0]!r}")
-        if isinstance(value, list) and not all(isinstance(item, inner)
-                                               for item in value):
-            raise DataIntegrityError(f"{path}: every item of {key!r} must "
-                                     f"be {_JSON_TYPES[inner]}")
-    if len({len(manifest[key]) for key in
-            ("member_files", "member_checksums", "member_seeds")}) != 1:
-        raise DataIntegrityError(f"{path}: 'member_files', 'member_checksums' "
-                                 "and 'member_seeds' differ in length")
 
 
 def load_ensemble(ckpt_dir: Path | str) -> tuple[EnsembleModel, dict]:
     """Read and verify an ensemble checkpoint -> (model, manifest)."""
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "ensemble.json"
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"no ensemble manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataIntegrityError(f"{manifest_path}: not JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise DataIntegrityError(f"{manifest_path}: not a JSON object")
+    manifest = read_manifest(manifest_path, "ensemble manifest")
     if manifest.get("kind") != ENSEMBLE_KIND:
         raise DataIntegrityError(f"{manifest_path}: not an ensemble manifest")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataIntegrityError(
             f"{manifest_path}: format version {manifest.get('format_version')}, "
             f"expected {FORMAT_VERSION}")
-    _check_entries(manifest, manifest_path)
+    check_entries(manifest, _ENSEMBLE_ENTRIES, manifest_path)
+    if len({len(manifest[key]) for key in
+            ("member_files", "member_checksums", "member_seeds")}) != 1:
+        raise DataIntegrityError(f"{manifest_path}: 'member_files', "
+                                 "'member_checksums' and 'member_seeds' "
+                                 "differ in length")
+    prep = Preprocessing.from_manifest(manifest, manifest_path)
     arch = Architecture.from_dict(manifest["architecture"])
     members = []
     for k, rel in enumerate(manifest["member_files"]):
@@ -219,10 +186,6 @@ def load_ensemble(ckpt_dir: Path | str) -> tuple[EnsembleModel, dict]:
                 f"{ckpt_dir / rel}: seed {params.seed} does not match "
                 f"expected member seed {manifest['member_seeds'][k]}")
         members.append(params)
-    try:
-        prep = Preprocessing.from_manifest(manifest)
-    except DataIntegrityError as exc:
-        raise DataIntegrityError(f"{manifest_path}: {exc}") from None
     model = EnsembleModel(architecture=arch, members=members,
                           base_seed=int(manifest["base_seed"]), prep=prep)
     if ensemble_fingerprint(manifest) != manifest["fingerprint"]:

@@ -121,7 +121,8 @@ def cmd_ingest(args) -> int:
     print(f"{manifest['n_train_windows']} training windows of length "
           f"{split.prep.window_length}, "
           f"{len(split.prep.norm_stats.feature_names)} features")
-    print(f"archive written to {out} (fingerprint {manifest['fingerprint'][:12]})")
+    print(f"archive written to {out} "
+          f"(fingerprint {split.prep.fingerprint[:12]})")
     return 0
 
 
@@ -195,21 +196,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_pairing(model: EnsembleModel, archive_manifest: dict) -> None:
-    trained_on = model.prep.fingerprint
-    if trained_on != archive_manifest["fingerprint"]:
+def _check_pairing(model: EnsembleModel, split: cmapss.DatasetSplit) -> None:
+    trained_on, archive = model.prep.fingerprint, split.prep.fingerprint
+    if trained_on != archive:
         raise DataIntegrityError(
             "checkpoint/archive mismatch: the checkpoint was trained on a "
             "different preprocessing pipeline than this archive "
-            f"({trained_on[:12]} vs "
-            f"{archive_manifest['fingerprint'][:12]})")
+            f"({trained_on[:12]} vs {archive[:12]})")
 
 
 def cmd_evaluate(args) -> int:
     config = _load_run_config(args)
     model, ckpt_manifest = load_ensemble(args.checkpoint)
-    split, archive_manifest = cmapss.load_archive(args.archive)
-    _check_pairing(model, archive_manifest)
+    split, _ = cmapss.load_archive(args.archive)
+    _check_pairing(model, split)
     if not split.test_units:
         raise ValueError("archive holds no test units")
     if any(u.true_final_rul is None for u in split.test_units):
@@ -227,7 +227,7 @@ def cmd_evaluate(args) -> int:
     extra = {
         "n_members": model.n_members,
         "checkpoint_fingerprint": ckpt_manifest["fingerprint"],
-        "archive_fingerprint": archive_manifest["fingerprint"],
+        "archive_fingerprint": split.prep.fingerprint,
     }
     for key, value in sorted((ev.reference or {}).items()):
         extra[f"reference_{key}"] = value
@@ -238,7 +238,7 @@ def cmd_evaluate(args) -> int:
         "metrics": report_to_dict(report),
         "reference": ev.reference,
         "checkpoint_fingerprint": ckpt_manifest["fingerprint"],
-        "archive_fingerprint": archive_manifest["fingerprint"],
+        "archive_fingerprint": split.prep.fingerprint,
         "config": config.resolved(),
     })
     if args.per_unit:
@@ -341,8 +341,8 @@ def cmd_uncertainty(args) -> int:
 def cmd_predict(args) -> int:
     config = _load_run_config(args)
     model, ckpt_manifest = load_ensemble(args.checkpoint)
-    split, archive_manifest = cmapss.load_archive(args.archive)
-    _check_pairing(model, archive_manifest)
+    split, _ = cmapss.load_archive(args.archive)
+    _check_pairing(model, split)
     units = split.test_units if args.split == "test" else split.train_units
     by_id = {u.unit_id: u for u in units}
     if args.unit not in by_id:

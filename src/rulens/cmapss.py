@@ -22,7 +22,8 @@ import numpy as np
 
 from .atomic import atomic_write
 from .config import PreprocessConfig
-from .errors import CmapssFormatError, DataIntegrityError
+from .errors import (FLOATS, INT, INTS, STR, STRS, CmapssFormatError,
+                     DataIntegrityError, check_entries, read_manifest)
 
 logger = logging.getLogger(__name__)
 
@@ -362,7 +363,7 @@ class Preprocessing:
 
     def to_manifest(self) -> dict:
         """The norm_stats, preprocess and data_fingerprint entries of
-        ensemble.json."""
+        ensemble.json and of an archive's manifest.json."""
         stats = self.norm_stats
         return {
             "norm_stats": {"feature_names": list(stats.feature_names),
@@ -376,9 +377,12 @@ class Preprocessing:
         }
 
     @classmethod
-    def from_manifest(cls, manifest: dict) -> Preprocessing:
-        """Inverse of to_manifest. Refuses entries whose stats and windowing
-        do not hash to the recorded data fingerprint."""
+    def from_manifest(cls, manifest: dict, path) -> Preprocessing:
+        """Inverse of to_manifest, for the manifest at path. Refuses
+        entries of another shape, naming path and the entry, and entries
+        whose stats and windowing do not hash to the recorded data
+        fingerprint."""
+        check_entries(manifest, _PREPROCESSING_ENTRIES, path)
         stats, windowing = manifest["norm_stats"], manifest["preprocess"]
         prep = cls(NormStats(np.array(stats["mean"], dtype=np.float64),
                              np.array(stats["std"], dtype=np.float64),
@@ -387,9 +391,20 @@ class Preprocessing:
                    windowing["window_length"], windowing["stride"],
                    windowing["rul_cap"], tuple(windowing["dropped_sensors"]))
         if prep.fingerprint != manifest["data_fingerprint"]:
-            raise DataIntegrityError("normalization stats and windowing do "
-                                     "not match the recorded data fingerprint")
+            raise DataIntegrityError(
+                f"{path}: normalization stats and windowing do not match "
+                "the recorded data fingerprint")
         return prep
+
+
+# the entries Preprocessing.to_manifest writes, in the form of check_entries
+_PREPROCESSING_ENTRIES = {
+    "norm_stats": ((dict,), {"feature_names": STRS, "mean": FLOATS,
+                             "std": FLOATS, "constant_features": STRS}),
+    "preprocess": ((dict,), {"window_length": INT, "stride": INT,
+                             "rul_cap": INT, "dropped_sensors": INTS}),
+    "data_fingerprint": STR,
+}
 
 
 @dataclass
@@ -425,29 +440,32 @@ def prepare_split(train_units: Sequence[UnitSeries],
 # --------------------------------------------------------------------------
 # Dataset archive: ingestion runs once, training/evaluation read the archive.
 # Layout (documented, versioned): <dir>/manifest.json + <dir>/arrays.npz.
-# The manifest echoes the resolved config and carries the preprocessing
-# fingerprint used to pair checkpoints with archives.
+# The manifest echoes the resolved config, holds the preprocessing in the
+# form ensemble.json uses (Preprocessing.to_manifest), whose fingerprint
+# pairs checkpoints with archives, and the SHA-256 of arrays.npz.
 # --------------------------------------------------------------------------
 
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 ARCHIVE_MANIFEST = "manifest.json"
 ARCHIVE_ARRAYS = "arrays.npz"
 
 
-def _pack_units(units: Sequence[UnitSeries]):
-    ids = np.array([u.unit_id for u in units], dtype=np.int64)
-    lengths = np.array([len(u) for u in units], dtype=np.int64)
-    if units:
-        features = np.vstack([u.features for u in units])
-    else:
-        features = np.zeros((0, 0))
-    ruls = np.array(
-        [np.nan if u.true_final_rul is None else float(u.true_final_rul)
-         for u in units], dtype=np.float64)
-    return ids, lengths, features, ruls
+def _pack_units(units: Sequence[UnitSeries], split: str) -> dict:
+    """A split's units as the arrays.npz entries <split>_ids, _lengths,
+    _features (the units' rows stacked) and _ruls (nan for none)."""
+    features = (np.vstack([u.features for u in units]) if units
+                else np.zeros((0, 0)))
+    ruls = [np.nan if u.true_final_rul is None else float(u.true_final_rul)
+            for u in units]
+    return {f"{split}_ids": np.array([u.unit_id for u in units], np.int64),
+            f"{split}_lengths": np.array([len(u) for u in units], np.int64),
+            f"{split}_features": features,
+            f"{split}_ruls": np.array(ruls, dtype=np.float64)}
 
 
-def _unpack_units(ids, lengths, features, ruls, feature_names) -> list[UnitSeries]:
+def _unpack_units(arrays, split: str, feature_names) -> list[UnitSeries]:
+    ids, lengths, features, ruls = (arrays[f"{split}_{key}"] for key in
+                                    ("ids", "lengths", "features", "ruls"))
     sensor_ids = tuple(int(n.split("_", 1)[1]) for n in feature_names[N_SETTINGS:])
     ends = np.cumsum(lengths)
     return [UnitSeries(unit_id=int(uid), cycles=np.arange(1, end - start + 1),
@@ -466,64 +484,47 @@ def save_archive(split: DatasetSplit, directory, config_echo: dict,
             f"archive already exists at {directory} (use force to overwrite)")
 
     prep = split.prep
-    train_ids, train_lengths, train_features, _ = _pack_units(split.train_units)
-    test_ids, test_lengths, test_features, test_ruls = _pack_units(split.test_units)
+    buffer = io.BytesIO()
+    np.savez(buffer, **_pack_units(split.train_units, "train"),
+             **_pack_units(split.test_units, "test"))
+    arrays = buffer.getvalue()
     manifest = {
         "format_version": ARCHIVE_VERSION,
         "kind": "rulens-dataset",
-        "feature_names": list(prep.norm_stats.feature_names),
-        "constant_features": list(prep.norm_stats.constant_features),
-        "window_length": prep.window_length,
-        "stride": prep.stride,
-        "rul_cap": prep.rul_cap,
-        "dropped_sensors": list(prep.dropped_sensors),
+        **prep.to_manifest(),
         "n_train_units": len(split.train_units),
         "n_test_units": len(split.test_units),
         "n_train_windows": sum(map(len, window_starts(
             split.train_units, prep.window_length, prep.stride, "train"))),
-        "fingerprint": prep.fingerprint,
+        "arrays_checksum": hashlib.sha256(arrays).hexdigest(),
         "config": config_echo,
     }
-    arrays = io.BytesIO()
-    np.savez(
-        arrays,
-        norm_mean=prep.norm_stats.mean,
-        norm_std=prep.norm_stats.std,
-        train_ids=train_ids, train_lengths=train_lengths,
-        train_features=train_features,
-        test_ids=test_ids, test_lengths=test_lengths,
-        test_features=test_features, test_ruls=test_ruls,
-    )
-    atomic_write(directory / ARCHIVE_ARRAYS, arrays.getvalue())
+    atomic_write(directory / ARCHIVE_ARRAYS, arrays)
     atomic_write(manifest_path,
                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
 def load_archive(directory) -> tuple[DatasetSplit, dict]:
-    """Load an archive's units and statistics."""
+    """Load an archive's units and preprocessing, verifying the
+    preprocessing against its fingerprint and arrays.npz against its
+    checksum."""
     directory = Path(directory)
     manifest_path = directory / ARCHIVE_MANIFEST
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no dataset archive at {directory}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(manifest_path, "dataset archive")
     if manifest.get("format_version") != ARCHIVE_VERSION:
         raise DataIntegrityError(
-            f"unsupported archive version {manifest.get('format_version')}")
-    feature_names = tuple(manifest["feature_names"])
-    with np.load(directory / ARCHIVE_ARRAYS) as arrays:
-        prep = Preprocessing(
-            NormStats(arrays["norm_mean"], arrays["norm_std"], feature_names,
-                      tuple(manifest["constant_features"])),
-            int(manifest["window_length"]), int(manifest["stride"]),
-            int(manifest["rul_cap"]), tuple(manifest["dropped_sensors"]))
-        train_units = _unpack_units(
-            arrays["train_ids"], arrays["train_lengths"],
-            arrays["train_features"],
-            np.full(len(arrays["train_ids"]), np.nan), feature_names)
-        test_units = _unpack_units(
-            arrays["test_ids"], arrays["test_lengths"],
-            arrays["test_features"], arrays["test_ruls"], feature_names)
-    if prep.fingerprint != manifest["fingerprint"]:
-        raise DataIntegrityError(f"archive at {directory} failed its fingerprint check")
+            f"{manifest_path}: 'format_version' is "
+            f"{json.dumps(manifest.get('format_version'))}, expected "
+            f"{ARCHIVE_VERSION}; re-run `rulens ingest` to rewrite the archive")
+    prep = Preprocessing.from_manifest(manifest, manifest_path)
+    arrays_path = directory / ARCHIVE_ARRAYS
+    checksum = hashlib.sha256(arrays_path.read_bytes()).hexdigest()
+    if checksum != manifest.get("arrays_checksum"):
+        raise DataIntegrityError(f"{arrays_path}: checksum mismatch; "
+                                 "file corrupted")
+    with np.load(arrays_path) as arrays:
+        train_units, test_units = (
+            _unpack_units(arrays, name, prep.norm_stats.feature_names)
+            for name in ("train", "test"))
     return DatasetSplit(train_units, test_units, prep), manifest

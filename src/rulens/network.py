@@ -17,10 +17,15 @@ they read (forward_windows): each row is projected into the first layer
 once, however many windows read it, and the head runs only at the
 windows' last step, the one that is read.
 
-Measured on OpenBLAS: a product over 2 or more rows gives each row the
-same bits whatever the row count, and a one-row product takes another
-BLAS path. So forward_windows gives the bits of the per-step pass over the
-same windows, and it projects a unit's one window one row per product.
+Measured on OpenBLAS: an LSTM product (16 to 32 inputs, 64 or 128 gate
+columns) over 2 or more rows gives each row the same bits whatever the row
+count, and a one-row product takes another BLAS path. The Gaussian head's
+2-column product does not keep that rule: over 16 or more inputs, the rows
+past the last multiple of 4 take another path, so a reading's last bits
+can depend on how many sequences share its step. forward_windows gives the
+bits of the per-step pass over the same windows, since both run the head
+over the same rows, and it projects a unit's one window one row per
+product.
 
 The variance head emits a raw real s with sigma^2 = softplus(s) + 1e-6, so
 predicted variances are smooth and strictly positive.
@@ -252,9 +257,10 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
     computed once per row, not once per window that reads it, and the
     head runs at the last step only, so mean and variance are [M, B, 1].
     The readings are the bits of the per-step pass over the windows
-    stacked time-major: a product over 2 or more rows gives each row the
-    same bits whatever the row count, and a unit's one window, whose
-    per-step product is one row, is projected one row per product.
+    stacked time-major: an LSTM product over 2 or more rows gives each row
+    the same bits whatever the row count, the head runs over the same B
+    rows in both, and a unit's one window, whose per-step product is one
+    row, is projected one row per product.
 
     The loop reads the i, f and o gate columns of every LSTM layer's w_x,
     w_h and b negated: the call negates them in vectors, in place, and
@@ -361,10 +367,12 @@ def forward_stacked(arch: Architecture, vectors: np.ndarray,
 
     Sequences are sorted by length, longest first (stable), padded into a
     time-major batch and run through the shared step loop, which advances
-    only the batch prefix still active. A product over 2 or more rows
-    gives each row the same bits whatever the row count, but a one-row
-    product takes another BLAS path, so a step where one sequence is
-    active may differ in its last bits from a per-sequence forward.
+    only the batch prefix still active. An LSTM product over 2 or more
+    rows gives each row the same bits whatever the row count, but a
+    one-row product takes another BLAS path, and so do the head's rows
+    past the last multiple of 4 over 16 or more inputs (see the module
+    docstring). So a step's reading may differ in its last bits with the
+    number of sequences active at that step.
     """
     xs = [np.asarray(s, dtype=np.float64) for s in seqs]
     for x in xs:

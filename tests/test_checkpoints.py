@@ -1,6 +1,7 @@
 """On-disk formats: member files, ensemble manifests, integrity checks."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,23 @@ class TestPreprocessingEntries:
         with pytest.raises(DataIntegrityError,
                            match=f"ensemble.json: '{key}' must be {kind}, "
                                  "got null"):
+            load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["architecture"].update(recurrent_layers=5),
+         "'architecture.recurrent_layers' must be a list, got 5"),
+        (lambda m: m["member_seeds"].__setitem__(0, "7"),
+         "every item of 'member_seeds' must be an integer"),
+        (lambda m: m["norm_stats"].update(constant_features=[1]),
+         "every item of 'norm_stats.constant_features' must be a string"),
+        (lambda m: m["preprocess"].update(rul_cap="x"),
+         "'preprocess.rul_cap' must be an integer, got \"x\""),
+    ], ids=["architecture", "member_seeds", "norm_stats", "preprocess"])
+    def test_mistyped_inner_entry_refused(self, small_ensemble, tmp_path,
+                                          edit, message):
+        self._edited(small_ensemble, tmp_path, edit)
+        with pytest.raises(DataIntegrityError,
+                           match=re.escape(f"ensemble.json: {message}")):
             load_ensemble(tmp_path)
 
 

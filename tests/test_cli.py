@@ -58,10 +58,12 @@ class TestIngest:
         assert (archive / "arrays.npz").is_file()
         manifest = _read_json(archive / "manifest.json")
         assert manifest["kind"] == "rulens-dataset"
-        assert manifest["window_length"] == 30
+        assert manifest["format_version"] == 2
+        assert manifest["preprocess"]["window_length"] == 30
         assert manifest["n_train_units"] == 10
         assert manifest["n_test_units"] == 6
-        assert len(manifest["fingerprint"]) == 64
+        assert len(manifest["data_fingerprint"]) == 64
+        assert len(manifest["arrays_checksum"]) == 64
 
     def test_refuses_overwrite_without_force(self, trained_run, capsys):
         assert run_cli("ingest", "--config", trained_run["config"]) == 2
@@ -223,7 +225,7 @@ class TestTrain:
                        "--out", ckpt, "--resume") == 0
         assert "reusing" not in capsys.readouterr().out
         assert caplog.text.count("retraining") == 3
-        fingerprint = _read_json(archive / "manifest.json")["fingerprint"]
+        fingerprint = _read_json(archive / "manifest.json")["data_fingerprint"]
         for k in range(3):
             _, manifest = load_member(member_path(ckpt, k))
             assert manifest["data_fingerprint"] == fingerprint
@@ -558,14 +560,12 @@ class TestEvaluate:
     def test_mismatched_archive_refused(self, evaluated_run, tmp_path,
                                         capsys):
         # same data, different preprocessing -> different fingerprint
+        cfg = yaml.safe_load(evaluated_run["config"].read_text())
+        cfg["preprocessing"]["rul_cap"] += 10
+        config = tmp_path / "other.yaml"
+        config.write_text(yaml.safe_dump(cfg))
         other = tmp_path / "other_archive"
-        assert run_cli("ingest", "--config", evaluated_run["config"],
-                       "--out", other) == 0
-        manifest_path = other / "manifest.json"
-        manifest = _read_json(manifest_path)
-        manifest["fingerprint"] = "f" * 64
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True,
-                                            indent=2))
+        assert run_cli("ingest", "--config", config, "--out", other) == 0
         code = run_cli("evaluate", "--config", evaluated_run["config"],
                        "--checkpoint", evaluated_run["checkpoint"],
                        "--archive", other, "--out", tmp_path / "r")
@@ -593,6 +593,37 @@ class TestEvaluate:
                        evaluated_run["archive"], "--out", tmp_path / "r")
         assert code == 2
         assert f"ensemble.json: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(norm_stats=5),
+         "'norm_stats' must be an object, got 5"),
+        (lambda m: m["preprocess"].pop("stride"),
+         "'preprocess' lacks 'stride'"),
+        (lambda m: m.pop("data_fingerprint"),
+         "'data_fingerprint' must be a string, got missing"),
+        (lambda m: m["norm_stats"].update(feature_names=5),
+         "'norm_stats.feature_names' must be a list, got 5"),
+        (lambda m: m["norm_stats"]["mean"].__setitem__(0, 50.0),
+         "normalization stats and windowing do not match the recorded "
+         "data fingerprint"),
+        (lambda m: m.update(format_version=1),
+         "'format_version' is 1, expected 2; re-run `rulens ingest`"),
+    ], ids=["norm_stats", "preprocess.stride", "data_fingerprint",
+            "norm_stats.feature_names", "norm_stats.mean", "format_version"])
+    def test_malformed_archive_is_user_error(self, evaluated_run, tmp_path,
+                                             capsys, edit, message):
+        # an archive manifest of another shape or version exits 2, naming
+        # manifest.json and the entry
+        archive = tmp_path / "arc"
+        shutil.copytree(evaluated_run["archive"], archive)
+        manifest = _read_json(archive / "manifest.json")
+        edit(manifest)
+        (archive / "manifest.json").write_text(json.dumps(manifest))
+        code = run_cli("evaluate", "--config", evaluated_run["config"],
+                       "--checkpoint", evaluated_run["checkpoint"],
+                       "--archive", archive, "--out", tmp_path / "r")
+        assert code == 2
+        assert f"manifest.json: {message}" in capsys.readouterr().err
 
     def test_report_json_is_strict_json_for_one_test_unit(
             self, evaluated_run, tmp_path):

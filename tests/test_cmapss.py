@@ -402,7 +402,8 @@ class TestArchive:
     def test_round_trip(self, split, tmp_path):
         manifest = save_archive(split, tmp_path / "arc", {"demo": 1})
         again, manifest2 = load_archive(tmp_path / "arc")
-        assert manifest["fingerprint"] == manifest2["fingerprint"]
+        assert manifest == manifest2
+        assert manifest["data_fingerprint"] == split.prep.fingerprint
         assert again.prep.fingerprint == split.prep.fingerprint
         assert len(again.train_windows) == len(split.train_windows)
         assert np.array_equal(window(again.train_windows.inputs, 0),
@@ -411,6 +412,8 @@ class TestArchive:
                [u.true_final_rul for u in split.test_units]
         assert np.array_equal(again.prep.norm_stats.mean,
                               split.prep.norm_stats.mean)
+        assert np.array_equal(again.prep.norm_stats.std,
+                              split.prep.norm_stats.std)
 
     def test_loaded_windows_equal_prepared_windows(self, split, tmp_path):
         save_archive(split, tmp_path / "arc", {})
@@ -422,6 +425,17 @@ class TestArchive:
                               gather(theirs.inputs, every))
         assert np.array_equal(gather(ours.targets, every),
                               gather(theirs.targets, every))
+
+    def test_arrays_checksum_refuses_a_flipped_byte(self, split, tmp_path):
+        save_archive(split, tmp_path / "arc", {})
+        load_archive(tmp_path / "arc")
+        arrays = tmp_path / "arc" / "arrays.npz"
+        blob = bytearray(arrays.read_bytes())
+        blob[len(blob) // 2] ^= 1
+        arrays.write_bytes(bytes(blob))
+        with pytest.raises(DataIntegrityError,
+                           match="arrays.npz: checksum mismatch"):
+            load_archive(tmp_path / "arc")
 
     def test_overwrite_guard(self, split, tmp_path):
         save_archive(split, tmp_path / "arc", {})
