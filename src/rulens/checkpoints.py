@@ -20,11 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_write
-from .cmapss import Preprocessing
+from .cmapss import PREPROCESSING_ENTRIES, Preprocessing
 from .config import TrainingConfig
 from .ensemble import EnsembleModel
-from .errors import (INT, INTS, STR, STRS, DataIntegrityError, check_entries,
-                     read_manifest)
+from .errors import INT, INTS, STR, STRS, DataIntegrityError, read_manifest
 from .network import Architecture, PnnParams, TrainHistory, numerics
 
 FORMAT_VERSION = 1
@@ -68,27 +67,29 @@ def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
     return checksum
 
 
+# the header entries load_member reads, in errors.check_entries form
+_ARCHITECTURE = ((dict,), {"input_dim": INT, "recurrent_layers": INTS,
+                           "dense_layers": INTS})
+_MEMBER_ENTRIES = {"architecture": _ARCHITECTURE, "param_names": STRS,
+                   "seed": INT, "checksum": STR}
+
+
+def _architecture(manifest: dict, path) -> Architecture:
+    try:
+        return Architecture.from_dict(manifest["architecture"])
+    except ValueError as exc:
+        raise DataIntegrityError(f"{path}: 'architecture': {exc}") from None
+
+
 def load_member(path: Path | str) -> tuple[PnnParams, dict]:
     """Read and verify one member checkpoint -> (params, manifest)."""
     path = Path(path)
-    blob = path.read_bytes()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise DataIntegrityError(f"{path}: no manifest line")
-    try:
-        manifest = json.loads(blob[:nl])
-    except json.JSONDecodeError as exc:
-        raise DataIntegrityError(f"{path}: bad manifest: {exc}") from None
-    if manifest.get("kind") != MEMBER_KIND:
-        raise DataIntegrityError(f"{path}: not a member checkpoint")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataIntegrityError(
-            f"{path}: format version {manifest.get('format_version')}, "
-            f"expected {FORMAT_VERSION}")
-    payload = blob[nl + 1:]
+    header, _, payload = path.read_bytes().partition(b"\n")
+    manifest = read_manifest(path, MEMBER_KIND, FORMAT_VERSION,
+                             _MEMBER_ENTRIES, header)
     if hashlib.sha256(payload).hexdigest() != manifest["checksum"]:
         raise DataIntegrityError(f"{path}: checksum mismatch; file corrupted")
-    arch = Architecture.from_dict(manifest["architecture"])
+    arch = _architecture(manifest, path)
     if list(arch.param_shapes()) != manifest["param_names"]:
         raise DataIntegrityError(f"{path}: parameter names do not match "
                                  "the declared architecture")
@@ -146,13 +147,11 @@ def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
     return manifest["fingerprint"]
 
 
-# the ensemble.json entries load_ensemble reads itself, in the form of
-# errors.check_entries; Preprocessing.from_manifest checks its own
+# the ensemble.json entries load_ensemble reads, in errors.check_entries form
 _ENSEMBLE_ENTRIES = {
-    "architecture": ((dict,), {"input_dim": INT, "recurrent_layers": INTS,
-                               "dense_layers": INTS}),
-    "base_seed": INT, "member_files": STRS, "member_checksums": STRS,
-    "member_seeds": INTS, "fingerprint": STR,
+    "architecture": _ARCHITECTURE, "n_members": INT, "base_seed": INT,
+    "member_files": STRS, "member_checksums": STRS, "member_seeds": INTS,
+    "fingerprint": STR, **PREPROCESSING_ENTRIES,
 }
 
 
@@ -160,31 +159,26 @@ def load_ensemble(ckpt_dir: Path | str) -> tuple[EnsembleModel, dict]:
     """Read and verify an ensemble checkpoint -> (model, manifest)."""
     ckpt_dir = Path(ckpt_dir)
     manifest_path = ckpt_dir / "ensemble.json"
-    manifest = read_manifest(manifest_path, "ensemble manifest")
-    if manifest.get("kind") != ENSEMBLE_KIND:
-        raise DataIntegrityError(f"{manifest_path}: not an ensemble manifest")
-    if manifest.get("format_version") != FORMAT_VERSION:
+    manifest = read_manifest(manifest_path, ENSEMBLE_KIND, FORMAT_VERSION,
+                             _ENSEMBLE_ENTRIES)
+    if len({manifest["n_members"], *(len(manifest[key]) for key in (
+            "member_files", "member_checksums", "member_seeds"))}) != 1:
         raise DataIntegrityError(
-            f"{manifest_path}: format version {manifest.get('format_version')}, "
-            f"expected {FORMAT_VERSION}")
-    check_entries(manifest, _ENSEMBLE_ENTRIES, manifest_path)
-    if len({len(manifest[key]) for key in
-            ("member_files", "member_checksums", "member_seeds")}) != 1:
-        raise DataIntegrityError(f"{manifest_path}: 'member_files', "
-                                 "'member_checksums' and 'member_seeds' "
-                                 "differ in length")
+            f"{manifest_path}: 'n_members' and the lengths of 'member_files', "
+            "'member_checksums' and 'member_seeds' differ")
     prep = Preprocessing.from_manifest(manifest, manifest_path)
-    arch = Architecture.from_dict(manifest["architecture"])
+    arch = _architecture(manifest, manifest_path)
     members = []
     for k, rel in enumerate(manifest["member_files"]):
         params, m_manifest = load_member(ckpt_dir / rel)
-        if m_manifest["checksum"] != manifest["member_checksums"][k]:
-            raise DataIntegrityError(
-                f"{ckpt_dir / rel}: checksum differs from the ensemble manifest")
-        if params.seed != manifest["member_seeds"][k]:
-            raise DataIntegrityError(
-                f"{ckpt_dir / rel}: seed {params.seed} does not match "
-                f"expected member seed {manifest['member_seeds'][k]}")
+        for key, want in (("checksum", manifest["member_checksums"][k]),
+                          ("seed", manifest["member_seeds"][k]),
+                          ("architecture", manifest["architecture"]),
+                          ("data_fingerprint", manifest["data_fingerprint"])):
+            if m_manifest.get(key) != want:
+                raise DataIntegrityError(f"{ckpt_dir / rel}: {key!r} is "
+                                         f"{json.dumps(m_manifest.get(key))}, "
+                                         f"ensemble.json's {json.dumps(want)}")
         members.append(params)
     model = EnsembleModel(architecture=arch, members=members,
                           base_seed=int(manifest["base_seed"]), prep=prep)

@@ -23,7 +23,7 @@ import numpy as np
 from .atomic import atomic_write
 from .config import PreprocessConfig
 from .errors import (FLOATS, INT, INTS, STR, STRS, CmapssFormatError,
-                     DataIntegrityError, check_entries, read_manifest)
+                     DataIntegrityError, read_manifest)
 
 logger = logging.getLogger(__name__)
 
@@ -378,17 +378,18 @@ class Preprocessing:
 
     @classmethod
     def from_manifest(cls, manifest: dict, path) -> Preprocessing:
-        """Inverse of to_manifest, for the manifest at path. Refuses
-        entries of another shape, naming path and the entry, and entries
-        whose stats and windowing do not hash to the recorded data
-        fingerprint."""
-        check_entries(manifest, _PREPROCESSING_ENTRIES, path)
+        """Inverse of to_manifest, for the manifest at path, whose entries
+        read_manifest checked. Refuses stats and windowing that are invalid
+        or do not hash to the recorded data fingerprint, naming path."""
         stats, windowing = manifest["norm_stats"], manifest["preprocess"]
-        prep = cls(NormStats(np.array(stats["mean"], dtype=np.float64),
-                             np.array(stats["std"], dtype=np.float64),
-                             tuple(stats["feature_names"]),
-                             tuple(stats["constant_features"])),
-                   windowing["window_length"], windowing["stride"],
+        try:
+            norm_stats = NormStats(np.array(stats["mean"], dtype=np.float64),
+                                   np.array(stats["std"], dtype=np.float64),
+                                   tuple(stats["feature_names"]),
+                                   tuple(stats["constant_features"]))
+        except DataIntegrityError as exc:
+            raise DataIntegrityError(f"{path}: {exc}") from None
+        prep = cls(norm_stats, windowing["window_length"], windowing["stride"],
                    windowing["rul_cap"], tuple(windowing["dropped_sensors"]))
         if prep.fingerprint != manifest["data_fingerprint"]:
             raise DataIntegrityError(
@@ -397,8 +398,8 @@ class Preprocessing:
         return prep
 
 
-# the entries Preprocessing.to_manifest writes, in the form of check_entries
-_PREPROCESSING_ENTRIES = {
+# the entries Preprocessing.to_manifest writes, in errors.check_entries form
+PREPROCESSING_ENTRIES = {
     "norm_stats": ((dict,), {"feature_names": STRS, "mean": FLOATS,
                              "std": FLOATS, "constant_features": STRS}),
     "preprocess": ((dict,), {"window_length": INT, "stride": INT,
@@ -446,6 +447,7 @@ def prepare_split(train_units: Sequence[UnitSeries],
 # --------------------------------------------------------------------------
 
 ARCHIVE_VERSION = 2
+ARCHIVE_KIND = "rulens-dataset"
 ARCHIVE_MANIFEST = "manifest.json"
 ARCHIVE_ARRAYS = "arrays.npz"
 
@@ -490,7 +492,7 @@ def save_archive(split: DatasetSplit, directory, config_echo: dict,
     arrays = buffer.getvalue()
     manifest = {
         "format_version": ARCHIVE_VERSION,
-        "kind": "rulens-dataset",
+        "kind": ARCHIVE_KIND,
         **prep.to_manifest(),
         "n_train_units": len(split.train_units),
         "n_test_units": len(split.test_units),
@@ -511,16 +513,12 @@ def load_archive(directory) -> tuple[DatasetSplit, dict]:
     checksum."""
     directory = Path(directory)
     manifest_path = directory / ARCHIVE_MANIFEST
-    manifest = read_manifest(manifest_path, "dataset archive")
-    if manifest.get("format_version") != ARCHIVE_VERSION:
-        raise DataIntegrityError(
-            f"{manifest_path}: 'format_version' is "
-            f"{json.dumps(manifest.get('format_version'))}, expected "
-            f"{ARCHIVE_VERSION}; re-run `rulens ingest` to rewrite the archive")
+    manifest = read_manifest(manifest_path, ARCHIVE_KIND, ARCHIVE_VERSION,
+                             {**PREPROCESSING_ENTRIES, "arrays_checksum": STR})
     prep = Preprocessing.from_manifest(manifest, manifest_path)
     arrays_path = directory / ARCHIVE_ARRAYS
     checksum = hashlib.sha256(arrays_path.read_bytes()).hexdigest()
-    if checksum != manifest.get("arrays_checksum"):
+    if checksum != manifest["arrays_checksum"]:
         raise DataIntegrityError(f"{arrays_path}: checksum mismatch; "
                                  "file corrupted")
     with np.load(arrays_path) as arrays:

@@ -59,10 +59,6 @@ class EnsembleModel:
     def __post_init__(self):
         if len(self.members) < 1:
             raise ValueError("ensemble needs at least one member")
-        for k, member in enumerate(self.members):
-            if member.arch != self.architecture:
-                raise ValueError(f"member {k} has architecture {member.arch}, "
-                                 f"the ensemble's is {self.architecture}")
 
     @property
     def n_members(self) -> int:

@@ -39,17 +39,38 @@ class DivergenceError(RulensError, RuntimeError):
         self.member = member
 
 
-def read_manifest(path, what: str) -> dict:
-    """The JSON object at path, the manifest of a what; anything else is
-    refused, naming path."""
-    if not path.is_file():
-        raise FileNotFoundError(f"no {what} at {path}")
+# the command that writes each kind of file read_manifest reads
+_WRITTEN_BY = {"rulens-dataset": "rulens ingest",
+               "pnn-ensemble": "rulens train", "pnn-member": "rulens train"}
+
+
+def read_manifest(path, kind: str, version: int, entries: dict,
+                  text=None) -> dict:
+    """The JSON object in text (the bytes of path that hold it) or else in
+    the file at path, a kind manifest of format version whose entries
+    check_entries takes; anything else is refused, naming path, the entry
+    and the command that rewrites the file."""
+    def refused(problem):
+        return DataIntegrityError(f"{path}: {problem}; re-run "
+                                  f"`{_WRITTEN_BY[kind]}` to rewrite it")
+    if text is None:
+        if not path.is_file():
+            raise FileNotFoundError(f"no {path.name} at {path.parent}")
+        text = path.read_bytes()
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataIntegrityError(f"{path}: not JSON ({exc})") from None
+        manifest = json.loads(text)
+    except ValueError as exc:
+        raise refused(f"not JSON ({exc})") from None
     if not isinstance(manifest, dict):
-        raise DataIntegrityError(f"{path}: not a JSON object")
+        raise refused("not a JSON object")
+    for key, want in (("kind", kind), ("format_version", version)):
+        got = json.dumps(manifest[key]) if key in manifest else "missing"
+        if got != json.dumps(want):     # by type too: true is not 1
+            raise refused(f"{key!r} is {got}, expected {json.dumps(want)}")
+    try:
+        check_entries(manifest, entries)
+    except DataIntegrityError as exc:
+        raise refused(exc) from None
     return manifest
 
 
@@ -60,25 +81,25 @@ INT, STR = ((int,), None), ((str,), None)
 INTS, FLOATS, STRS = ((list,), (int,)), ((list,), (float, int)), ((list,), (str,))
 
 
-def check_entries(manifest: dict, entries: dict, path, within: str = "") -> None:
+def check_entries(manifest: dict, entries: dict, within: str = "") -> None:
     """Refuse a JSON manifest whose entries a reader cannot take, naming
-    path and the entry. entries maps each key to the JSON types its value
-    may have, then what the value holds: an object's entries, in the same
-    form, or the types of a list's items."""
+    the entry. entries maps each key to the JSON types its value may have,
+    then what the value holds: an object's entries, in the same form, or
+    the types of a list's items."""
     for key, (types, inner) in entries.items():
         if within and key not in manifest:
-            raise DataIntegrityError(f"{path}: {within!r} lacks {key!r}")
+            raise DataIntegrityError(f"{within!r} lacks {key!r}")
         name = f"{within}.{key}" if within else key
         value = manifest.get(key)
         if key not in manifest or not isinstance(value, types):
             got = json.dumps(value) if key in manifest else "missing"
             raise DataIntegrityError(
-                f"{path}: {name!r} must be "
+                f"{name!r} must be "
                 f"{' or '.join(_JSON_TYPES[t] for t in types)}, got {got}")
         if isinstance(value, dict):
-            check_entries(value, inner, path, name)
+            check_entries(value, inner, name)
         if isinstance(value, list) and not all(isinstance(item, inner)
                                                for item in value):
             raise DataIntegrityError(
-                f"{path}: every item of {name!r} must be "
+                f"every item of {name!r} must be "
                 f"{' or '.join(_JSON_TYPES[t] for t in inner)}")

@@ -81,7 +81,7 @@ class Architecture:
             raise ValueError("need at least one recurrent layer")
         if any(h < 1 for h in self.recurrent_layers + self.dense_layers):
             raise ValueError("layer sizes must be >= 1")
-        if self.dense_layers[-1] != 2:
+        if not self.dense_layers or self.dense_layers[-1] != 2:
             raise ValueError("dense stack must end in the 2-unit Gaussian head")
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:

@@ -17,7 +17,7 @@ from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, dataset_uncertainty_profile,
                              read_out, train_ensemble)
 from rulens.errors import DataIntegrityError
-from rulens.network import TRAINING_BITS, Architecture, train_pnn
+from rulens.network import TRAINING_BITS, Architecture, init_params, train_pnn
 from rulens.synthetic import make_synthetic_units
 
 ARCH = Architecture(2, (3,), (2,))
@@ -153,7 +153,9 @@ class TestMemberVerification:
         manifest["kind"] = "something-else"
         path.write_bytes(json.dumps(manifest, sort_keys=True).encode()
                          + blob[nl:])
-        with pytest.raises(DataIntegrityError, match="not a member"):
+        with pytest.raises(DataIntegrityError,
+                           match="'kind' is \"something-else\", "
+                                 "expected \"pnn-member\""):
             load_member(path)
 
     def test_unknown_format_version_rejected(self, trained, tmp_path):
@@ -170,10 +172,10 @@ class TestMemberVerification:
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"this is not json\n\x00\x01")
-        with pytest.raises(DataIntegrityError, match="bad manifest"):
+        with pytest.raises(DataIntegrityError, match="not JSON"):
             load_member(path)
         path.write_bytes(b"no newline at all")
-        with pytest.raises(DataIntegrityError, match="manifest"):
+        with pytest.raises(DataIntegrityError, match="not JSON"):
             load_member(path)
 
 
@@ -234,9 +236,45 @@ class TestEnsembleCheckpoint:
                                  hists[0], CFG, model.prep.fingerprint)
                      for k in (0, 1, 2)]
         write_ensemble_manifest(tmp_path, model, CFG, checksums, None)
-        with pytest.raises(DataIntegrityError, match="seed 100 does not "
-                                                     "match expected member "
-                                                     "seed 101"):
+        with pytest.raises(DataIntegrityError,
+                           match="member_001.ckpt: 'seed' is 100, "
+                                 "ensemble.json's 101"):
+            load_ensemble(tmp_path)
+
+    def test_member_of_another_architecture_detected(self, small_ensemble,
+                                                     tmp_path):
+        model, hists = small_ensemble
+        other = init_params(Architecture(2, (1, 2), (2,)), seed=101)
+        members = [model.members[0], other, model.members[2]]
+        checksums = [save_member(member_path(tmp_path, k), params, hists[k],
+                                 CFG, model.prep.fingerprint)
+                     for k, params in enumerate(members)]
+        write_ensemble_manifest(tmp_path, model, CFG, checksums, None)
+        with pytest.raises(DataIntegrityError,
+                           match="member_001.ckpt: 'architecture' is"):
+            load_ensemble(tmp_path)
+
+    def test_member_of_other_data_detected(self, small_ensemble, tmp_path):
+        model, hists = small_ensemble
+        checksums = [save_member(member_path(tmp_path, k), params, hists[k],
+                                 CFG, FP if k == 1 else model.prep.fingerprint)
+                     for k, params in enumerate(model.members)]
+        write_ensemble_manifest(tmp_path, model, CFG, checksums, None)
+        with pytest.raises(DataIntegrityError,
+                           match=f"member_001.ckpt: 'data_fingerprint' is "
+                                 f"\"{FP}\""):
+            load_ensemble(tmp_path)
+
+    def test_member_count_differs_from_member_files(self, small_ensemble,
+                                                    tmp_path):
+        model, hists = small_ensemble
+        save_ensemble(tmp_path, model, hists, CFG)
+        mpath = tmp_path / "ensemble.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["n_members"] = 2
+        mpath.write_text(json.dumps(manifest, sort_keys=True))
+        with pytest.raises(DataIntegrityError, match="'n_members' and the "
+                                                     "lengths"):
             load_ensemble(tmp_path)
 
     def test_manifest_needs_one_checksum_per_member(self, small_ensemble,
@@ -279,7 +317,9 @@ class TestEnsembleCheckpoint:
         manifest = json.loads(mpath.read_text())
         manifest["kind"] = "other"
         mpath.write_text(json.dumps(manifest, sort_keys=True))
-        with pytest.raises(DataIntegrityError, match="not an ensemble"):
+        with pytest.raises(DataIntegrityError,
+                           match="'kind' is \"other\", "
+                                 "expected \"pnn-ensemble\""):
             load_ensemble(tmp_path)
 
 

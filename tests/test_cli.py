@@ -606,10 +606,15 @@ class TestEvaluate:
         (lambda m: m["norm_stats"]["mean"].__setitem__(0, 50.0),
          "normalization stats and windowing do not match the recorded "
          "data fingerprint"),
+        (lambda m: m["norm_stats"]["std"].__setitem__(0, 0),
+         "NormStats std must be strictly positive"),
         (lambda m: m.update(format_version=1),
          "'format_version' is 1, expected 2; re-run `rulens ingest`"),
+        (lambda m: m.update(format_version=True),
+         "'format_version' is true, expected 2; re-run `rulens ingest`"),
     ], ids=["norm_stats", "preprocess.stride", "data_fingerprint",
-            "norm_stats.feature_names", "norm_stats.mean", "format_version"])
+            "norm_stats.feature_names", "norm_stats.mean", "norm_stats.std",
+            "format_version", "format_version.true"])
     def test_malformed_archive_is_user_error(self, evaluated_run, tmp_path,
                                              capsys, edit, message):
         # an archive manifest of another shape or version exits 2, naming

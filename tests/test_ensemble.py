@@ -844,14 +844,3 @@ class TestEnsembleModelValidation:
         params = [init_params(ARCH, seed=seed) for seed in (4, 2)]
         model = EnsembleModel(ARCH, params, base_seed=0, prep=TOY_PREP)
         assert model.member_seeds == (4, 2)
-
-    def test_refuses_member_of_another_architecture(self):
-        # both have 62 parameters, so their vectors alone stack and run
-        wide = Architecture(4, (2,), (2,))
-        deep = Architecture(4, (1, 2), (2,))
-        assert wide.n_params() == deep.n_params() == 62
-        prep = toy_prep(_make_unit(0, 1, seed=0).feature_names)
-        with pytest.raises(ValueError, match="member 1 has architecture"):
-            EnsembleModel(wide, [init_params(wide, seed=0),
-                                 init_params(deep, seed=1)],
-                          base_seed=0, prep=prep)

@@ -30,9 +30,10 @@ def _zero_params(arch: Architecture) -> PnnParams:
 
 class TestArchitecture:
     def test_dense_head_must_be_two_wide(self):
-        with pytest.raises(ValueError, match="2-unit"):
-            Architecture(input_dim=4, recurrent_layers=(32, 16),
-                         dense_layers=(3,))
+        for dense_layers in [(3,), ()]:
+            with pytest.raises(ValueError, match="2-unit"):
+                Architecture(input_dim=4, recurrent_layers=(32, 16),
+                             dense_layers=dense_layers)
 
     def test_needs_recurrent_layer(self):
         with pytest.raises(ValueError):
