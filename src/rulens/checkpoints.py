@@ -1,9 +1,8 @@
 """Deterministic on-disk formats for members and ensembles.
 
-A member checkpoint is a single file: one JSON manifest line, then the
-member's parameter vector (network.PnnParams.vector) as raw little-endian
-float64 bytes, exactly as it is held in memory. An ensemble
-checkpoint is a directory of member files plus ensemble.json. Both formats
+A member checkpoint is one JSON manifest line, then the member's row of
+EnsembleModel.vectors as raw little-endian float64 bytes. An ensemble
+checkpoint is ensemble.json plus members/member_NNN.ckpt. Both formats
 contain no timestamps and serialize with sorted keys, so identical runs
 produce byte-identical artifacts; payloads carry SHA-256 checksums that are
 verified on load.
@@ -15,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .cmapss import PREPROCESSING_ENTRIES, Preprocessing
 from .config import TrainingConfig
 from .ensemble import EnsembleModel
 from .errors import INT, INTS, STR, STRS, DataIntegrityError, read_manifest
-from .network import Architecture, PnnParams, TrainHistory, numerics
+from .network import Architecture, TrainHistory, numerics
 
 FORMAT_VERSION = 1
 MEMBER_KIND = "pnn-member"
@@ -47,24 +45,28 @@ def member_provenance(seed: int, arch: Architecture,
             "data_fingerprint": data_fingerprint, "numerics": numerics()}
 
 
-def save_member(path: Path | str, params: PnnParams, history: TrainHistory,
-                train_cfg: TrainingConfig, data_fingerprint: str) -> str:
-    """Write one member checkpoint; returns the payload checksum. The
-    header holds the member's provenance (member_provenance)."""
-    payload = params.vector.astype("<f8", copy=False).tobytes()
-    checksum = hashlib.sha256(payload).hexdigest()
+def _payload(vector: np.ndarray) -> tuple[bytes, str]:
+    """A member file's payload, the vector's bytes, and its checksum."""
+    payload = vector.astype("<f8", copy=False).tobytes()
+    return payload, hashlib.sha256(payload).hexdigest()
+
+
+def save_member(path: Path | str, arch: Architecture, seed: int,
+                vector: np.ndarray, history: TrainHistory,
+                train_cfg: TrainingConfig, data_fingerprint: str) -> None:
+    """Write one member checkpoint: a header holding the member's
+    provenance (member_provenance) and payload checksum, then vector."""
+    payload, checksum = _payload(vector)
     manifest = {
         "kind": MEMBER_KIND,
         "format_version": FORMAT_VERSION,
-        **member_provenance(params.seed, params.arch, train_cfg,
-                            data_fingerprint),
-        "param_names": list(params.arch.param_shapes()),
+        **member_provenance(seed, arch, train_cfg, data_fingerprint),
+        "param_names": list(arch.param_shapes()),
         "history": dataclasses.asdict(history),
         "checksum": checksum,
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
     atomic_write(path, header + b"\n" + payload)
-    return checksum
 
 
 # the header entries load_member reads, in errors.check_entries form
@@ -81,8 +83,8 @@ def _architecture(manifest: dict, path) -> Architecture:
         raise DataIntegrityError(f"{path}: 'architecture': {exc}") from None
 
 
-def load_member(path: Path | str) -> tuple[PnnParams, dict]:
-    """Read and verify one member checkpoint -> (params, manifest)."""
+def load_member(path: Path | str) -> tuple[np.ndarray, dict]:
+    """Read and verify one member checkpoint -> (vector, manifest)."""
     path = Path(path)
     header, _, payload = path.read_bytes().partition(b"\n")
     manifest = read_manifest(path, MEMBER_KIND, FORMAT_VERSION,
@@ -97,8 +99,7 @@ def load_member(path: Path | str) -> tuple[PnnParams, dict]:
     if len(payload) != expected:
         raise DataIntegrityError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    vector = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return PnnParams(arch=arch, seed=int(manifest["seed"]), vector=vector), manifest
+    return np.frombuffer(payload, dtype="<f8"), manifest
 
 
 def ensemble_fingerprint(manifest: dict) -> str:
@@ -115,28 +116,26 @@ def ensemble_fingerprint(manifest: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _member_files(n_members: int) -> list[str]:
+    """ensemble.json's member_files, the only value it may hold."""
+    return [str(member_path("", k)) for k in range(n_members)]
+
+
 def write_ensemble_manifest(ckpt_dir: Path | str, model: EnsembleModel,
                             train_cfg: TrainingConfig,
-                            member_checksums: Sequence[str],
                             config_echo: dict) -> str:
-    """Write ensemble.json for member files already on disk, given the
-    payload checksum of each (as save_member returns it, or as load_member
-    read it); the files are not read again."""
+    """Write ensemble.json for member files already on disk, each holding
+    its row of model.vectors, whose checksum is taken from the row."""
     ckpt_dir = Path(ckpt_dir)
-    if len(member_checksums) != model.n_members:
-        raise ValueError(f"{len(member_checksums)} member checksums for "
-                         f"{model.n_members} members")
-    files = [str(member_path(ckpt_dir, k).relative_to(ckpt_dir))
-             for k in range(model.n_members)]
     manifest = {
         "kind": ENSEMBLE_KIND,
         "format_version": FORMAT_VERSION,
         "architecture": model.architecture.to_dict(),
-        "n_members": model.n_members,
+        "n_members": len(model.vectors),
         "base_seed": model.base_seed,
         "member_seeds": list(model.member_seeds),
-        "member_files": files,
-        "member_checksums": list(member_checksums),
+        "member_files": _member_files(len(model.vectors)),
+        "member_checksums": [_payload(row)[1] for row in model.vectors],
         **model.prep.to_manifest(),
         "train_config": dataclasses.asdict(train_cfg),
         "config": config_echo,
@@ -161,27 +160,35 @@ def load_ensemble(ckpt_dir: Path | str) -> tuple[EnsembleModel, dict]:
     manifest_path = ckpt_dir / "ensemble.json"
     manifest = read_manifest(manifest_path, ENSEMBLE_KIND, FORMAT_VERSION,
                              _ENSEMBLE_ENTRIES)
-    if len({manifest["n_members"], *(len(manifest[key]) for key in (
+    n_members = manifest["n_members"]
+    if n_members < 1 or len({n_members, *(len(manifest[key]) for key in (
             "member_files", "member_checksums", "member_seeds"))}) != 1:
         raise DataIntegrityError(
             f"{manifest_path}: 'n_members' and the lengths of 'member_files', "
-            "'member_checksums' and 'member_seeds' differ")
+            "'member_checksums' and 'member_seeds' differ or are below 1")
+    if manifest["member_files"] != _member_files(n_members):
+        raise DataIntegrityError(f"{manifest_path}: 'member_files' must be "
+                                 f"{json.dumps(_member_files(n_members))}")
     prep = Preprocessing.from_manifest(manifest, manifest_path)
     arch = _architecture(manifest, manifest_path)
-    members = []
-    for k, rel in enumerate(manifest["member_files"]):
-        params, m_manifest = load_member(ckpt_dir / rel)
-        for key, want in (("checksum", manifest["member_checksums"][k]),
+    vectors = None
+    for k in range(n_members):
+        path = member_path(ckpt_dir, k)
+        vector, m_manifest = load_member(path)
+        # the architecture before the row: another one's vector would not fit
+        for key, want in (("architecture", manifest["architecture"]),
+                          ("checksum", manifest["member_checksums"][k]),
                           ("seed", manifest["member_seeds"][k]),
-                          ("architecture", manifest["architecture"]),
                           ("data_fingerprint", manifest["data_fingerprint"])):
             if m_manifest.get(key) != want:
-                raise DataIntegrityError(f"{ckpt_dir / rel}: {key!r} is "
+                raise DataIntegrityError(f"{path}: {key!r} is "
                                          f"{json.dumps(m_manifest.get(key))}, "
                                          f"ensemble.json's {json.dumps(want)}")
-        members.append(params)
-    model = EnsembleModel(architecture=arch, members=members,
-                          base_seed=int(manifest["base_seed"]), prep=prep)
+        if vectors is None:     # sized by a file, not by ensemble.json alone
+            vectors = np.empty((n_members, len(vector)))
+        vectors[k] = vector
+    model = EnsembleModel(arch, vectors, manifest["member_seeds"],
+                          int(manifest["base_seed"]), prep)
     if ensemble_fingerprint(manifest) != manifest["fingerprint"]:
         raise DataIntegrityError(f"{manifest_path}: fingerprint mismatch")
     return model, manifest

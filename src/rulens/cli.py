@@ -154,7 +154,6 @@ def cmd_train(args) -> int:
     print(f"training {n_members} members (seeds {base_seed}.."
           f"{base_seed + n_members - 1}) on {len(windows)} windows, "
           f"architecture {arch.to_dict()}")
-    checksums: dict[int, str] = {}     # member k's payload checksum
 
     def reuse(k: int, seed: int):
         """A finished member, if everything that determined it is unchanged."""
@@ -162,7 +161,7 @@ def cmd_train(args) -> int:
         if not path.is_file():
             return None
         try:
-            params, manifest = load_member(path)
+            vector, manifest = load_member(path)
         except (DataIntegrityError, OSError) as exc:
             logger.warning("member %d: cannot resume (%s); retraining", k, exc)
             return None
@@ -175,23 +174,22 @@ def cmd_train(args) -> int:
                            k, ", ".join(stale))
             return None
         print(f"member {k}: reusing finished checkpoint")
-        checksums[k] = manifest["checksum"]
-        return params
+        return vector
 
-    def save(k: int, params, history) -> None:
-        checksums[k] = save_member(member_path(ckpt_dir, k), params, history,
-                                   config.training, data_fingerprint)
+    def save(k: int, vector, history) -> None:
+        save_member(member_path(ckpt_dir, k), arch, base_seed + k, vector,
+                    history, config.training, data_fingerprint)
         print(f"member {k}: best loss {history.best_loss:.5f} at epoch "
               f"{history.best_epoch}, stopped ({history.stop_reason}) "
               f"after {history.stop_epoch} epochs")
 
-    members, _ = train_ensemble(
+    vectors, _ = train_ensemble(
         arch, (windows.inputs, windows.targets), config.training, n_members,
         base_seed, resume=reuse if args.resume else None, progress=save)
-    model = EnsembleModel(arch, members, base_seed, split.prep)
-    fingerprint = write_ensemble_manifest(
-        ckpt_dir, model, config.training,
-        [checksums[k] for k in range(n_members)], config.resolved())
+    seeds = range(base_seed, base_seed + n_members)
+    model = EnsembleModel(arch, vectors, seeds, base_seed, split.prep)
+    fingerprint = write_ensemble_manifest(ckpt_dir, model, config.training,
+                                          config.resolved())
     print(f"checkpoint written to {ckpt_dir} (fingerprint {fingerprint[:12]})")
     return 0
 
@@ -225,7 +223,7 @@ def cmd_evaluate(args) -> int:
 
     out = _out_dir(args, config, "reports")
     extra = {
-        "n_members": model.n_members,
+        "n_members": len(model.vectors),
         "checkpoint_fingerprint": ckpt_manifest["fingerprint"],
         "archive_fingerprint": split.prep.fingerprint,
     }

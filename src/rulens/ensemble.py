@@ -5,9 +5,9 @@ ensemble predictive distribution is the uniform Gaussian mixture over
 members, summarized by its first two moments; the predictive variance then
 splits into an aleatoric part (mean of member log variances) and an
 epistemic part (the rest), both in nats with additive constants dropped.
-Inference runs the members over their parameter vectors stacked into one
-[M, n_params] matrix, so every member must share one architecture: all of
-them at once in this process over full histories, and in contiguous row
+An ensemble holds its members as the rows of one [M, n_params] matrix, so
+every member shares one architecture. Inference reads it in place: all
+rows at once in this process over full histories, and in contiguous row
 chunks of at least READ_CHUNK_MEMBERS, one per forked worker, over
 windows. Training, where the members outnumber the workers, runs them in
 stacks of STACK_SIZE the same way.
@@ -27,7 +27,7 @@ import numpy as np
 from .cmapss import Preprocessing, UnitSeries, check_features, window_starts
 from .config import TrainingConfig
 from .errors import DivergenceError
-from .network import (Architecture, PnnParams, TrainHistory, forward_stacked,
+from .network import (Architecture, TrainHistory, forward_stacked,
                       forward_windows, train_pnn)
 
 
@@ -49,24 +49,23 @@ def member_mean(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EnsembleModel:
-    """Trained members plus the preprocessing that makes their inputs."""
+    """Trained members, row k of the float64 matrix vectors [M, n_params]
+    holding member k (seed member_seeds[k]), plus their preprocessing."""
 
     architecture: Architecture
-    members: list[PnnParams]
+    vectors: np.ndarray
+    member_seeds: tuple[int, ...]
     base_seed: int
     prep: Preprocessing
 
     def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("ensemble needs at least one member")
-
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
-
-    @property
-    def member_seeds(self) -> tuple[int, ...]:
-        return tuple(p.seed for p in self.members)
+        self.vectors = np.require(self.vectors, np.float64, "CW")
+        seeds = self.member_seeds = tuple(int(s) for s in self.member_seeds)
+        shape, n_params = self.vectors.shape, self.architecture.n_params()
+        if shape[1:] != (n_params,) or not 1 <= shape[0] == len(seeds):
+            raise ValueError(f"ensemble needs at least one member, each a "
+                             f"row of {n_params} parameters with a seed; got "
+                             f"{shape} and {len(seeds)} seeds")
 
 
 @dataclass
@@ -160,7 +159,7 @@ def _worker_count(n_jobs: int) -> int:
 
 def _train_stack(arch: Architecture, train_windows: tuple,
                  train_cfg: TrainingConfig, jobs: list[tuple[int, int]]
-                 ) -> list[tuple[PnnParams, TrainHistory] | DivergenceError]:
+                 ) -> list[tuple[np.ndarray, TrainHistory] | DivergenceError]:
     """Members k with seeds s, (k, s) in jobs, trained as one stack; a
     divergence names its member."""
     results = train_pnn(arch, train_windows, train_cfg,
@@ -216,35 +215,39 @@ def train_ensemble(arch: Architecture,
                    train_cfg: TrainingConfig,
                    n_members: int,
                    base_seed: int,
-                   resume: Callable[[int, int], PnnParams | None] | None = None,
-                   progress: Callable[[int, PnnParams, TrainHistory], None]
+                   resume: Callable[[int, int], np.ndarray | None] | None = None,
+                   progress: Callable[[int, np.ndarray, TrainHistory], None]
                    | None = None,
-                   ) -> tuple[list[PnnParams], list[TrainHistory | None]]:
+                   ) -> tuple[np.ndarray, list[TrainHistory | None]]:
     """Train n_members networks with seeds base_seed + k, k = 0..M-1.
 
     train_windows is the (inputs, targets) pair train_pnn takes; a member
     depends only on its seed, the data and the BLAS thread count.
-    resume(k, seed) is asked for every member first and may return
-    finished parameters, used as they are (history None). The others train
+    resume(k, seed) is asked for every member first and may return its
+    finished vector, used as it is (history None). The others train
     in forked worker processes, one per CPU this process may run on and at
     most one per stack, or in this process when that is one (`taskset -c
     0` gives the serial run). Where the members outnumber those workers,
     they train in stacks of STACK_SIZE consecutive members, otherwise one
     to a worker; neither the stacks nor the worker count change a bit.
-    progress(k, params, history) sees each newly trained member in member
+    progress(k, vector, history) sees each newly trained member in member
     order as soon as it and those before it are done, so a caller can
     persist it. The first diverging member raises DivergenceError naming
     the member, after the members before it have gone to progress, and an
-    error or interrupt stops every worker. Returns (members, histories),
-    both in member order.
+    error or interrupt stops every worker. Returns (vectors, histories),
+    both in member order: vectors [M, n_params] holds member k in row k.
     """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
-    seeds = [base_seed + k for k in range(n_members)]
-    members = [resume(k, seed) if resume is not None else None
-               for k, seed in enumerate(seeds)]
+    vectors = np.empty((n_members, arch.n_params()))
     histories: list[TrainHistory | None] = [None] * n_members
-    jobs = [(k, seed) for k, seed in enumerate(seeds) if members[k] is None]
+    jobs = []
+    for k, seed in enumerate(range(base_seed, base_seed + n_members)):
+        done = resume(k, seed) if resume is not None else None
+        if done is None:
+            jobs.append((k, seed))
+        else:
+            vectors[k] = done
     size = STACK_SIZE if _worker_count(len(jobs)) < len(jobs) else 1
     stacks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
     train = functools.partial(_train_stack, arch, train_windows, train_cfg)
@@ -253,10 +256,10 @@ def train_ensemble(arch: Architecture,
             for (k, _), result in zip(stack, stack_results):
                 if isinstance(result, DivergenceError):
                     raise result
-                members[k], histories[k] = result
+                vectors[k], histories[k] = result
                 if progress is not None:
                     progress(k, *result)
-    return members, histories
+    return vectors, histories
 
 
 def _member_readings(arch: Architecture, vectors: np.ndarray, passes: list,
@@ -316,8 +319,9 @@ def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
     READ_CHUNK_MEMBERS, one per forked worker (see _worker_count; `taskset
     -c 0` gives the serial run, as do no windows at all). The chunks change
     no bit: every product in a pass is one BLAS call per member, the rest
-    is elementwise, and member_mean ignores member order and layout. A unit
-    of another feature layout than the model's preprocessing is refused.
+    is elementwise, and member_mean ignores member order and layout. The
+    passes negate gate columns of model.vectors in place, then restore
+    them: one read-out per model at a time. Another feature layout is refused.
     """
     for unit in units:
         check_features(unit, model.prep.norm_stats)
@@ -328,11 +332,10 @@ def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
                   for unit, e in zip(units, ends) if len(e)]
     n = 1
     if window is not None and passes:
-        n = _worker_count(max(1, model.n_members // READ_CHUNK_MEMBERS))
-    bounds = [model.n_members * j // n for j in range(n + 1)]
+        n = _worker_count(max(1, len(model.vectors) // READ_CHUNK_MEMBERS))
+    bounds = [len(model.vectors) * j // n for j in range(n + 1)]
     read = functools.partial(_member_readings, model.architecture,
-                             np.stack([p.vector for p in model.members]),
-                             passes, window)
+                             model.vectors, passes, window)
     with _pool_results(read, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
                        ) as results:
         chunks = list(results)

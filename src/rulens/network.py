@@ -9,13 +9,13 @@ and makes finite-difference verification meaningful.
 A member is one float64 vector [n_params], the bytes its file stores, and
 M members are one [M, n_params] matrix. Architecture.unflatten alone maps
 offsets to names: the forward pass reads its named views, grad writes into
-them, and Adam updates the whole matrix in place. Inference runs every
-member of an ensemble as one such stack; training runs a stack of members
-in lockstep, each on its own batches, and a member's bits do not depend on
-the stack it trained in. A unit's windows run as one pass over the rows
-they read (forward_windows): each row is projected into the first layer
-once, however many windows read it, and the head runs only at the
-windows' last step, the one that is read.
+them, and Adam updates the whole matrix in place. Inference runs the matrix
+an ensemble holds (ensemble.EnsembleModel.vectors) as one stack; training
+runs a stack of members in lockstep, each on its own batches, and a
+member's bits do not depend on the stack it trained in. A unit's windows
+run as one pass over the rows they read (forward_windows): each row is
+projected into the first layer once, however many windows read it, and
+the head runs only at the windows' last step, the one that is read.
 
 Measured on OpenBLAS: an LSTM product (16 to 32 inputs, 64 or 128 gate
 columns) over 2 or more rows gives each row the same bits whatever the row
@@ -129,20 +129,6 @@ class Architecture:
 
 
 @dataclass
-class PnnParams:
-    """All learnable parameters of one network member, as one float64
-    vector [n_params] in param_shapes() order."""
-
-    arch: Architecture
-    seed: int
-    vector: np.ndarray
-
-    @property
-    def arrays(self) -> dict[str, np.ndarray]:     # named views of vector
-        return self.arch.unflatten(self.vector)
-
-
-@dataclass
 class Stack:
     """M members of one architecture, their parameters one float64 matrix
     [M, n_params] with a member per row, as grad takes them."""
@@ -161,12 +147,12 @@ class TrainHistory:
     clip_events: int = 0
 
 
-def init_params(arch: Architecture, seed: int) -> PnnParams:
-    """Deterministic initialization: uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)]
+def init_params(arch: Architecture, seed: int) -> np.ndarray:
+    """Deterministic initial vector: uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)]
     per weight matrix, biases zero except the LSTM forget-gate block at 1."""
     rng = np.random.default_rng(int(seed) % (1 << 64))
-    params = PnnParams(arch, int(seed), np.zeros(arch.n_params()))
-    for name, view in params.arrays.items():
+    vector = np.zeros(arch.n_params())
+    for name, view in arch.unflatten(vector).items():
         if view.ndim == 2:
             bound = 1.0 / np.sqrt(view.shape[0])
             view[...] = rng.uniform(-bound, bound, view.shape)
@@ -174,7 +160,7 @@ def init_params(arch: Architecture, seed: int) -> PnnParams:
             hidden = view.shape[0] // 4
             # forget gate block (order: i, f, g, o)
             view[hidden:2 * hidden] = 1.0
-    return params
+    return vector
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -600,19 +586,18 @@ def clip_global_norm(grads: dict[str, np.ndarray],
 class _Member:
     """What train_pnn keeps for one member of its stack."""
 
-    seed: int
     shuffle: np.random.Generator
     best: np.ndarray                    # parameters at the best epoch loss
     history: TrainHistory = field(default_factory=TrainHistory)
     since_best: int = 0
     order: np.ndarray | None = None     # this epoch's window order
     loss_sum: float = 0.0
-    result: tuple[PnnParams, TrainHistory] | DivergenceError | None = None
+    result: tuple[np.ndarray, TrainHistory] | DivergenceError | None = None
 
 
 def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
               seeds: Sequence[int]
-              ) -> list[tuple[PnnParams, TrainHistory] | DivergenceError]:
+              ) -> list[tuple[np.ndarray, TrainHistory] | DivergenceError]:
     """Train one member per seed with Adam on shuffled mini-batches, all in
     lockstep as one stack: every step is one grad call over [M, n_params]
     and one adam_step.
@@ -631,7 +616,7 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
     after cfg.patience consecutive epochs without a new best training
     loss; the member then leaves the stack with its best-loss snapshot.
 
-    Returns, in seed order, each member's (best-loss parameters, history).
+    Returns, in seed order, each member's (best-loss vector, history).
     A member whose loss goes non-finite ends the list with its
     DivergenceError: an ensemble with a diverged member fails, so the
     members after it stop training at once, and those before it train on.
@@ -644,9 +629,9 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
     if n == 0:
         raise ValueError("no training windows")
 
-    members = [_Member(int(seed), np.random.default_rng(
+    members = [_Member(np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed) % (1 << 64), spawn_key=(1,))),
-        init_params(arch, seed).vector) for seed in seeds]
+        init_params(arch, seed)) for seed in seeds]
     live = list(members)        # the members in training, one per row
     # per row: the member's parameters, then Adam's moments m and v
     state = np.zeros((3, len(members), arch.n_params()))
@@ -718,7 +703,7 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
             if epoch >= cfg.early_stop_start and mem.since_best >= cfg.patience:
                 history.stop_epoch = epoch
                 history.stop_reason = "early_stop"
-                mem.result = (PnnParams(arch, mem.seed, mem.best), history)
+                mem.result = (mem.best, history)
         keep = [r for r, mem in enumerate(live) if mem.result is None]
         live, state = [live[r] for r in keep], state[:, keep]
         if not live:
@@ -726,5 +711,5 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
     for mem in live:
         mem.history.stop_epoch = cfg.max_epochs
         mem.history.stop_reason = "max_epochs"
-        mem.result = (PnnParams(arch, mem.seed, mem.best), mem.history)
+        mem.result = (mem.best, mem.history)
     return [mem.result for mem in members]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rulens.cmapss import WindowView
-from rulens.network import (PnnParams, Stack, _nll_terms, forward_stacked,
+from rulens.network import (Architecture, Stack, _nll_terms, forward_stacked,
                             grad)
 
 
@@ -24,23 +24,12 @@ class GaussianSeqPrediction:
     variances: np.ndarray   # [T], strictly positive
 
 
-def forward(params: PnnParams, inputs: np.ndarray) -> GaussianSeqPrediction:
-    """Predict per-time-step (mean, variance) for one sequence [T, F]."""
-    [(mu, var)] = forward_stacked(params.arch, params.vector[None], [inputs])
+def forward(arch: Architecture, vector: np.ndarray,
+            inputs: np.ndarray) -> GaussianSeqPrediction:
+    """Predict per-time-step (mean, variance) for one sequence [T, F] with
+    one member's parameter vector."""
+    [(mu, var)] = forward_stacked(arch, vector[None], [inputs])
     return GaussianSeqPrediction(means=mu[0], variances=var[0])
-
-
-def predict_members(members, seqs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Members (PnnParams of one architecture) over a ragged list of
-    sequences [T_i, F] in one forward_stacked call -> per sequence, in
-    input order, member means/vars [M, T_i]."""
-    vectors = np.stack([p.vector for p in members])
-    return forward_stacked(members[0].arch, vectors, seqs)
-
-
-def copy_params(params: PnnParams) -> PnnParams:
-    """A member with its own copy of the parameter vector."""
-    return PnnParams(params.arch, params.seed, params.vector.copy())
 
 
 def gaussian_nll(pred: GaussianSeqPrediction, targets: np.ndarray) -> float:
@@ -56,32 +45,35 @@ def gaussian_nll(pred: GaussianSeqPrediction, targets: np.ndarray) -> float:
     return float(np.mean(_nll_terms(pred.means, pred.variances, targets)))
 
 
-def batch_forward(params: PnnParams, inputs: np.ndarray):
+def batch_forward(arch: Architecture, vector: np.ndarray, inputs: np.ndarray):
     """The inference forward for one member over a batch [B, T, F] ->
     (mu, var), each [B, T]."""
-    preds = forward_stacked(params.arch, params.vector[None], list(inputs))
+    preds = forward_stacked(arch, vector[None], list(inputs))
     return (np.concatenate([m for m, _ in preds]),
             np.concatenate([v for _, v in preds]))
 
 
-def batch_loss(params: PnnParams, inputs: np.ndarray, targets: np.ndarray) -> float:
+def batch_loss(arch: Architecture, vector: np.ndarray, inputs: np.ndarray,
+               targets: np.ndarray) -> float:
     """Mean NLL over a batch, no gradients (finite-difference helper)."""
-    mu, var = batch_forward(params, inputs)
+    mu, var = batch_forward(arch, vector, inputs)
     return float(_nll_terms(mu, var, np.asarray(targets, dtype=np.float64)).mean())
 
 
-def member_grad(params: PnnParams, inputs: np.ndarray, targets: np.ndarray,
-                buffers: dict | None = None) -> tuple[np.ndarray, float]:
+def member_grad(arch: Architecture, vector: np.ndarray, inputs: np.ndarray,
+                targets: np.ndarray, buffers: dict | None = None
+                ) -> tuple[np.ndarray, float]:
     """grad for one member over a batch [B, T, F] with targets [B, T] ->
-    (gradient laid out as params.vector, loss); without buffers, grad gets
-    a fresh dict."""
-    grads, losses = grad(Stack(params.arch, params.vector[None]), inputs,
-                         targets, {} if buffers is None else buffers)
+    (gradient laid out as vector, loss); without buffers, grad gets a
+    fresh dict."""
+    grads, losses = grad(Stack(arch, vector[None]), inputs, targets,
+                         {} if buffers is None else buffers)
     return grads[0], float(losses[0])
 
 
-def finite_diff_check(params: PnnParams, inputs: np.ndarray,
-                      targets: np.ndarray, epsilon: float = 1e-5,
+def finite_diff_check(arch: Architecture, vector: np.ndarray,
+                      inputs: np.ndarray, targets: np.ndarray,
+                      epsilon: float = 1e-5,
                       buffers: dict | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -91,19 +83,18 @@ def finite_diff_check(params: PnnParams, inputs: np.ndarray,
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
-    n_params = params.arch.n_params()
+    n_params = arch.n_params()
     if n_params > 10_000:
         raise ValueError(f"{n_params} parameters; finite differences capped at 10000")
-    analytic, _ = member_grad(params, inputs, targets, buffers)
-    work = copy_params(params)
+    analytic, _ = member_grad(arch, vector, inputs, targets, buffers)
     worst = 0.0
-    flat = work.vector
+    flat = vector.copy()
     for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + epsilon
-        up = batch_loss(work, inputs, targets)
+        up = batch_loss(arch, flat, inputs, targets)
         flat[j] = orig - epsilon
-        down = batch_loss(work, inputs, targets)
+        down = batch_loss(arch, flat, inputs, targets)
         flat[j] = orig
         numeric = (up - down) / (2.0 * epsilon)
         a = analytic[j]

@@ -19,8 +19,8 @@ from conftest import cmapss_dir, fd001_files, needs_fd001, run_cli
 from rulens.config import TrainingConfig
 from rulens.ensemble import aggregate, decompose_uncertainty, train_ensemble
 from rulens.metrics import interval_bounds, nasa_score, nmpiw, picp
-from gradcheck import as_windows, finite_diff_check, predict_members
-from rulens.network import Architecture, init_params
+from gradcheck import as_windows, finite_diff_check
+from rulens.network import Architecture, forward_stacked, init_params
 
 
 class TestCriterion1GradientCorrectness:
@@ -41,11 +41,11 @@ class TestCriterion1GradientCorrectness:
                 arch = Architecture(f, rec, dense)
                 if arch.n_params() <= 200:
                     break
-            params = init_params(arch, seed=int(rng.integers(0, 2**31)))
+            vector = init_params(arch, seed=int(rng.integers(0, 2**31)))
             b = int(rng.integers(1, 4))
             x = rng.normal(loc=1.0, scale=0.5, size=(b, 8, f))
             y = rng.normal(loc=6.0, scale=2.0, size=(b, 8))
-            worst = max(worst, finite_diff_check(params, x, y, 5e-4))
+            worst = max(worst, finite_diff_check(arch, vector, x, y, 5e-4))
         elapsed = time.monotonic() - start
         assert worst < 1e-4, f"worst relative gradient error {worst:.3e}"
         assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
@@ -165,10 +165,10 @@ class TestCriterion5SyntheticCalibration:
 
         arch = Architecture(2, (12,), (2,))
         cfg = TrainingConfig(max_epochs=30, early_stop_start=20, patience=3)
-        model, _ = train_ensemble(arch, as_windows(x_train, y_train), cfg,
-                                  n_members=5, base_seed=902)
+        vectors, _ = train_ensemble(arch, as_windows(x_train, y_train), cfg,
+                                    n_members=5, base_seed=902)
 
-        preds = predict_members(model, list(x_test))
+        preds = forward_stacked(arch, vectors, list(x_test))
         means = np.stack([m for m, _ in preds], axis=1)
         varis = np.stack([v for _, v in preds], axis=1)
         mu, var = aggregate(means, varis)

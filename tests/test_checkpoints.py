@@ -1,7 +1,9 @@
 """On-disk formats: member files, ensemble manifests, integrity checks."""
 
+import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +35,8 @@ def _toy_data(seed=0):
 
 @pytest.fixture(scope="module")
 def trained():
-    [(params, history)] = train_pnn(ARCH, _toy_data(), CFG, [21])
-    return params, history
+    [(vector, history)] = train_pnn(ARCH, _toy_data(), CFG, [21])
+    return vector, history
 
 
 @pytest.fixture(scope="module")
@@ -42,77 +44,85 @@ def small_ensemble():
     stats = NormStats(mean=np.array([0.0, 1.0]), std=np.array([1.0, 2.0]),
                       feature_names=("setting_1", "sensor_2"),
                       constant_features=("setting_1",))
-    members, hists = train_ensemble(ARCH, _toy_data(), CFG, n_members=3,
+    vectors, hists = train_ensemble(ARCH, _toy_data(), CFG, n_members=3,
                                     base_seed=100)
     prep = Preprocessing(stats, window_length=5, stride=1, rul_cap=128,
                          dropped_sensors=(1, 5))
-    return EnsembleModel(ARCH, members, 100, prep), hists
+    return EnsembleModel(ARCH, vectors, range(100, 103), 100, prep), hists
+
+
+def save_members(ckpt_dir, model, hists, train_cfg, fingerprints=None):
+    """A member file per row of model.vectors, member k's header holding
+    fingerprints[k] (default: the model's data fingerprint)."""
+    for k, (seed, vector) in enumerate(zip(model.member_seeds,
+                                           model.vectors)):
+        save_member(member_path(ckpt_dir, k), model.architecture, seed,
+                    vector, hists[k], train_cfg,
+                    (fingerprints or {}).get(k, model.prep.fingerprint))
 
 
 def save_ensemble(ckpt_dir, model, hists, train_cfg, config_echo=None):
     """Member files, then the manifest: the order the train command uses."""
-    checksums = [save_member(member_path(ckpt_dir, k), params, history,
-                             train_cfg, model.prep.fingerprint)
-                 for k, (params, history) in enumerate(zip(model.members,
-                                                           hists))]
-    return write_ensemble_manifest(ckpt_dir, model, train_cfg, checksums,
-                                   config_echo)
+    save_members(ckpt_dir, model, hists, train_cfg)
+    return write_ensemble_manifest(ckpt_dir, model, train_cfg, config_echo)
 
 
 class TestMemberRoundTrip:
     def test_params_bit_exact(self, trained, tmp_path):
-        params, history = trained
+        vector, history = trained
         path = tmp_path / "m.ckpt"
-        checksum = save_member(path, params, history, CFG, FP)
+        save_member(path, ARCH, 21, vector, history, CFG, FP)
         loaded, manifest = load_member(path)
-        assert loaded.seed == params.seed
-        assert loaded.arch == params.arch
-        assert all(np.array_equal(loaded.arrays[k], params.arrays[k])
-                   for k in params.arrays)
-        assert manifest["checksum"] == checksum
+        assert manifest["seed"] == 21
+        assert Architecture.from_dict(manifest["architecture"]) == ARCH
+        assert loaded.tobytes() == vector.tobytes()
+        assert manifest["checksum"] == \
+            hashlib.sha256(vector.tobytes()).hexdigest()
         assert manifest["history"]["stop_reason"] == history.stop_reason
         assert manifest["history"]["epoch_losses"] == list(history.epoch_losses)
         assert manifest["train_config"]["max_epochs"] == CFG.max_epochs
         assert manifest["data_fingerprint"] == FP
 
     def test_payload_is_the_parameter_vector(self, trained, tmp_path):
-        params, history = trained
+        vector, history = trained
         path = tmp_path / "m.ckpt"
-        save_member(path, params, history, CFG, FP)
-        assert path.read_bytes().split(b"\n", 1)[1] == params.vector.tobytes()
+        save_member(path, ARCH, 21, vector, history, CFG, FP)
+        assert path.read_bytes().split(b"\n", 1)[1] == vector.tobytes()
         loaded, manifest = load_member(path)
-        assert np.array_equal(loaded.vector, params.vector)
-        assert loaded.vector.flags.writeable
+        assert np.array_equal(loaded, vector)
         assert manifest["numerics"]["training_bits"] == TRAINING_BITS
 
     def test_header_records_data_fingerprint(self, trained, tmp_path):
-        params, history = trained
+        vector, history = trained
         path = tmp_path / "m.ckpt"
-        checksum = save_member(path, params, history, CFG, FP)
+        save_member(path, ARCH, 21, vector, history, CFG, FP)
         _, manifest = load_member(path)
         assert manifest["data_fingerprint"] == FP
         # the header is outside the payload checksum
-        assert checksum == save_member(tmp_path / "n.ckpt", params, history,
-                                       CFG, "cd" * 32)
+        save_member(tmp_path / "n.ckpt", ARCH, 21, vector, history, CFG,
+                    "cd" * 32)
+        _, other = load_member(tmp_path / "n.ckpt")
+        assert other["data_fingerprint"] == "cd" * 32
+        assert other["checksum"] == manifest["checksum"]
 
     def test_repeat_saves_byte_identical(self, trained, tmp_path):
-        params, history = trained
+        vector, history = trained
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_member(a, params, history, CFG, FP)
-        save_member(b, params, history, CFG, FP)
+        save_member(a, ARCH, 21, vector, history, CFG, FP)
+        save_member(b, ARCH, 21, vector, history, CFG, FP)
         assert a.read_bytes() == b.read_bytes()
 
     def test_no_leftover_tmp_file(self, trained, tmp_path):
-        params, history = trained
-        save_member(tmp_path / "m.ckpt", params, history, CFG, FP)
+        vector, history = trained
+        save_member(tmp_path / "m.ckpt", ARCH, 21, vector, history, CFG, FP)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
 class TestMemberVerification:
     def _saved(self, trained, tmp_path):
-        params, history = trained
+        vector, history = trained
         path = tmp_path / "m.ckpt"
-        save_member(path, params, history, CFG, FP)
+        save_member(path, ARCH, 21, vector, history, CFG, FP)
         return path
 
     def test_payload_tamper_detected(self, trained, tmp_path):
@@ -189,9 +199,11 @@ class TestEnsembleCheckpoint:
         assert loaded.base_seed == model.base_seed
         assert loaded.member_seeds == model.member_seeds
         assert loaded.architecture == model.architecture
-        for a, b in zip(loaded.members, model.members):
-            assert all(np.array_equal(a.arrays[k], b.arrays[k])
-                       for k in a.arrays)
+        assert loaded.vectors.tobytes() == model.vectors.tobytes()
+        # the read-out negates gate columns of this matrix in place
+        assert loaded.vectors.dtype == np.float64
+        assert loaded.vectors.flags.writeable
+        assert loaded.vectors.flags.c_contiguous
         assert loaded.prep.fingerprint == model.prep.fingerprint
         assert loaded.prep.to_manifest() == model.prep.to_manifest()
         assert np.array_equal(loaded.prep.norm_stats.mean,
@@ -208,7 +220,7 @@ class TestEnsembleCheckpoint:
         save_ensemble(d2, model, hists, CFG)
         assert (d1 / "ensemble.json").read_bytes() == \
             (d2 / "ensemble.json").read_bytes()
-        for k in range(model.n_members):
+        for k in range(len(model.vectors)):
             assert member_path(d1, k).read_bytes() == \
                 member_path(d2, k).read_bytes()
 
@@ -232,10 +244,13 @@ class TestEnsembleCheckpoint:
         model, hists = small_ensemble
         # write member 0's file in every slot, with a manifest whose
         # checksums match those files
-        checksums = [save_member(member_path(tmp_path, k), model.members[0],
-                                 hists[0], CFG, model.prep.fingerprint)
-                     for k in (0, 1, 2)]
-        write_ensemble_manifest(tmp_path, model, CFG, checksums, None)
+        for k in (0, 1, 2):
+            save_member(member_path(tmp_path, k), ARCH, model.member_seeds[0],
+                        model.vectors[0], hists[0], CFG,
+                        model.prep.fingerprint)
+        write_ensemble_manifest(tmp_path, replace(
+            model, vectors=np.repeat(model.vectors[:1], 3, axis=0)), CFG,
+            None)
         with pytest.raises(DataIntegrityError,
                            match="member_001.ckpt: 'seed' is 100, "
                                  "ensemble.json's 101"):
@@ -244,22 +259,20 @@ class TestEnsembleCheckpoint:
     def test_member_of_another_architecture_detected(self, small_ensemble,
                                                      tmp_path):
         model, hists = small_ensemble
-        other = init_params(Architecture(2, (1, 2), (2,)), seed=101)
-        members = [model.members[0], other, model.members[2]]
-        checksums = [save_member(member_path(tmp_path, k), params, hists[k],
-                                 CFG, model.prep.fingerprint)
-                     for k, params in enumerate(members)]
-        write_ensemble_manifest(tmp_path, model, CFG, checksums, None)
+        save_ensemble(tmp_path, model, hists, CFG)
+        # compared before the member fills its row, where it would not fit
+        other = Architecture(2, (1, 2), (2,))
+        save_member(member_path(tmp_path, 1), other, 101,
+                    init_params(other, seed=101), hists[1], CFG,
+                    model.prep.fingerprint)
         with pytest.raises(DataIntegrityError,
                            match="member_001.ckpt: 'architecture' is"):
             load_ensemble(tmp_path)
 
     def test_member_of_other_data_detected(self, small_ensemble, tmp_path):
         model, hists = small_ensemble
-        checksums = [save_member(member_path(tmp_path, k), params, hists[k],
-                                 CFG, FP if k == 1 else model.prep.fingerprint)
-                     for k, params in enumerate(model.members)]
-        write_ensemble_manifest(tmp_path, model, CFG, checksums, None)
+        save_members(tmp_path, model, hists, CFG, fingerprints={1: FP})
+        write_ensemble_manifest(tmp_path, model, CFG, None)
         with pytest.raises(DataIntegrityError,
                            match=f"member_001.ckpt: 'data_fingerprint' is "
                                  f"\"{FP}\""):
@@ -279,10 +292,15 @@ class TestEnsembleCheckpoint:
 
     def test_manifest_needs_one_checksum_per_member(self, small_ensemble,
                                                     tmp_path):
-        model, _ = small_ensemble
-        with pytest.raises(ValueError, match="2 member checksums for 3"):
-            write_ensemble_manifest(tmp_path, model, CFG, ["aa", "bb"], None)
-        assert not (tmp_path / "ensemble.json").exists()
+        # one checksum per row of the matrix, taken from the row: the
+        # checksum its member file's header holds
+        model, hists = small_ensemble
+        save_ensemble(tmp_path, model, hists, CFG)
+        manifest = json.loads((tmp_path / "ensemble.json").read_text())
+        headers = [load_member(member_path(tmp_path, k))[1]["checksum"]
+                   for k in range(len(model.vectors))]
+        assert manifest["member_checksums"] == headers
+        assert len(set(headers)) == len(model.vectors)
 
     def test_checksum_mismatch_against_manifest(self, small_ensemble,
                                                 tmp_path):
@@ -291,8 +309,8 @@ class TestEnsembleCheckpoint:
         # regenerate member 0 with different parameters but a valid file
         [(other, other_hist)] = train_pnn(ARCH, _toy_data(seed=9), CFG,
                                           [model.member_seeds[0]])
-        save_member(member_path(tmp_path, 0), other, other_hist, CFG,
-                    model.prep.fingerprint)
+        save_member(member_path(tmp_path, 0), ARCH, model.member_seeds[0],
+                    other, other_hist, CFG, model.prep.fingerprint)
         with pytest.raises(DataIntegrityError, match="checksum"):
             load_ensemble(tmp_path)
 
@@ -373,7 +391,15 @@ class TestPreprocessingEntries:
          "every item of 'norm_stats.constant_features' must be a string"),
         (lambda m: m["preprocess"].update(rul_cap="x"),
          "'preprocess.rul_cap' must be an integer, got \"x\""),
-    ], ids=["architecture", "member_seeds", "norm_stats", "preprocess"])
+        (lambda m: m.update(n_members=0, member_files=[], member_checksums=[],
+                            member_seeds=[]),
+         "'n_members' and the lengths of 'member_files', 'member_checksums' "
+         "and 'member_seeds' differ or are below 1"),
+        (lambda m: m["member_files"].__setitem__(0, "../esc_other/m.ckpt"),
+         "'member_files' must be [\"members/member_000.ckpt\", "
+         "\"members/member_001.ckpt\", \"members/member_002.ckpt\"]"),
+    ], ids=["architecture", "member_seeds", "norm_stats", "preprocess",
+            "n_members", "member_files"])
     def test_mistyped_inner_entry_refused(self, small_ensemble, tmp_path,
                                           edit, message):
         self._edited(small_ensemble, tmp_path, edit)
@@ -397,7 +423,7 @@ class TestCheckpointFromBeforeTheRecord:
         assert model.member_seeds == (7, 8)
         write_ensemble_manifest(
             tmp_path, model, TrainingConfig(**manifest["train_config"]),
-            manifest["member_checksums"], manifest["config"])
+            manifest["config"])
         assert (tmp_path / "ensemble.json").read_bytes() == \
             (CHECKPOINT_V1 / "ensemble.json").read_bytes()
 

@@ -195,8 +195,8 @@ class TestTrain:
         for k in range(config.ensemble.members):
             [(solo, history)] = train_pnn(arch, data, config.training,
                                           [config.ensemble.base_seed + k])
-            payload = b"".join(solo.arrays[name].astype("<f8").tobytes()
-                               for name in arch.param_shapes())
+            payload = b"".join(view.astype("<f8").tobytes()
+                               for view in arch.unflatten(solo).values())
             path = member_path(trained_run["checkpoint"], k)
             assert path.read_bytes().split(b"\n", 1)[1] == payload
             _, manifest = load_member(path)
@@ -379,7 +379,7 @@ class TestTrain:
     def test_train_reads_no_member_back(self, trained_run, tmp_path,
                                         monkeypatch):
         # train without --resume loads no member file; the manifest takes
-        # the checksums save_member returns
+        # each member's checksum from its row of the trained matrix
         calls = []
         real = checkpoints.load_member
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import toy_prep
-from gradcheck import as_windows, copy_params, forward, predict_members, window
+from gradcheck import as_windows, forward, window
 from rulens import ensemble, network
 from rulens.cmapss import NormStats, UnitSeries, build_windows
 from rulens.config import TrainingConfig
@@ -22,7 +22,8 @@ from rulens.ensemble import (EnsembleModel, aggregate,
                              dataset_uncertainty_profile, decompose_uncertainty,
                              member_mean, read_out, train_ensemble)
 from rulens.errors import DataIntegrityError, DivergenceError
-from rulens.network import Architecture, init_params, train_pnn
+from rulens.network import (Architecture, forward_stacked, init_params,
+                            train_pnn)
 
 ARCH = Architecture(2, (3,), (2,))
 # ARCH's 2 features, under names a UnitSeries cannot hold: its names start
@@ -35,6 +36,13 @@ def _toy_data(n=24, t=5, f=2, seed=0):
     x = rng.normal(size=(n, t, f))
     y = x.sum(axis=-1) + 0.1 * rng.normal(size=(n, t))
     return x, y
+
+
+def _initial_model(arch, n_members, prep):
+    """n_members members of seeds 0, 1, ... at their initial parameters."""
+    return EnsembleModel(arch, np.stack([init_params(arch, seed=k)
+                                         for k in range(n_members)]),
+                         range(n_members), 0, prep)
 
 
 def _member_stack(*pairs):
@@ -188,18 +196,20 @@ class TestTrainEnsemble:
     def test_member_seeds_are_base_plus_index(self):
         data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
-        members, _ = train_ensemble(ARCH, data, cfg, n_members=15,
+        vectors, _ = train_ensemble(ARCH, data, cfg, n_members=15,
                                     base_seed=237)
-        assert [p.seed for p in members] == list(range(237, 252))
+        # row k is what train_pnn gives seed 237 + k
+        alone = [v for v, _ in train_pnn(ARCH, data, cfg, range(237, 252))]
+        assert vectors.tobytes() == np.stack(alone).tobytes()
 
     def test_single_member_degenerates_to_train_pnn(self):
         data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=3, batch_size=8)
-        members, hists = train_ensemble(ARCH, data, cfg, n_members=1,
+        vectors, hists = train_ensemble(ARCH, data, cfg, n_members=1,
                                         base_seed=41)
         [(solo, solo_hist)] = train_pnn(ARCH, data, cfg, [41])
-        assert all(np.array_equal(members[0].arrays[k], solo.arrays[k])
-                   for k in solo.arrays)
+        assert vectors.shape == (1, ARCH.n_params())
+        assert vectors[0].tobytes() == solo.tobytes()
         assert hists[0].epoch_losses == solo_hist.epoch_losses
 
     def test_repeat_runs_bit_identical(self):
@@ -207,21 +217,18 @@ class TestTrainEnsemble:
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
         a, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=7)
         b, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=7)
-        for pa, pb in zip(a, b):
-            assert all(np.array_equal(pa.arrays[k], pb.arrays[k])
-                       for k in pa.arrays)
+        assert a.tobytes() == b.tobytes()
 
     def test_each_member_matches_train_pnn_alone(self):
         # a member depends on its seed and the data only, not on the
         # members trained before it
         data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
-        members, hists = train_ensemble(ARCH, data, cfg, n_members=4,
+        vectors, hists = train_ensemble(ARCH, data, cfg, n_members=4,
                                         base_seed=3)
         for k in (3, 1):
             [(solo, solo_hist)] = train_pnn(ARCH, data, cfg, [3 + k])
-            assert all(np.array_equal(members[k].arrays[name],
-                                      solo.arrays[name]) for name in solo.arrays)
+            assert vectors[k].tobytes() == solo.tobytes()
             assert hists[k].epoch_losses == solo_hist.epoch_losses
 
     def test_resume_hook_skips_finished_members(self):
@@ -234,12 +241,12 @@ class TestTrainEnsemble:
             asked.append((k, seed))
             return done if k == 1 else None
 
-        members, hists = train_ensemble(
+        vectors, hists = train_ensemble(
             ARCH, data, cfg, n_members=3, base_seed=50, resume=resume,
-            progress=lambda k, p, h: trained.append(k))
+            progress=lambda k, v, h: trained.append(k))
         assert asked == [(0, 50), (1, 51), (2, 52)]
         assert trained == [0, 2]
-        assert members[1] is done and hists[1] is None
+        assert vectors[1].tobytes() == done.tobytes() and hists[1] is None
         assert hists[0].stop_epoch == hists[2].stop_epoch == 1
 
     def test_divergence_names_member(self):
@@ -285,12 +292,12 @@ class TestTrainEnsemble:
         def train():
             with pytest.raises(DivergenceError) as err:
                 train_ensemble(ARCH, data, cfg, n_members=2, base_seed=12,
-                               progress=lambda k, p, h: seen.append((k, p, h)))
+                               progress=lambda k, v, h: seen.append((k, v, h)))
             return err.value
 
         error, stack_warnings = warned(train)
-        assert [(k, p.vector.tobytes(), h) for k, p, h in seen] == \
-            [(0, first.vector.tobytes(), first_hist)]
+        assert [(k, v.tobytes(), h) for k, v, h in seen] == \
+            [(0, first.tobytes(), first_hist)]
         assert str(error) == ("member 1 (seed 13) diverged: diverged at "
                               "epoch 1: non-finite loss for sample 0 in batch")
         assert str(error) == f"member 1 (seed 13) diverged: {alone}"
@@ -319,10 +326,11 @@ class TestTrainEnsemble:
         data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
         seen = []
-        members, _ = train_ensemble(
+        vectors, _ = train_ensemble(
             ARCH, data, cfg, n_members=3, base_seed=9,
-            progress=lambda k, p, h: seen.append((k, p, h.stop_epoch)))
-        assert seen == [(k, members[k], 1) for k in range(3)]
+            progress=lambda k, v, h: seen.append((k, v.tobytes(),
+                                                  h.stop_epoch)))
+        assert seen == [(k, vectors[k].tobytes(), 1) for k in range(3)]
 
     def test_argument_guards(self):
         data = as_windows(*_toy_data(n=4))
@@ -375,10 +383,8 @@ class TestWorkers:
         runs = [self._train(monkeypatch, layout, n_members=3, base_seed=17)
                 for layout in (self._serial, self._pairs, self._parallel)]
         serial, serial_hists = runs[0]
-        for members, hists in runs[1:]:
-            for a, b in zip(serial, members):
-                assert a.seed == b.seed
-                assert a.vector.tobytes() == b.vector.tobytes()
+        for vectors, hists in runs[1:]:
+            assert vectors.tobytes() == serial.tobytes()
             assert hists == serial_hists
         assert serial_hists[2].epoch_losses
 
@@ -397,13 +403,14 @@ class TestWorkers:
     def test_progress_in_member_order_from_workers(self, monkeypatch):
         seen = []
         done = init_params(ARCH, seed=41)
-        members, hists = self._train(
+        vectors, hists = self._train(
             monkeypatch, self._pairs, n_members=4, base_seed=40,
             resume=lambda k, seed: done if k == 1 else None,
-            progress=lambda k, p, h: seen.append((k, p, h)))
+            progress=lambda k, v, h: seen.append((k, v, h)))
         assert [k for k, _, _ in seen] == [0, 2, 3]
-        assert all(p is members[k] and h is hists[k] for k, p, h in seen)
-        assert members[1] is done and hists[1] is None
+        assert all(v.tobytes() == vectors[k].tobytes() and h is hists[k]
+                   for k, v, h in seen)
+        assert vectors[1].tobytes() == done.tobytes() and hists[1] is None
 
     def test_divergence_in_a_worker_names_member(self, monkeypatch):
         # member 0 is resumed, so the stacks (1, 2) and (3, 4) diverge in
@@ -436,10 +443,8 @@ class TestWorkers:
     def _five_members(profile_model):
         # five members, so the two-worker chunks (rows 0-1 and 2-4) and one
         # worker per member are different layouts
-        arch = profile_model.architecture
-        return EnsembleModel(arch, [init_params(arch, seed=k)
-                                    for k in range(5)],
-                             base_seed=0, prep=profile_model.prep)
+        return _initial_model(profile_model.architecture, 5,
+                              profile_model.prep)
 
     @staticmethod
     def _windows(monkeypatch, layout, model, units):
@@ -506,6 +511,32 @@ class TestWorkers:
         assert [(type(e), str(e)) for e in errors] == \
             [(ValueError, "non-finite values in network input")] * 3
 
+    @pytest.mark.parametrize("per_window", [False, True])
+    def test_read_out_leaves_the_vectors_as_they_were(
+            self, monkeypatch, profile_model, per_window):
+        # the step loop negates gate columns of model.vectors itself, not of
+        # a copy, and restores them, in this process and in the workers
+        model = self._five_members(profile_model)
+        before = model.vectors.tobytes()
+        units = [_make_unit(1, 9, seed=6), _make_unit(3, 12, seed=8)]
+        passed = []
+        for name in ("forward_stacked", "forward_windows"):
+            real = getattr(ensemble, name)
+            monkeypatch.setattr(ensemble, name, lambda arch, vectors, *args,
+                                real=real: passed.append(
+                                    np.shares_memory(vectors, model.vectors))
+                                or real(arch, vectors, *args))
+        runs = []
+        for layout in (self._serial, self._pairs):
+            with monkeypatch.context() as m:
+                layout(m)
+                runs.append(dataset_uncertainty_profile(
+                    model, units, per_window=per_window)[2].total.tobytes())
+            assert model.vectors.tobytes() == before
+        assert runs[0] == runs[1]
+        # recorded in this process only: the serial run's passes
+        assert passed and all(passed)
+
     def test_read_out_chunks_hold_at_least_read_chunk_members(
             self, monkeypatch, profile_model):
         # on 16 CPUs, 15 members read out in 3 chunks of 5, and 9 members
@@ -524,9 +555,7 @@ class TestWorkers:
             monkeypatch.setattr(ensemble.os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: set(range(cpus)),
                                 raising=False)
-            model = EnsembleModel(arch, [init_params(arch, seed=k)
-                                         for k in range(n_members)],
-                                  base_seed=0, prep=profile_model.prep)
+            model = _initial_model(arch, n_members, profile_model.prep)
             dataset_uncertainty_profile(model, units, per_window=True)
         assert chunks == [[(0, 5), (5, 10), (10, 15)], [(0, 9)],
                           [(0, 5), (5, 10)]]
@@ -563,8 +592,8 @@ class TestWorkers:
 def tiny_model():
     data = as_windows(*_toy_data())
     cfg = TrainingConfig(max_epochs=2, batch_size=8)
-    members, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=11)
-    return EnsembleModel(ARCH, members, 11, TOY_PREP)
+    vectors, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=11)
+    return EnsembleModel(ARCH, vectors, range(11, 14), 11, TOY_PREP)
 
 
 def _every_step(model, x):
@@ -588,20 +617,19 @@ class TestPredictEnsemble:
     def test_matches_per_member_forward_plus_aggregate(self, tiny_model):
         x = np.random.default_rng(1).normal(size=(5, 2))
         dec = _every_step(tiny_model, x)
-        singles = [forward(p, x) for p in tiny_model.members]
+        singles = [forward(ARCH, v, x) for v in tiny_model.vectors]
         mu, var = aggregate(np.stack([s.means for s in singles]),
                             np.stack([s.variances for s in singles]))
         assert np.allclose(dec.mean, mu, rtol=1e-12)
         assert np.allclose(dec.variance, var, rtol=1e-12)
 
     def test_degenerate_ensemble_collapses(self):
-        params = init_params(ARCH, seed=5)
-        model = EnsembleModel(ARCH, [params, copy_params(params),
-                                     copy_params(params)],
+        vector = init_params(ARCH, seed=5)
+        model = EnsembleModel(ARCH, np.stack([vector] * 3), (5, 5, 5),
                               base_seed=5, prep=TOY_PREP)
         x = np.random.default_rng(2).normal(size=(4, 2))
         dec = _every_step(model, x)
-        single = forward(params, x)
+        single = forward(ARCH, vector, x)
         assert np.array_equal(dec.mean, single.means)
         assert np.array_equal(dec.variance, single.variances)
         assert np.all(dec.epistemic == 0.0)
@@ -617,7 +645,8 @@ class TestLastStepView:
         # members' only step
         unit = _make_unit(4, 1, seed=3)
         ids, cycles, dec = dataset_uncertainty_profile(profile_model, [unit])
-        [(means, varis)] = predict_members(profile_model.members,
+        [(means, varis)] = forward_stacked(profile_model.architecture,
+                                           profile_model.vectors,
                                            [unit.features])
         direct = decompose_uncertainty(means[:, 0], varis[:, 0])
         assert (ids.tolist(), cycles.tolist()) == ([4], [1])
@@ -653,11 +682,11 @@ def profile_model():
     x = rng.normal(size=(16, 5, 4))
     y = x.sum(axis=-1)
     cfg = TrainingConfig(max_epochs=1, batch_size=8)
-    members, _ = train_ensemble(arch, as_windows(x, y), cfg, n_members=2,
+    vectors, _ = train_ensemble(arch, as_windows(x, y), cfg, n_members=2,
                                 base_seed=1)
     prep = toy_prep(_make_unit(0, 1, seed=0).feature_names, window_length=5,
                     stride=2)
-    return EnsembleModel(arch, members, 1, prep)
+    return EnsembleModel(arch, vectors, (1, 2), 1, prep)
 
 
 class TestDatasetUncertaintyProfile:
@@ -667,7 +696,8 @@ class TestDatasetUncertaintyProfile:
         assert ids.tolist() == [3, 9]
         assert cycles.tolist() == [8, 6]
         # readings must agree with the one-sequence prediction path
-        [(means, varis)] = predict_members(profile_model.members,
+        [(means, varis)] = forward_stacked(profile_model.architecture,
+                                           profile_model.vectors,
                                            [units[0].features])
         one = decompose_uncertainty(means[:, -1], varis[:, -1])
         assert dec.epistemic[0] == pytest.approx(one.epistemic, rel=1e-12)
@@ -733,8 +763,8 @@ class TestDatasetUncertaintyProfile:
 
     def test_feature_space_mismatch_rejected(self, profile_model):
         model = EnsembleModel(
-            profile_model.architecture, profile_model.members,
-            base_seed=profile_model.base_seed,
+            profile_model.architecture, profile_model.vectors,
+            profile_model.member_seeds, base_seed=profile_model.base_seed,
             prep=replace(profile_model.prep, norm_stats=NormStats(
                 mean=np.zeros(4), std=np.ones(4),
                 feature_names=("setting_1", "setting_2", "setting_3",
@@ -761,11 +791,9 @@ class TestWindowedReadOut:
 
     @staticmethod
     def _model(profile_model, stride):
-        arch = profile_model.architecture
         prep = toy_prep(_make_unit(0, 1, seed=0).feature_names,
                         window_length=5, stride=stride)
-        return EnsembleModel(arch, [init_params(arch, seed=k)
-                                    for k in range(5)], base_seed=0, prep=prep)
+        return _initial_model(profile_model.architecture, 5, prep)
 
     @staticmethod
     def _oracle(model, units):
@@ -775,7 +803,8 @@ class TestWindowedReadOut:
             windows = [unit.features[s:s + length]
                        for s in range(0, len(unit) - length + 1, stride)]
             if windows:
-                for m, v in predict_members(model.members, windows):
+                for m, v in forward_stacked(model.architecture,
+                                            model.vectors, windows):
                     means.append(m[:, -1])
                     varis.append(v[:, -1])
         return decompose_uncertainty(np.stack(means, axis=1),
@@ -825,8 +854,7 @@ class TestWindowedReadOut:
         # input weights scaled so gate pre-activations pass 710 in
         # magnitude, where exp overflows
         model = self._model(profile_model, 1)
-        for member in model.members:
-            member.arrays["lstm0.w_x"][...] *= 3000.0
+        model.architecture.unflatten(model.vectors)["lstm0.w_x"][...] *= 3000.0
         units = [_make_unit(1, 5, seed=6), _make_unit(3, 12, seed=8)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -836,11 +864,25 @@ class TestWindowedReadOut:
 
 
 class TestEnsembleModelValidation:
-    def test_needs_a_member(self):
-        with pytest.raises(ValueError, match="at least one"):
-            EnsembleModel(ARCH, [], base_seed=0, prep=TOY_PREP)
+    @pytest.mark.parametrize("shape, seeds", [
+        ((0, ARCH.n_params()), ()),
+        ((2, ARCH.n_params() - 1), (4, 2)),
+        ((2, ARCH.n_params() + 1), (4, 2)),
+        ((ARCH.n_params(),), (4,)),
+        ((2, ARCH.n_params()), (4,)),
+        ((2, ARCH.n_params()), (4, 2, 3)),
+    ], ids=["no_rows", "narrow_rows", "wide_rows", "one_vector",
+            "fewer_seeds", "more_seeds"])
+    def test_refuses_a_matrix_that_does_not_fit(self, shape, seeds):
+        with pytest.raises(ValueError, match=f"at least one member, each a "
+                                             f"row of {ARCH.n_params()} "
+                                             "parameters"):
+            EnsembleModel(ARCH, np.zeros(shape), seeds, base_seed=0,
+                          prep=TOY_PREP)
 
     def test_member_seeds_follow_members(self):
-        params = [init_params(ARCH, seed=seed) for seed in (4, 2)]
-        model = EnsembleModel(ARCH, params, base_seed=0, prep=TOY_PREP)
+        vectors = np.stack([init_params(ARCH, seed=seed) for seed in (4, 2)])
+        model = EnsembleModel(ARCH, vectors, [4, 2], base_seed=0,
+                              prep=TOY_PREP)
         assert model.member_seeds == (4, 2)
+        assert model.vectors is vectors         # held as it is, not copied

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import toy_prep
-from gradcheck import predict_members
 from rulens.cmapss import UnitSeries
 from rulens.ensemble import EnsembleModel, dataset_uncertainty_profile
 from rulens.metrics import unit_predictions
-from rulens.network import Architecture, init_params
+from rulens.network import Architecture, forward_stacked, init_params
 
 ARCH = Architecture(3, (5, 4), (3, 2))
 RTOL = 1e-12
@@ -50,8 +49,9 @@ def _model(n_members: int, window: tuple[int, int] = (5, 1)
            ) -> EnsembleModel:
     """n_members fresh members, with a preprocessing record for the layout
     of _unit and window = (length, stride)."""
-    members = [init_params(ARCH, seed=40 + k) for k in range(n_members)]
-    return EnsembleModel(ARCH, members, base_seed=40,
+    seeds = range(40, 40 + n_members)
+    vectors = np.stack([init_params(ARCH, seed=seed) for seed in seeds])
+    return EnsembleModel(ARCH, vectors, seeds, base_seed=40,
                          prep=toy_prep(_unit(0, 1, 0).feature_names, *window))
 
 
@@ -63,9 +63,9 @@ def _seqs(lengths, seed=0):
 def _assert_matches_oracle(model, seqs, preds):
     assert len(preds) == len(seqs)
     for x, (means, varis) in zip(seqs, preds):
-        assert means.shape == varis.shape == (model.n_members, len(x))
-        for m, params in enumerate(model.members):
-            mu, var = oracle_forward(params.arrays, ARCH, x)
+        assert means.shape == varis.shape == (len(model.vectors), len(x))
+        for m, vector in enumerate(model.vectors):
+            mu, var = oracle_forward(ARCH.unflatten(vector), ARCH, x)
             np.testing.assert_allclose(means[m], mu, rtol=RTOL, atol=0)
             np.testing.assert_allclose(varis[m], var, rtol=RTOL, atol=0)
 
@@ -75,15 +75,16 @@ def test_ragged_batch_matches_oracle(n_members):
     # a length-1 sequence, tied lengths, and lengths out of sorted order
     seqs = _seqs([6, 1, 9, 6, 3, 9, 2])
     model = _model(n_members)
-    _assert_matches_oracle(model, seqs, predict_members(model.members, seqs))
+    _assert_matches_oracle(model, seqs,
+                           forward_stacked(ARCH, model.vectors, seqs))
 
 
 def test_rows_come_back_in_input_order():
     seqs = _seqs([2, 7, 4, 7, 1])
     model = _model(3)
-    preds = predict_members(model.members, seqs)
+    preds = forward_stacked(ARCH, model.vectors, seqs)
     assert [m.shape[1] for m, _ in preds] == [2, 7, 4, 7, 1]
-    reversed_preds = predict_members(model.members, seqs[::-1])
+    reversed_preds = forward_stacked(ARCH, model.vectors, seqs[::-1])
     for (m_a, v_a), (m_b, v_b) in zip(preds, reversed_preds[::-1]):
         np.testing.assert_allclose(m_a, m_b, rtol=RTOL, atol=0)
         np.testing.assert_allclose(v_a, v_b, rtol=RTOL, atol=0)
@@ -92,9 +93,9 @@ def test_rows_come_back_in_input_order():
 def test_unit_alone_agrees_with_mixed_batch():
     seqs = _seqs([5, 12, 3, 8], seed=1)
     model = _model(3)
-    mixed = predict_members(model.members, seqs)
+    mixed = forward_stacked(ARCH, model.vectors, seqs)
     for x, (means, varis) in zip(seqs, mixed):
-        [(alone_m, alone_v)] = predict_members(model.members, [x])
+        [(alone_m, alone_v)] = forward_stacked(ARCH, model.vectors, [x])
         np.testing.assert_allclose(means, alone_m, rtol=RTOL, atol=0)
         np.testing.assert_allclose(varis, alone_v, rtol=RTOL, atol=0)
 
@@ -102,8 +103,9 @@ def test_unit_alone_agrees_with_mixed_batch():
 def test_repeat_call_is_bit_identical():
     seqs = _seqs([4, 9, 9, 1], seed=2)
     model = _model(3)
-    for (m_a, v_a), (m_b, v_b) in zip(predict_members(model.members, seqs),
-                                      predict_members(model.members, seqs)):
+    for (m_a, v_a), (m_b, v_b) in zip(
+            forward_stacked(ARCH, model.vectors, seqs),
+            forward_stacked(ARCH, model.vectors, seqs)):
         assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b)
 
 
@@ -111,15 +113,16 @@ def test_ragged_input_validation():
     model = _model(2)
     good = np.zeros((4, ARCH.input_dim))
     with pytest.raises(ValueError, match="features"):
-        predict_members(model.members,
+        forward_stacked(ARCH, model.vectors,
                         [good, np.zeros((4, ARCH.input_dim + 1))])
     with pytest.raises(ValueError, match="time step"):
-        predict_members(model.members, [good, np.zeros((0, ARCH.input_dim))])
+        forward_stacked(ARCH, model.vectors,
+                        [good, np.zeros((0, ARCH.input_dim))])
     with pytest.raises(ValueError, match="non-finite"):
-        predict_members(model.members,
+        forward_stacked(ARCH, model.vectors,
                         [good, np.full((3, ARCH.input_dim), np.inf)])
     with pytest.raises(ValueError, match="time, features"):
-        predict_members(model.members, [good[None]])
+        forward_stacked(ARCH, model.vectors, [good[None]])
 
 
 def _unit(unit_id, n_cycles, seed, true_rul=None):
@@ -133,7 +136,7 @@ def _unit(unit_id, n_cycles, seed, true_rul=None):
 
 def test_empty_unit_list_returns_empty():
     model = _model(2, window=(3, 1))
-    assert predict_members(model.members, []) == []
+    assert forward_stacked(ARCH, model.vectors, []) == []
     ids, cycles, targets, dec = unit_predictions(model, [])
     assert ids.size == cycles.size == targets.size == dec.mean.size == 0
     for per_window in (False, True):
@@ -165,7 +168,8 @@ def test_per_window_profile_matches_oracle():
     assert cycles.tolist() == [4, 7, 10]
     for k, start in enumerate((0, 3, 6)):
         window = unit.features[start:start + 4]
-        last = [oracle_forward(p.arrays, ARCH, window) for p in model.members]
+        last = [oracle_forward(ARCH.unflatten(v), ARCH, window)
+                for v in model.vectors]
         mu = np.array([m[-1] for m, _ in last])
         var = np.array([v[-1] for _, v in last])
         mix_var = var.mean() + ((mu - mu.mean()) ** 2).mean()

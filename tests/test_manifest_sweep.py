@@ -89,10 +89,7 @@ def test_every_edit_loads_or_is_refused(trained_run, tmp_path, name):
             except RulensError:
                 pass
             except Exception as exc:
-                # a member_files entry may name a file that is not there
-                if not (isinstance(exc, OSError)
-                        and entry[0] == "member_files"):
-                    escaped.append(f"{entry} = {edit!r}: {exc!r}")
+                escaped.append(f"{entry} = {edit!r}: {exc!r}")
     assert edits > 100
     assert not escaped, (f"{len(escaped)} of {edits} edits of {name} "
                          "escaped as another exception:\n"

@@ -320,10 +320,10 @@ def eval_model():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(16, 6, 4))
     y = np.abs(x.sum(axis=-1)) + 50.0
-    members, _ = train_ensemble(arch, as_windows(x, y),
+    vectors, _ = train_ensemble(arch, as_windows(x, y),
                                 TrainingConfig(max_epochs=1, batch_size=8),
                                 n_members=2, base_seed=3)
-    return EnsembleModel(arch, members, 3,
+    return EnsembleModel(arch, vectors, (3, 4), 3,
                          toy_prep(_test_unit(0, 1, None, 0).feature_names))
 
 

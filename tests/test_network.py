@@ -8,24 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import (GaussianSeqPrediction, batch_forward, batch_loss,
-                       as_windows, copy_params, finite_diff_check, forward,
+                       as_windows, finite_diff_check, forward,
                        gaussian_nll, member_grad)
 from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
 from rulens.config import TrainingConfig
 from rulens import network
 from rulens.errors import DivergenceError
-from rulens.network import (VAR_FLOOR, Architecture, PnnParams, adam_step,
+from rulens.network import (VAR_FLOOR, Architecture, adam_step,
                             Stack, clip_global_norm, grad, init_params,
                             sigmoid, train_pnn)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
-def _zero_params(arch: Architecture) -> PnnParams:
-    params = init_params(arch, seed=0)
-    for arr in params.arrays.values():
-        arr[:] = 0.0
-    return params
 
 
 class TestArchitecture:
@@ -68,31 +61,31 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = init_params(Architecture(4, (5,), (2,)), seed=123)
         b = init_params(Architecture(4, (5,), (2,)), seed=123)
-        assert all(np.array_equal(a.arrays[k], b.arrays[k]) for k in a.arrays)
+        assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
         a = init_params(Architecture(4, (5,), (2,)), seed=1)
         b = init_params(Architecture(4, (5,), (2,)), seed=2)
-        assert any(not np.array_equal(a.arrays[k], b.arrays[k])
-                   for k in a.arrays)
+        assert not np.array_equal(a, b)
 
     def test_forget_gate_bias_is_one_rest_zero(self):
-        params = init_params(Architecture(4, (6, 3), (2,)), seed=0)
+        arch = Architecture(4, (6, 3), (2,))
+        arrays = arch.unflatten(init_params(arch, seed=0))
         for k, hidden in enumerate((6, 3)):
-            b = params.arrays[f"lstm{k}.b"]
+            b = arrays[f"lstm{k}.b"]
             assert np.all(b[hidden:2 * hidden] == 1.0)
             assert np.all(b[:hidden] == 0.0)
             assert np.all(b[2 * hidden:] == 0.0)
-        assert np.all(params.arrays["dense0.b"] == 0.0)
+        assert np.all(arrays["dense0.b"] == 0.0)
 
     def test_weight_scale_respects_fan_in(self):
-        params = init_params(Architecture(100, (8,), (2,)), seed=7)
-        w = params.arrays["lstm0.w_x"]
+        arch = Architecture(100, (8,), (2,))
+        w = arch.unflatten(init_params(arch, seed=7))["lstm0.w_x"]
         assert np.abs(w).max() <= 1.0 / np.sqrt(100)
 
     def test_negative_seed_accepted(self):
-        params = init_params(Architecture(2, (3,), (2,)), seed=-1)
-        assert np.isfinite(params.arrays["lstm0.w_x"]).all()
+        assert np.isfinite(init_params(Architecture(2, (3,), (2,)),
+                                       seed=-1)).all()
 
 
 class TestLayout:
@@ -125,39 +118,41 @@ class TestLayout:
             self.ARCH.unflatten(np.zeros(self.ARCH.n_params() - 1))
 
     def test_params_are_one_vector(self):
-        params = init_params(self.ARCH, seed=0)
-        assert params.vector.shape == (self.ARCH.n_params(),)
-        params.arrays["dense1.b"][:] = [7.0, 8.0]
-        assert np.array_equal(params.vector[-2:], [7.0, 8.0])
+        vector = init_params(self.ARCH, seed=0)
+        assert vector.shape == (self.ARCH.n_params(),)
+        self.ARCH.unflatten(vector)["dense1.b"][:] = [7.0, 8.0]
+        assert np.array_equal(vector[-2:], [7.0, 8.0])
 
 
 class TestForward:
     def test_zero_network_outputs_softplus_floor(self):
-        params = _zero_params(Architecture(3, (4,), (2,)))
-        pred = forward(params, np.zeros((5, 3)))
+        arch = Architecture(3, (4,), (2,))
+        pred = forward(arch, np.zeros(arch.n_params()), np.zeros((5, 3)))
         assert np.all(pred.means == 0.0)
         assert np.allclose(pred.variances, np.log(2.0) + VAR_FLOOR)
 
     def test_causality_prefix_invariance(self):
         # prefix outputs must match the full run at shared steps
-        params = init_params(Architecture(3, (4, 3), (2,)), seed=5)
+        arch = Architecture(3, (4, 3), (2,))
+        vector = init_params(arch, seed=5)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 3))
-        full = forward(params, x)
+        full = forward(arch, vector, x)
         for t in (1, 3):
-            part = forward(params, x[:t])
+            part = forward(arch, vector, x[:t])
             assert np.allclose(part.means, full.means[:t], rtol=1e-12, atol=1e-14)
             assert np.allclose(part.variances, full.variances[:t],
                                rtol=1e-12, atol=1e-14)
 
     def test_future_edits_do_not_change_past_outputs(self):
         # editing inputs at times > t leaves the prediction at t bit-identical
-        params = init_params(Architecture(3, (4, 3), (2,)), seed=5)
+        arch = Architecture(3, (4, 3), (2,))
+        vector = init_params(arch, seed=5)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 3))
         edited = x.copy()
         edited[4:] += 100.0
-        a, b = forward(params, x), forward(params, edited)
+        a, b = forward(arch, vector, x), forward(arch, vector, edited)
         assert np.array_equal(a.means[:4], b.means[:4])
         assert np.array_equal(a.variances[:4], b.variances[:4])
         assert not np.allclose(a.means[4:], b.means[4:])
@@ -165,12 +160,12 @@ class TestForward:
     def test_variance_positive_over_many_draws(self):
         # 10^4 random (net, input) draws including saturating magnitudes
         rng = np.random.default_rng(99)
+        arch = Architecture(3, (4,), (2,))
         for _ in range(10):
-            params = init_params(Architecture(3, (4,), (2,)),
-                                 seed=int(rng.integers(0, 2**31)))
+            vector = init_params(arch, seed=int(rng.integers(0, 2**31)))
             scale = rng.choice([0.3, 3.0, 300.0])
             x = rng.normal(scale=scale, size=(1000, 6, 3))
-            mu, var = batch_forward(params, x)
+            mu, var = batch_forward(arch, vector, x)
             assert np.isfinite(mu).all()
             assert np.isfinite(var).all()
             assert np.all(var > 0)
@@ -179,22 +174,23 @@ class TestForward:
     @given(st.integers(0, 2**31 - 1))
     def test_outputs_finite_variances_positive(self, seed):
         rng = np.random.default_rng(seed)
-        params = init_params(Architecture(3, (4,), (2,)), seed=seed)
+        arch = Architecture(3, (4,), (2,))
         # occasionally large inputs to probe saturation
         x = rng.normal(scale=rng.choice([0.5, 3.0, 30.0]), size=(7, 3))
-        pred = forward(params, x)
+        pred = forward(arch, init_params(arch, seed=seed), x)
         assert np.isfinite(pred.means).all()
         assert np.isfinite(pred.variances).all()
         assert np.all(pred.variances > 0)
 
     def test_input_validation(self):
-        params = init_params(Architecture(3, (4,), (2,)), seed=0)
+        arch = Architecture(3, (4,), (2,))
+        vector = init_params(arch, seed=0)
         with pytest.raises(ValueError, match="features"):
-            forward(params, np.zeros((5, 2)))
+            forward(arch, vector, np.zeros((5, 2)))
         with pytest.raises(ValueError, match="non-finite"):
-            forward(params, np.full((5, 3), np.nan))
+            forward(arch, vector, np.full((5, 3), np.nan))
         with pytest.raises(ValueError):
-            forward(params, np.zeros((0, 3)))
+            forward(arch, vector, np.zeros((0, 3)))
 
 
 class TestNll:
@@ -272,7 +268,7 @@ class TestNegatedGates:
     def _saturating_stack(arch, seeds):
         # the first layer's input weights scaled so that pre-activations of
         # both signs pass 710 in magnitude, where exp overflows
-        vectors = np.stack([init_params(arch, seed).vector for seed in seeds])
+        vectors = np.stack([init_params(arch, seed) for seed in seeds])
         arch.unflatten(vectors)["lstm0.w_x"][...] *= 3000.0
         return vectors
 
@@ -323,7 +319,7 @@ class TestNegatedGates:
 
     def test_forward_windows_refuses_rows_that_are_not_its_windows(self):
         arch = Architecture(3, (4,), (2,))
-        vectors = init_params(arch, seed=0).vector[None]
+        vectors = init_params(arch, seed=0)[None]
         for rows, length, hop in ((np.zeros((4, 3)), 5, 1),
                                   (np.zeros((8, 3)), 5, 2),
                                   (np.zeros((5, 3)), 5, 0)):
@@ -335,7 +331,8 @@ class TestNegatedGates:
 
 
 def random_small_net(rng):
-    """Random PNN (<= 200 params) and batch with healthy gradient magnitudes.
+    """Random PNN (<= 200 params) -> (arch, vector, inputs, targets), a
+    batch with healthy gradient magnitudes.
 
     Inputs and targets are biased positive so per-coordinate gradient sums do
     not cancel toward the 1e-8 clamp of the relative-error formula, where
@@ -349,11 +346,11 @@ def random_small_net(rng):
         arch = Architecture(f, rec, dense)
         if arch.n_params() <= 200:
             break
-    params = init_params(arch, seed=int(rng.integers(0, 2**31)))
+    vector = init_params(arch, seed=int(rng.integers(0, 2**31)))
     b = int(rng.integers(1, 4))
     x = rng.normal(loc=1.0, scale=0.5, size=(b, 8, f))
     y = rng.normal(loc=6.0, scale=2.0, size=(b, 8))
-    return params, x, y
+    return arch, vector, x, y
 
 
 # perturbation for the finite-difference oracle: measured optimum of the
@@ -366,8 +363,8 @@ class TestGrad:
         rng = np.random.default_rng(237)
         worst = 0.0
         for _ in range(20):
-            params, x, y = random_small_net(rng)
-            worst = max(worst, finite_diff_check(params, x, y, CHECK_EPS))
+            worst = max(worst, finite_diff_check(*random_small_net(rng),
+                                                 CHECK_EPS))
         assert worst < 1e-4
 
     def test_quadratic_surrogate_is_machine_exact(self):
@@ -375,18 +372,19 @@ class TestGrad:
         # weight axis and quadratic along the mean bias, so the symmetric
         # difference has no truncation error, only roundoff
         arch = Architecture(2, (3,), (2,))
-        params = _zero_params(arch)
-        params.arrays["dense0.b"][:] = [0.3, 0.2]
+        vector = np.zeros(arch.n_params())
+        arch.unflatten(vector)["dense0.b"][:] = [0.3, 0.2]
         x = np.zeros((1, 4, 2))
         y = np.full((1, 4), 0.5)
-        assert finite_diff_check(params, x, y, 1e-5) < 1e-9
+        assert finite_diff_check(arch, vector, x, y, 1e-5) < 1e-9
 
     def test_zero_residual_kills_mean_path_gradient(self):
         # exactly-zero network on zero targets: residual is 0, so only the
         # variance bias receives gradient
-        params = _zero_params(Architecture(2, (3,), (2,)))
-        flat, _ = member_grad(params, np.zeros((2, 4, 2)), np.zeros((2, 4)))
-        grads = params.arch.unflatten(flat)
+        arch = Architecture(2, (3,), (2,))
+        flat, _ = member_grad(arch, np.zeros(arch.n_params()),
+                              np.zeros((2, 4, 2)), np.zeros((2, 4)))
+        grads = arch.unflatten(flat)
         assert grads["dense0.b"][0] == 0.0
         assert grads["dense0.b"][1] > 0.0
         assert all(np.all(g == 0.0) for k, g in grads.items()
@@ -394,11 +392,11 @@ class TestGrad:
 
     def test_gradient_of_mean_loss_scales_with_batch(self):
         arch = Architecture(2, (3,), (2,))
-        params = init_params(arch, seed=1)
+        vector = init_params(arch, seed=1)
         x = np.random.default_rng(2).normal(size=(1, 4, 2))
         y = np.zeros((1, 4))
-        g1, l1 = member_grad(params, x, y)
-        g2, l2 = member_grad(params, np.repeat(x, 2, axis=0),
+        g1, l1 = member_grad(arch, vector, x, y)
+        g2, l2 = member_grad(arch, vector, np.repeat(x, 2, axis=0),
                              np.repeat(y, 2, axis=0))
         assert l1 == pytest.approx(l2)
         assert np.allclose(g1, g2)
@@ -408,12 +406,13 @@ class TestGrad:
         # training and inference share one forward: grad's loss is the mean
         # NLL of forward_stacked on the same windows, to the last bit, at
         # batch sizes where BLAS takes remainder or gemv paths too
-        params = init_params(Architecture(18, (32, 16), (2,)), seed=3)
+        arch = Architecture(18, (32, 16), (2,))
+        vector = init_params(arch, seed=3)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(batch, 100, 18))
         y = rng.uniform(0.0, 120.0, size=(batch, 100))
-        _, loss = member_grad(params, x, y)
-        mu, var = batch_forward(params, x)
+        _, loss = member_grad(arch, vector, x, y)
+        mu, var = batch_forward(arch, vector, x)
         nll = np.mean([gaussian_nll(GaussianSeqPrediction(m, v), t)
                        for m, v, t in zip(mu, var, y)])
         assert loss == nll
@@ -425,8 +424,7 @@ class TestGrad:
         # parameters and batch only
         rng = np.random.default_rng(12)
         M, B, T = 3, 13, 20
-        vectors = np.stack([init_params(arch, seed=s).vector
-                            for s in range(M)])
+        vectors = np.stack([init_params(arch, seed=s) for s in range(M)])
         x = rng.normal(size=(M * B, T, arch.input_dim))
         y = rng.uniform(0.0, 120.0, size=(M * B, T))
         grads, losses = grad(Stack(arch, vectors), x, y, {})
@@ -439,7 +437,7 @@ class TestGrad:
 
     def test_divergence_names_stack_row(self):
         arch = Architecture(2, (3,), (2,))
-        vectors = np.stack([init_params(arch, seed=s).vector for s in (1, 2)])
+        vectors = np.stack([init_params(arch, seed=s) for s in (1, 2)])
         y = np.zeros((6, 4))
         y[3 + 2] = 1e200        # member 1's sample 2
         with pytest.raises(DivergenceError) as err:
@@ -448,24 +446,25 @@ class TestGrad:
 
     def test_divergence_reports_sample_index(self):
         arch = Architecture(2, (3,), (2,))
-        params = init_params(arch, seed=1)
+        vector = init_params(arch, seed=1)
         x = np.zeros((3, 4, 2))
         y = np.zeros((3, 4))
         y[2] = 1e200  # residual overflows for this sample only
         with pytest.raises(DivergenceError) as err:
-            member_grad(params, x, y)
+            member_grad(arch, vector, x, y)
         assert err.value.sample_index == 2
 
     def test_finite_diff_check_guards(self):
         arch = Architecture(2, (3,), (2,))
-        params = init_params(arch, seed=0)
+        vector = init_params(arch, seed=0)
         x, y = np.zeros((1, 3, 2)), np.zeros((1, 3))
         with pytest.raises(ValueError, match="epsilon"):
-            finite_diff_check(params, x, y, 0.0)
-        big = init_params(Architecture(18, (40, 20), (2,)), seed=0)
-        assert big.arch.n_params() > 10000
+            finite_diff_check(arch, vector, x, y, 0.0)
+        big = Architecture(18, (40, 20), (2,))
+        assert big.n_params() > 10000
         with pytest.raises(ValueError, match="10000"):
-            finite_diff_check(big, np.zeros((1, 3, 18)), np.zeros((1, 3)))
+            finite_diff_check(big, init_params(big, seed=0),
+                              np.zeros((1, 3, 18)), np.zeros((1, 3)))
 
 
 def _poison(buffers: dict) -> None:
@@ -490,36 +489,36 @@ class TestGradBuffers:
     def test_reused_buffers_give_the_bits_of_fresh_ones(self, arch):
         # batch size and length change, as on the short last batch of an
         # epoch; the buffers are poisoned between calls
-        params = init_params(arch, seed=2)
+        vector = init_params(arch, seed=2)
         buffers: dict = {}
         shapes = [(32, 30), (32, 30), (12, 30), (32, 30), (32, 11), (32, 11)]
         for i, (B, T) in enumerate(shapes):
             x, y = self._batch(arch, i, B, T)
-            got, loss = member_grad(params, x, y, buffers)
-            ref, ref_loss = member_grad(params, x, y)
+            got, loss = member_grad(arch, vector, x, y, buffers)
+            ref, ref_loss = member_grad(arch, vector, x, y)
             assert loss == ref_loss
             assert got.tobytes() == ref.tobytes()
             _poison(buffers)
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_returned_gradients_do_not_alias_buffers(self, arch):
-        params = init_params(arch, seed=4)
+        vector = init_params(arch, seed=4)
         buffers: dict = {}
-        first, _ = member_grad(params, *self._batch(arch, 0, 16, 12),
+        first, _ = member_grad(arch, vector, *self._batch(arch, 0, 16, 12),
                                buffers)
         kept = first.copy()
         assert not any(np.shares_memory(first, buf)
                        for buf in buffers.values())
-        member_grad(params, *self._batch(arch, 1, 16, 12), buffers)
+        member_grad(arch, vector, *self._batch(arch, 1, 16, 12), buffers)
         assert np.array_equal(first, kept)
 
     def test_same_shape_calls_allocate_once(self):
         arch = self.ARCHS[0]
-        params = init_params(arch, seed=5)
+        vector = init_params(arch, seed=5)
         buffers: dict = {}
-        member_grad(params, *self._batch(arch, 0, 8, 10), buffers)
+        member_grad(arch, vector, *self._batch(arch, 0, 8, 10), buffers)
         before = dict(buffers)
-        member_grad(params, *self._batch(arch, 1, 8, 10), buffers)
+        member_grad(arch, vector, *self._batch(arch, 1, 8, 10), buffers)
         assert buffers.keys() == before.keys()
         assert all(buffers[k] is before[k] for k in before)
 
@@ -536,8 +535,8 @@ class TestGradBuffers:
         arch = self.ARCHS[0]
         B, T, F = 32, 100, 18
         buffers: dict = {}
-        member_grad(init_params(arch, seed=6), *self._batch(arch, 0, B, T),
-                    buffers)
+        member_grad(arch, init_params(arch, seed=6),
+                    *self._batch(arch, 0, B, T), buffers)
         assert buffers.keys() == self._tape_keys(arch) | {"d_above"}
         tape = sum(T * B * 4 * h + 2 * (T + 1) * B * h
                    for h in arch.recurrent_layers) + B * T
@@ -551,8 +550,8 @@ class TestGradBuffers:
         # dense layer k > 0 the recorded tanh output of layer k - 1
         arch = self.ARCHS[1]
         buffers: dict = {}
-        member_grad(init_params(arch, seed=7), *self._batch(arch, 0, 4, 9),
-                    buffers)
+        member_grad(arch, init_params(arch, seed=7),
+                    *self._batch(arch, 0, 4, 9), buffers)
         assert buffers.keys() == self._tape_keys(arch) | {
             "dense0.out", "d_above"}
         assert buffers["dense0.out"].shape == (1, 9, 4, 3)
@@ -562,12 +561,12 @@ class TestGradBuffers:
         rng = np.random.default_rng(238)
         worst = 0.0
         for _ in range(6):
-            params, x, y = random_small_net(rng)
+            arch, vector, x, y = random_small_net(rng)
             buffers: dict = {}
-            member_grad(params, x + 1.0, y * 0.5, buffers)
+            member_grad(arch, vector, x + 1.0, y * 0.5, buffers)
             _poison(buffers)
-            worst = max(worst,
-                        finite_diff_check(params, x, y, CHECK_EPS, buffers))
+            worst = max(worst, finite_diff_check(arch, vector, x, y,
+                                                 CHECK_EPS, buffers))
         assert worst < 1e-4
 
 
@@ -598,59 +597,62 @@ def _reference_adam_clip(params: dict, grads_seq, cfg: TrainingConfig):
 class TestAdam:
     CFG = TrainingConfig()
 
+    ARCH = Architecture(2, (3,), (2,))
+
     def _setup(self):
-        params = init_params(Architecture(2, (3,), (2,)), seed=3)
-        zeros = np.zeros_like(params.vector)
-        return params, zeros, zeros.copy()
+        vector = init_params(self.ARCH, seed=3)
+        zeros = np.zeros_like(vector)
+        return vector, zeros, zeros.copy()
 
     def test_first_step_is_signed_learning_rate(self):
-        params, m, v = self._setup()
-        before = copy_params(params)
-        grads = np.full_like(params.vector, 0.25)
-        params.arch.unflatten(grads)["lstm0.w_x"][0, 0] = -0.25
-        adam_step(params.vector, grads, m, v, 1, self.CFG)
-        delta = params.arrays["lstm0.w_x"] - before.arrays["lstm0.w_x"]
+        vector, m, v = self._setup()
+        before = vector.copy()
+        grads = np.full_like(vector, 0.25)
+        self.ARCH.unflatten(grads)["lstm0.w_x"][0, 0] = -0.25
+        adam_step(vector, grads, m, v, 1, self.CFG)
+        delta = (self.ARCH.unflatten(vector)["lstm0.w_x"]
+                 - self.ARCH.unflatten(before)["lstm0.w_x"])
         assert delta[0, 0] == pytest.approx(0.001, rel=1e-6)
         assert delta[0, 1] == pytest.approx(-0.001, rel=1e-6)
 
     def test_zero_gradient_from_fresh_state_is_identity(self):
-        params, m, v = self._setup()
-        before = params.vector.copy()
-        adam_step(params.vector, np.zeros_like(before), m, v, 1, self.CFG)
-        assert np.array_equal(params.vector, before)
+        vector, m, v = self._setup()
+        before = vector.copy()
+        adam_step(vector, np.zeros_like(before), m, v, 1, self.CFG)
+        assert np.array_equal(vector, before)
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
-        params, m, v = self._setup()
-        grads = np.full_like(params.vector, 0.7)
+        vector, m, v = self._setup()
+        grads = np.full_like(vector, 0.7)
         for t in range(1, 301):
-            prev = params.vector.copy()
-            adam_step(params.vector, grads, m, v, t, self.CFG)
-        assert np.allclose(np.abs(params.vector - prev), 0.001, rtol=1e-4)
+            prev = vector.copy()
+            adam_step(vector, grads, m, v, t, self.CFG)
+        assert np.allclose(np.abs(vector - prev), 0.001, rtol=1e-4)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_per_array_reference_bit_for_bit(self, seed):
         # 30 steps of random gradients whose norms straddle clip_norm, so
         # clipping both fires and does not
         arch = Architecture(3, (4, 2), (3, 2))
-        params = init_params(arch, seed=seed)
+        vector = init_params(arch, seed=seed)
+        arrays = arch.unflatten(vector)
         rng = np.random.default_rng(seed)
         flat_grads = [rng.normal(scale=rng.choice([0.05, 2.0]),
                                  size=arch.n_params()) for _ in range(30)]
         reference = _reference_adam_clip(
-            {k: a.copy() for k, a in params.arrays.items()},
+            {k: a.copy() for k, a in arrays.items()},
             [{k: a.copy() for k, a in arch.unflatten(g).items()}
              for g in flat_grads], self.CFG)
-        m = np.zeros_like(params.vector)
-        v = np.zeros_like(params.vector)
+        m = np.zeros_like(vector)
+        v = np.zeros_like(vector)
         clipped = []
         for t, (g, (ref, ref_norm)) in enumerate(zip(flat_grads, reference),
                                                  start=1):
             _, norm = clip_global_norm(arch.unflatten(g), self.CFG.clip_norm)
             clipped.append(norm > self.CFG.clip_norm)
-            adam_step(params.vector, g, m, v, t, self.CFG)
+            adam_step(vector, g, m, v, t, self.CFG)
             assert norm == ref_norm
-            assert all(params.arrays[k].tobytes() == ref[k].tobytes()
-                       for k in ref)
+            assert all(arrays[k].tobytes() == ref[k].tobytes() for k in ref)
         assert 0 < sum(clipped) < len(clipped)
 
     def test_clip_global_norm(self):
@@ -679,7 +681,7 @@ class TestTrainLoop:
         cfg = TrainingConfig(max_epochs=4, batch_size=8)
         [(a, ha)] = train_pnn(arch, as_windows(x, y), cfg, [11])
         [(b, hb)] = train_pnn(arch, as_windows(x, y), cfg, [11])
-        assert all(np.array_equal(a.arrays[k], b.arrays[k]) for k in a.arrays)
+        assert a.tobytes() == b.tobytes()
         assert ha.epoch_losses == hb.epoch_losses
 
     def test_loss_decreases_on_learnable_data(self):
@@ -752,11 +754,10 @@ class TestTrainLoop:
         assert x.shape == (15, 6, 5) and len(windows) == 15
         arch = Architecture(5, (3,), (2,))
         cfg = TrainingConfig(max_epochs=3, batch_size=4)
-        [(params, hist)] = train_pnn(arch, (windows.inputs, windows.targets),
+        [(vector, hist)] = train_pnn(arch, (windows.inputs, windows.targets),
                                      cfg, [7])
         [(direct, hist2)] = train_pnn(arch, as_windows(x, y), cfg, [7])
-        assert all(np.array_equal(params.arrays[k], direct.arrays[k])
-                   for k in params.arrays)
+        assert vector.tobytes() == direct.tobytes()
         assert hist.epoch_losses == hist2.epoch_losses
 
     def test_stack_members_equal_members_trained_alone(self):
@@ -770,16 +771,15 @@ class TestTrainLoop:
         stack = train_pnn(arch, as_windows(x, y), cfg, [3, 4, 5])
         assert [(h.stop_reason, h.stop_epoch) for _, h in stack] == \
             [("early_stop", 5), ("early_stop", 3), ("early_stop", 11)]
-        for seed, (params, hist) in zip((3, 4, 5), stack):
+        for seed, (vector, hist) in zip((3, 4, 5), stack):
             [(alone, alone_hist)] = train_pnn(arch, as_windows(x, y), cfg,
                                               [seed])
-            assert params.seed == seed
-            assert params.vector.tobytes() == alone.vector.tobytes()
+            assert vector.tobytes() == alone.tobytes()
             assert hist == alone_hist
 
     def test_batch_loss_matches_grad_loss(self):
         x, y = self._data(n=6)
         arch = Architecture(2, (3,), (2,))
-        params = init_params(arch, seed=9)
-        _, loss = member_grad(params, x, y)
-        assert batch_loss(params, x, y) == pytest.approx(loss, rel=1e-12)
+        vector = init_params(arch, seed=9)
+        _, loss = member_grad(arch, vector, x, y)
+        assert batch_loss(arch, vector, x, y) == pytest.approx(loss, rel=1e-12)
