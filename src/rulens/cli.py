@@ -135,13 +135,15 @@ def _clear_checkpoint(ckpt_dir: Path) -> None:
 def cmd_train(args) -> int:
     config = _load_run_config(args)
     split, _ = cmapss.load_archive(args.archive)
-    windows = split.train_windows
+    prep = split.prep
+    windows, targets = cmapss.build_windows(
+        split.train_units, prep.window_length, prep.stride, prep.rul_cap)
     if not windows:
         raise ValueError("archive holds no training windows")
-    arch = _arch_for(config, len(split.prep.norm_stats.feature_names))
+    arch = _arch_for(config, len(prep.norm_stats.feature_names))
     n_members = config.ensemble.members
     base_seed = config.ensemble.base_seed
-    data_fingerprint = split.prep.fingerprint
+    data_fingerprint = prep.fingerprint
     ckpt_dir = _out_dir(args, config, "checkpoint")
 
     if (ckpt_dir / "ensemble.json").exists() and not (args.force or args.resume):
@@ -184,10 +186,10 @@ def cmd_train(args) -> int:
               f"after {history.stop_epoch} epochs")
 
     vectors, _ = train_ensemble(
-        arch, (windows.inputs, windows.targets), config.training, n_members,
+        arch, (windows, targets), config.training, n_members,
         base_seed, resume=reuse if args.resume else None, progress=save)
     seeds = range(base_seed, base_seed + n_members)
-    model = EnsembleModel(arch, vectors, seeds, base_seed, split.prep)
+    model = EnsembleModel(arch, vectors, seeds, base_seed, prep)
     fingerprint = write_ensemble_manifest(ckpt_dir, model, config.training,
                                           config.resolved())
     print(f"checkpoint written to {ckpt_dir} (fingerprint {fingerprint[:12]})")

@@ -21,14 +21,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .atomic import atomic_write
-from .config import PreprocessConfig
+from .config import N_SENSORS, PreprocessConfig
 from .errors import (FLOATS, INT, INTS, STR, STRS, CmapssFormatError,
                      DataIntegrityError, read_manifest)
 
 logger = logging.getLogger(__name__)
 
 N_SETTINGS = 3
-N_SENSORS = 21
 N_COLUMNS = 2 + N_SETTINGS + N_SENSORS
 
 SETTING_NAMES = tuple(f"setting_{i}" for i in range(1, N_SETTINGS + 1))
@@ -80,9 +79,10 @@ class WindowView:
     """Fixed-length windows over flat rows, picked by window start.
 
     Window i is ``rows[starts[i]:starts[i] + length]`` and ``len()`` is the
-    window count. Nothing is copied per window: training gathers each
-    batch from the rows (see network.train_pnn), so memory grows with the
-    batch, not with the windows.
+    window count. It is the one window record: training gathers each batch
+    from the rows (see network.train_pnn), so memory grows with the batch,
+    not with the windows, and the per-window read-out runs a unit's windows
+    as one pass over the rows they read (see network.forward_windows).
     """
 
     rows: np.ndarray         # [n_rows, ...], C-contiguous
@@ -91,19 +91,6 @@ class WindowView:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-
-@dataclass
-class TrainWindows:
-    """Normalized training windows and their capped per-step RUL targets."""
-
-    inputs: WindowView       # windows of [L, n_features]
-    targets: WindowView      # windows of [L]
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-
 
 
 def _read_lines(text_source) -> Iterable[str]:
@@ -310,11 +297,12 @@ def window_starts(units: Sequence[UnitSeries], window_length: int,
 
 
 def build_windows(units: Sequence[UnitSeries], window_length: int,
-                  stride: int, rul_cap: int) -> TrainWindows:
-    """Training windows at the window_starts offsets, with capped targets.
+                  stride: int, rul_cap: int) -> tuple[WindowView, np.ndarray]:
+    """Training windows at the window_starts offsets -> (windows, targets):
+    the windows over one flat copy of the units' rows, and the capped RUL
+    target of each of those rows.
 
-    No window crosses from one unit into the next. Windows are picked by
-    start from one flat copy of the units' rows and targets.
+    No window crosses from one unit into the next.
     """
     offsets = np.cumsum([0] + [len(unit) for unit in units])
     starts = np.concatenate([
@@ -322,8 +310,7 @@ def build_windows(units: Sequence[UnitSeries], window_length: int,
         zip(offsets, window_starts(units, window_length, stride, "train"))])
     rows = np.vstack([u.features for u in units])
     targets = np.concatenate([make_rul_targets(u, rul_cap) for u in units])
-    return TrainWindows(WindowView(rows, window_length, starts),
-                        WindowView(targets, window_length, starts))
+    return WindowView(rows, window_length, starts), targets
 
 
 @dataclass(frozen=True)
@@ -415,13 +402,6 @@ class DatasetSplit:
     train_units: list[UnitSeries]        # normalized, full history
     test_units: list[UnitSeries]         # normalized with the train stats
     prep: Preprocessing
-
-    @property
-    def train_windows(self) -> TrainWindows:
-        """Training windows, built from train_units on each access, so only
-        the code that reads them pays for them."""
-        return build_windows(self.train_units, self.prep.window_length,
-                             self.prep.stride, self.prep.rul_cap)
 
 
 def prepare_split(train_units: Sequence[UnitSeries],

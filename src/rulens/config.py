@@ -17,6 +17,22 @@ from typing import Any
 
 import yaml
 
+N_SENSORS = 21      # CMAPSS sensor columns, numbered 1..21
+
+# Every size and count a config holds stays below this: numpy indexes,
+# shapes and the window starts take it as an int64 without overflow, and
+# no real run comes near it.
+SIZE_LIMIT = 2 ** 31
+
+
+def _check_sizes(section, section_name: str, keys: tuple[str, ...]) -> None:
+    """Refuse a size or count at SIZE_LIMIT or above, naming its key."""
+    for key in keys:
+        values = getattr(section, key)
+        if any(v >= SIZE_LIMIT for v in
+               (values if isinstance(values, tuple) else (values,))):
+            raise ValueError(f"{section_name}.{key} must be below 2**31")
+
 
 @dataclass
 class DataPaths:
@@ -46,7 +62,13 @@ class PreprocessConfig:
             raise ValueError("rul_cap must be >= 0")
         if self.constant_feature_policy not in ("zero", "error"):
             raise ValueError("constant_feature_policy must be 'zero' or 'error'")
+        _check_sizes(self, "preprocessing",
+                     ("window_length", "stride", "rul_cap"))
         self.dropped_sensors = tuple(sorted(int(s) for s in self.dropped_sensors))
+        bad = [s for s in self.dropped_sensors if not 1 <= s <= N_SENSORS]
+        if bad:
+            raise ValueError(f"preprocessing.dropped_sensors must lie in "
+                             f"1..{N_SENSORS}, got {bad}")
 
 
 @dataclass
@@ -66,6 +88,7 @@ class ArchitectureConfig:
         if not self.dense_layers or self.dense_layers[-1] != 2:
             raise ValueError("architecture.dense_layers must end in the "
                              "2-unit Gaussian head")
+        _check_sizes(self, "architecture", ("recurrent_layers", "dense_layers"))
 
 
 @dataclass
@@ -97,6 +120,8 @@ class TrainingConfig:
             raise ValueError("patience must be >= 0")
         if not self.clip_norm >= 0:
             raise ValueError("clip_norm must be >= 0")
+        _check_sizes(self, "training", ("batch_size", "max_epochs",
+                                        "early_stop_start", "patience"))
 
 
 @dataclass
@@ -107,6 +132,11 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.members < 1:
             raise ValueError("members must be >= 1")
+        _check_sizes(self, "ensemble", ("members",))
+        # member k's seed is base_seed + k, and seeds are taken mod 2**64
+        if not 0 <= self.base_seed <= 2 ** 64 - self.members:
+            raise ValueError("ensemble.base_seed must lie in "
+                             "[0, 2**64 - members]")
 
 
 @dataclass

@@ -6,11 +6,11 @@ members, summarized by its first two moments; the predictive variance then
 splits into an aleatoric part (mean of member log variances) and an
 epistemic part (the rest), both in nats with additive constants dropped.
 An ensemble holds its members as the rows of one [M, n_params] matrix, so
-every member shares one architecture. Inference reads it in place: all
-rows at once in this process over full histories, and in contiguous row
-chunks of at least READ_CHUNK_MEMBERS, one per forked worker, over
-windows. Training, where the members outnumber the workers, runs them in
-stacks of STACK_SIZE the same way.
+every member shares one architecture. Inference reads it without writing
+it: all rows at once in this process over full histories, and in
+contiguous row chunks of at least READ_CHUNK_MEMBERS, one per forked
+worker, over windows. Training, where the members outnumber the workers,
+runs them in stacks of STACK_SIZE the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cmapss import Preprocessing, UnitSeries, check_features, window_starts
+from .cmapss import (Preprocessing, UnitSeries, WindowView, check_features,
+                     window_starts)
 from .config import TrainingConfig
 from .errors import DivergenceError
 from .network import (Architecture, TrainHistory, forward_stacked,
@@ -59,7 +60,7 @@ class EnsembleModel:
     prep: Preprocessing
 
     def __post_init__(self):
-        self.vectors = np.require(self.vectors, np.float64, "CW")
+        self.vectors = np.require(self.vectors, np.float64, "C")
         seeds = self.member_seeds = tuple(int(s) for s in self.member_seeds)
         shape, n_params = self.vectors.shape, self.architecture.n_params()
         if shape[1:] != (n_params,) or not 1 <= shape[0] == len(seeds):
@@ -221,7 +222,7 @@ def train_ensemble(arch: Architecture,
                    ) -> tuple[np.ndarray, list[TrainHistory | None]]:
     """Train n_members networks with seeds base_seed + k, k = 0..M-1.
 
-    train_windows is the (inputs, targets) pair train_pnn takes; a member
+    train_windows is the (windows, targets) train_pnn takes; a member
     depends only on its seed, the data and the BLAS thread count.
     resume(k, seed) is asked for every member first and may return its
     finished vector, used as it is (history None). The others train
@@ -268,8 +269,8 @@ def _member_readings(arch: Architecture, vectors: np.ndarray, passes: list,
     """The readings of members vectors[rows] -> their means and variances
     [m, N]. Without a window, passes is one list of (sequence, steps) pairs,
     run in one forward_stacked call, each sequence read at its steps; with
-    one, every pass is the (rows, hop) of one unit's windows, run in one
-    forward_windows call."""
+    one, every pass is one unit's WindowView, run in one forward_windows
+    call."""
     vectors = vectors[rows]
     if window is None:
         [pairs] = passes
@@ -278,29 +279,11 @@ def _member_readings(arch: Architecture, vectors: np.ndarray, passes: list,
         readings = [(m[:, steps], v[:, steps])
                     for (m, v), (_, steps) in zip(preds, pairs)]
     else:
-        readings = [forward_windows(arch, vectors, unit_rows, window, hop)
-                    for unit_rows, hop in passes]
+        readings = [forward_windows(arch, vectors, windows)
+                    for windows in passes]
     empty = np.empty((len(vectors), 0))
     return (np.concatenate([empty] + [m for m, _ in readings], axis=1),
             np.concatenate([empty] + [v for _, v in readings], axis=1))
-
-
-def _window_rows(features: np.ndarray, ends: Sequence[int], window: int
-                 ) -> tuple[np.ndarray, int]:
-    """The rows that the windows of window steps ending at ends read, and
-    the hop between consecutive windows' first rows among them, as
-    forward_windows takes them. The ends must be evenly spaced and
-    ascending, as cmapss.window_starts gives them."""
-    starts = np.asarray(ends, dtype=np.intp) - (window - 1)
-    stride = int(starts[1] - starts[0]) if len(starts) > 1 else window
-    if (stride < 1 or starts[0] < 0 or starts[-1] + window > len(features)
-            or np.any(starts != starts[0] + stride * np.arange(len(starts)))):
-        raise ValueError(f"windows of {window} steps ending at {ends} are not "
-                         "evenly spaced within the unit")
-    if stride <= window:        # the windows cover one run of rows
-        return features[starts[0]:starts[-1] + window], stride
-    # rows between the windows are read by none of them
-    return features[(starts[:, None] + np.arange(window)).ravel()], window
 
 
 def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
@@ -313,22 +296,23 @@ def read_out(model: EnsembleModel, units: Sequence[UnitSeries],
     By default all units' full histories run in one pass, here. With a
     window length, each reading comes from the window of that many steps
     ending at it instead, and a unit's ends must be evenly spaced: one
-    forward_windows pass per unit holds all of its windows, projects each
-    of the rows they read once and runs the head at their last steps only.
+    forward_windows pass per unit takes all of its windows as one
+    WindowView over its rows, projects each of the rows they read once and
+    runs the head at their last steps only.
     The members then run in contiguous row chunks of at least
     READ_CHUNK_MEMBERS, one per forked worker (see _worker_count; `taskset
     -c 0` gives the serial run, as do no windows at all). The chunks change
     no bit: every product in a pass is one BLAS call per member, the rest
-    is elementwise, and member_mean ignores member order and layout. The
-    passes negate gate columns of model.vectors in place, then restore
-    them: one read-out per model at a time. Another feature layout is refused.
+    is elementwise, and member_mean ignores member order and layout. No
+    pass writes model.vectors. Another feature layout is refused.
     """
     for unit in units:
         check_features(unit, model.prep.norm_stats)
     if window is None:
         passes = [[(unit.features, e) for unit, e in zip(units, ends)]]
     else:
-        passes = [_window_rows(unit.features, e, window)
+        passes = [WindowView(unit.features, window,
+                             np.asarray(e, dtype=np.int64) - (window - 1))
                   for unit, e in zip(units, ends) if len(e)]
     n = 1
     if window is not None and passes:

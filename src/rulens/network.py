@@ -8,14 +8,16 @@ and makes finite-difference verification meaningful.
 
 A member is one float64 vector [n_params], the bytes its file stores, and
 M members are one [M, n_params] matrix. Architecture.unflatten alone maps
-offsets to names: the forward pass reads its named views, grad writes into
-them, and Adam updates the whole matrix in place. Inference runs the matrix
+offsets to names: the forward pass reads its named views without writing
+them, grad writes the gradient into views of a matrix of its own, and Adam
+updates training's parameter matrix in place. Inference runs the matrix
 an ensemble holds (ensemble.EnsembleModel.vectors) as one stack; training
 runs a stack of members in lockstep, each on its own batches, and a
-member's bits do not depend on the stack it trained in. A unit's windows
-run as one pass over the rows they read (forward_windows): each row is
-projected into the first layer once, however many windows read it, and
-the head runs only at the windows' last step, the one that is read.
+member's bits do not depend on the stack it trained in. A unit's windows,
+one cmapss.WindowView, run as one pass over the rows they read
+(forward_windows): each row is projected into the first layer once,
+however many windows read it, and the head runs only at the windows' last
+step, the one that is read.
 
 Measured on OpenBLAS: an LSTM product (16 to 32 inputs, 64 or 128 gate
 columns) over 2 or more rows gives each row the same bits whatever the row
@@ -36,12 +38,12 @@ from __future__ import annotations
 import logging
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .cmapss import WindowView
 from .config import TrainingConfig
 from .errors import DivergenceError
 
@@ -205,24 +207,6 @@ def _buffer(buffers: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
-@contextmanager
-def _gates_negated(lstm: list[tuple]) -> Iterator[None]:
-    """The i, f and o gate columns of each (hidden, w_x, w_h, bias) layer's
-    weights negated in place, for the block; the sign flip is exact, so
-    leaving the block restores every bit."""
-    flips = [np.repeat([-1.0, -1.0, 1.0, -1.0], hidden)     # i, f, g, o
-             for hidden, *_ in lstm]
-    for (_, *weights), flip in zip(lstm, flips):
-        for w in weights:
-            w *= flip
-    try:
-        yield
-    finally:
-        for (_, *weights), flip in zip(lstm, flips):
-            for w in weights:
-                w *= flip
-
-
 def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
          active: np.ndarray, tape: dict | None = None, hop: int = 0
          ) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +232,12 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
     rows in both, and a unit's one window, whose per-step product is one
     row, is projected one row per product.
 
-    The loop reads the i, f and o gate columns of every LSTM layer's w_x,
-    w_h and b negated: the call negates them in vectors, in place, and
-    restores them on return, so vectors must be writable. Negation is
-    exact, so those columns of each step's products are -z, which the
-    sigmoid 1 / (1 + exp(-z)) exponentiates as it is, and vectors comes
-    back bit for bit. exp(-z) overflows to inf below z of about -709.8,
-    where the gate is exactly 0, so overflow is silenced over the loop.
+    The loop reads copies of every LSTM layer's w_x, w_h and b, made once
+    per call, whose i, f and o gate columns are negated; vectors is only
+    read. Negation is exact, so those columns of each step's products are
+    -z, which the sigmoid 1 / (1 + exp(-z)) exponentiates as it is.
+    exp(-z) overflows to inf below z of about -709.8, where the gate is
+    exactly 0, so overflow is silenced over the loop.
 
     Given a tape (a dict of buffers, see _buffer), it also records what
     backpropagation through time needs, member-major and each activation
@@ -271,9 +254,12 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
     T, B = len(active), int(active[0])
     M, _ = vectors.shape
     arrays = arch.unflatten(vectors)
-    lstm = [(hidden, arrays[f"lstm{k}.w_x"], arrays[f"lstm{k}.w_h"],
-             arrays[f"lstm{k}.b"][:, None])
-            for k, hidden in enumerate(arch.recurrent_layers)]
+    lstm = []
+    for k, hidden in enumerate(arch.recurrent_layers):
+        flip = np.repeat([-1.0, -1.0, 1.0, -1.0], hidden)     # i, f, g, o
+        w_x, w_h, bias = (arrays[f"lstm{k}.{name}"] * flip
+                          for name in ("w_x", "w_h", "b"))
+        lstm.append((hidden, w_x, w_h, bias[:, None]))
     dense = [(arrays[f"dense{k}.w"], arrays[f"dense{k}.b"][:, None])
              for k in range(len(arch.dense_layers))]
     hs = [np.zeros((M, B, hidden)) for hidden in arch.recurrent_layers]
@@ -295,7 +281,7 @@ def _run(arch: Architecture, vectors: np.ndarray, x: np.ndarray,
         dense_out = [_buffer(tape, f"dense{k}.out", (M, T, B, w.shape[-1]))
                      for k, (w, _) in enumerate(dense[:-1])]
         raw = _buffer(tape, "raw", (M, B, T))
-    with np.errstate(over="ignore"), _gates_negated(lstm):
+    with np.errstate(over="ignore"):
         if hop:
             _, w_x, _, bias = lstm[0]
             if B == 1:  # one window: one row per product, as its steps take
@@ -386,29 +372,38 @@ def forward_stacked(arch: Architecture, vectors: np.ndarray,
             for p, n in zip(position, lengths)]
 
 
-def forward_windows(arch: Architecture, vectors: np.ndarray, rows: np.ndarray,
-                    length: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inference for M members at the last step of windows of length steps
-    over one run of rows [n, F]: window j reads rows j * hop to
-    j * hop + length - 1, for the B windows that fit, and rows holds those
-    rows and no others, so n = (B - 1) * hop + length. vectors
-    [M, n_params] holds one member's parameters per row. Returns means and
-    variances [M, B], window j's in column j.
+def forward_windows(arch: Architecture, vectors: np.ndarray,
+                    windows: WindowView) -> tuple[np.ndarray, np.ndarray]:
+    """Inference for M members at the last step of each of one unit's
+    windows, whose starts must be evenly spaced and ascending, as
+    cmapss.window_starts gives them. vectors [M, n_params] holds one
+    member's parameters per row. Returns means and variances [M, B] for
+    the B windows, window j's in column j.
 
-    The step loop projects each row into the first layer once and runs
-    the head only at the last step (see _run); the readings are the bits
+    The windows run as one pass over the rows they read: one run of rows
+    where consecutive windows overlap or touch, else each window's rows
+    gathered, as the rows between them are read by none. The step loop
+    projects each of those rows into the first layer once and runs the
+    head only at the last step (see _run); the readings are the bits
     forward_stacked gives at the last step of the same windows in one
     batch.
     """
-    x = np.asarray(rows, dtype=np.float64)
+    x, length = np.asarray(windows.rows, dtype=np.float64), windows.length
     if x.ndim != 2:
         raise ValueError(f"expected [rows, features], got shape {x.shape}")
-    if hop < 1 or len(x) < length or (len(x) - length) % hop:
-        raise ValueError(f"{len(x)} rows are not windows of {length} steps "
-                         f"{hop} rows apart")
+    starts = np.asarray(windows.starts, dtype=np.intp)
+    hop = int(starts[1] - starts[0]) if len(starts) > 1 else length
+    if (not len(starts) or hop < 1 or starts[0] < 0
+            or starts[-1] + length > len(x)
+            or np.any(starts != starts[0] + hop * np.arange(len(starts)))):
+        raise ValueError(f"windows of {length} steps starting at {starts} "
+                         f"are not evenly spaced within {len(x)} rows")
+    if hop > length:        # the rows between the windows are read by none
+        x, hop = x[(starts[:, None] + np.arange(length)).ravel()], length
+    else:                   # the windows cover one run of rows
+        x = x[starts[0]:starts[-1] + length]
     _check_input(arch, x, length)
-    mu, var = _run(arch, vectors, x, np.full(length, (len(x) - length) // hop
-                                             + 1), hop=hop)
+    mu, var = _run(arch, vectors, x, np.full(length, len(starts)), hop=hop)
     return mu[..., 0], var[..., 0]
 
 
@@ -602,9 +597,10 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
     lockstep as one stack: every step is one grad call over [M, n_params]
     and one adam_step.
 
-    train_windows is (inputs, targets), the cmapss.WindowView pair of a
-    cmapss.TrainWindows. Every step gathers the members' batches from
-    their rows, time-major, straight into the batch buffer grad reads.
+    train_windows is (windows, targets) as cmapss.build_windows returns
+    them: a WindowView over the training rows and each row's target. Every
+    step gathers the members' batches and their targets from the rows,
+    time-major, straight into the batch buffers grad reads.
 
     Deterministic: a member's parameter draw and per-epoch shuffle stream
     both derive from its seed, so (seed, data, config) fully determines it
@@ -624,8 +620,8 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
     Every batch reuses one dict of buffers, which lives only as long as
     this call, so nothing carries over from one stack to the next.
     """
-    inputs, targets = train_windows
-    n = len(inputs.starts)
+    windows, targets = train_windows
+    n = len(windows)
     if n == 0:
         raise ValueError("no training windows")
 
@@ -645,7 +641,7 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
         live, state = live[:r], state[:, :r]
 
     step = 0
-    steps = np.arange(inputs.length)[:, None]
+    steps = np.arange(windows.length)[:, None]
     buffers: dict = {}
     for epoch in range(1, cfg.max_epochs + 1):
         for mem in live:
@@ -655,13 +651,13 @@ def train_pnn(arch: Architecture, train_windows: tuple, cfg: TrainingConfig,
             picks = np.concatenate([mem.order[start:start + cfg.batch_size]
                                     for mem in live])
             batch = len(picks) // len(live)
-            index = inputs.starts[picks] + steps        # [T, M * B] rows
-            x = _buffer(buffers, "x", index.shape + inputs.rows.shape[1:])
+            index = windows.starts[picks] + steps       # [T, M * B] rows
+            x = _buffer(buffers, "x", index.shape + windows.rows.shape[1:])
             y = _buffer(buffers, "y", index.T.shape)
             # the indices are valid; mode="clip" writes straight into out,
             # where the default mode goes through a copy
-            np.take(inputs.rows, index, axis=0, out=x, mode="clip")
-            np.take(targets.rows, index.T, axis=0, out=y, mode="clip")
+            np.take(windows.rows, index, axis=0, out=x, mode="clip")
+            np.take(targets, index.T, axis=0, out=y, mode="clip")
             while True:     # again without a member that diverges
                 rows = len(live) * batch
                 try:

@@ -104,23 +104,28 @@ def finite_diff_check(arch: Architecture, vector: np.ndarray,
 
 
 def as_windows(inputs: np.ndarray, targets: np.ndarray
-            ) -> tuple[WindowView, WindowView]:
-    """Windows [N, T, F] and their targets [N, T] as the (inputs, targets)
-    pair of WindowView that train_pnn reads: window i is rows i * T to
-    (i + 1) * T of one flat copy."""
+               ) -> tuple[WindowView, np.ndarray]:
+    """Windows [N, T, F] and their targets [N, T] as the (windows, targets)
+    that train_pnn reads: window i is rows i * T to (i + 1) * T of one flat
+    copy, and targets holds each of those rows' target."""
     x = np.array(inputs, dtype=np.float64)
     y = np.array(targets, dtype=np.float64)
     n, length = y.shape
     starts = np.arange(n) * length
     return (WindowView(x.reshape((n * length,) + x.shape[2:]), length, starts),
-            WindowView(y.reshape(n * length), length, starts))
+            y.reshape(n * length))
 
 
-def window(view: WindowView, i: int) -> np.ndarray:
-    """Window i of a WindowView, a view of its rows."""
-    return view.rows[view.starts[i]:view.starts[i] + view.length]
+def window(view: WindowView, i: int, rows: np.ndarray | None = None
+           ) -> np.ndarray:
+    """Window i of a WindowView, a view of its rows, or of rows laid out
+    as its rows are (the targets build_windows returns with it)."""
+    rows = view.rows if rows is None else rows
+    return rows[view.starts[i]:view.starts[i] + view.length]
 
 
-def gather(view: WindowView, idx) -> np.ndarray:
-    """Windows idx of a WindowView, stacked into a new array."""
-    return np.stack([window(view, i) for i in np.arange(len(view))[idx]])
+def gather(view: WindowView, idx, rows: np.ndarray | None = None
+           ) -> np.ndarray:
+    """Windows idx of a WindowView (over rows, as window takes them),
+    stacked into a new array."""
+    return np.stack([window(view, i, rows) for i in np.arange(len(view))[idx]])

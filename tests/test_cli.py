@@ -18,7 +18,7 @@ from conftest import run_cli
 from gradcheck import as_windows, gather
 from rulens import checkpoints, cli, ensemble
 from rulens.checkpoints import load_member, member_path
-from rulens.cmapss import load_archive, parse_cmapss
+from rulens.cmapss import build_windows, load_archive, parse_cmapss
 from rulens.config import load_config
 from rulens.network import Architecture, train_pnn
 from rulens.synthetic import write_synthetic_dataset
@@ -186,9 +186,12 @@ class TestTrain:
         # the archive's windows stacked into plain arrays
         config = load_config(trained_run["config"])
         split, _ = load_archive(trained_run["archive"])
-        every = np.arange(len(split.train_windows))
-        data = as_windows(gather(split.train_windows.inputs, every),
-                          gather(split.train_windows.targets, every))
+        prep = split.prep
+        windows, targets = build_windows(split.train_units, prep.window_length,
+                                         prep.stride, prep.rul_cap)
+        every = np.arange(len(windows))
+        data = as_windows(gather(windows, every),
+                          gather(windows, every, targets))
         arch = Architecture(len(split.prep.norm_stats.feature_names),
                             config.architecture.recurrent_layers,
                             config.architecture.dense_layers)

@@ -298,24 +298,25 @@ class TestWindowStarts:
 class TestWindows:
     def test_spec_counts(self):
         for n, expect in ((105, 6), (100, 1), (99, 0)):
-            assert len(build_windows([_unit(n)], 100, 1, 128)) == expect
+            assert len(build_windows([_unit(n)], 100, 1, 128)[0]) == expect
 
     def test_window_contents_are_views_with_correct_slices(self):
         unit = _unit(40)
         targets = make_rul_targets(unit, 10)
-        wins = build_windows([unit], 30, 2, 10)
+        wins, row_targets = build_windows([unit], 30, 2, 10)
         assert len(wins) == 6
-        assert list(wins.inputs.starts) == [0, 2, 4, 6, 8, 10]
+        assert list(wins.starts) == [0, 2, 4, 6, 8, 10]
         # one flat copy of the unit's rows, not one per window
-        assert wins.inputs.rows.shape == (40, 24) and wins.inputs.length == 30
-        assert np.array_equal(window(wins.inputs, 1), unit.features[2:32])
-        assert np.array_equal(window(wins.targets, 1), targets[2:32])
-        assert np.array_equal(window(wins.inputs, 5), unit.features[10:40])
+        assert wins.rows.shape == (40, 24) and wins.length == 30
+        assert np.array_equal(row_targets, targets)
+        assert np.array_equal(window(wins, 1), unit.features[2:32])
+        assert np.array_equal(window(wins, 1, row_targets), targets[2:32])
+        assert np.array_equal(window(wins, 5), unit.features[10:40])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 200))
     def test_count_formula_matches_enumeration(self, n, length, stride):
-        wins = build_windows([_blank(n)], length, stride, 128)
+        wins, _ = build_windows([_blank(n)], length, stride, 128)
         if n < length:
             assert len(wins) == 0
         else:
@@ -327,7 +328,8 @@ class TestWindows:
             unit = _blank(n)
             for length in range(1, 41):
                 for stride in range(1, 41):
-                    count = len(build_windows([unit], length, stride, 128))
+                    count = len(build_windows([unit], length, stride,
+                                              128)[0])
                     expect = (n - length) // stride + 1 if n >= length else 0
                     assert count == expect
 
@@ -336,7 +338,7 @@ class TestWindows:
            st.integers(1, 12), st.integers(1, 4))
     def test_no_window_crosses_a_unit(self, lengths, length, stride):
         units = [_unit(n, unit_id=k + 1, seed=k) for k, n in enumerate(lengths)]
-        wins = build_windows(units, length, stride, 7)
+        wins, row_targets = build_windows(units, length, stride, 7)
         expected_x, expected_y = [], []
         for unit in units:
             targets = make_rul_targets(unit, 7)
@@ -345,12 +347,21 @@ class TestWindows:
                 expected_y.append(targets[s:s + length])
         assert len(wins) == len(expected_x)
         for k in range(len(wins)):
-            assert np.array_equal(window(wins.inputs, k), expected_x[k])
-            assert np.array_equal(window(wins.targets, k), expected_y[k])
+            assert np.array_equal(window(wins, k), expected_x[k])
+            assert np.array_equal(window(wins, k, row_targets),
+                                  expected_y[k])
 
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError, match="stride"):
             build_windows([_unit(5)], 2, 0, 10)
+
+
+def _windows(split):
+    """The training windows and row targets of a split, as train builds
+    them."""
+    prep = split.prep
+    return build_windows(split.train_units, prep.window_length, prep.stride,
+                         prep.rul_cap)
 
 
 class TestPrepareSplit:
@@ -362,10 +373,11 @@ class TestPrepareSplit:
         assert len(split.prep.norm_stats.feature_names) == 18
         # constant columns of the synthetic set mirror the real pattern
         assert set(split.prep.norm_stats.constant_features) == {"setting_3"}
-        assert split.train_windows.inputs.rows.shape[1:] == (18,)
-        assert split.train_windows.inputs.length == 30
+        windows, _ = _windows(split)
+        assert windows.rows.shape[1:] == (18,)
+        assert windows.length == 30
         expected = sum(len(u) - 30 + 1 for u in train)
-        assert len(split.train_windows) == expected
+        assert len(windows) == expected
         # test units normalized with train stats, stats finite
         assert np.isfinite(split.test_units[0].features).all()
 
@@ -377,7 +389,7 @@ class TestPrepareSplit:
                                dropped_sensors=(1, 5, 10, 16, 18, 19))
         split = prepare_split(train, [], cfg)
         with caplog.at_level("WARNING"):
-            starts = split.train_windows.inputs.starts
+            starts = _windows(split)[0].starts
         assert "unit 99" in caplog.text
         # unit 99 holds the first 10 rows; no window starts inside it
         assert starts.min() >= 10
@@ -405,9 +417,9 @@ class TestArchive:
         assert manifest == manifest2
         assert manifest["data_fingerprint"] == split.prep.fingerprint
         assert again.prep.fingerprint == split.prep.fingerprint
-        assert len(again.train_windows) == len(split.train_windows)
-        assert np.array_equal(window(again.train_windows.inputs, 0),
-                              window(split.train_windows.inputs, 0))
+        assert len(_windows(again)[0]) == len(_windows(split)[0])
+        assert np.array_equal(window(_windows(again)[0], 0),
+                              window(_windows(split)[0], 0))
         assert [u.true_final_rul for u in again.test_units] == \
                [u.true_final_rul for u in split.test_units]
         assert np.array_equal(again.prep.norm_stats.mean,
@@ -418,13 +430,13 @@ class TestArchive:
     def test_loaded_windows_equal_prepared_windows(self, split, tmp_path):
         save_archive(split, tmp_path / "arc", {})
         again, _ = load_archive(tmp_path / "arc")
-        ours, theirs = split.train_windows, again.train_windows
-        assert np.array_equal(ours.inputs.starts, theirs.inputs.starts)
+        (ours, our_targets), (theirs, their_targets) = map(_windows,
+                                                            (split, again))
+        assert np.array_equal(ours.starts, theirs.starts)
         every = np.arange(len(ours))
-        assert np.array_equal(gather(ours.inputs, every),
-                              gather(theirs.inputs, every))
-        assert np.array_equal(gather(ours.targets, every),
-                              gather(theirs.targets, every))
+        assert np.array_equal(gather(ours, every), gather(theirs, every))
+        assert np.array_equal(gather(ours, every, our_targets),
+                              gather(theirs, every, their_targets))
 
     def test_arrays_checksum_refuses_a_flipped_byte(self, split, tmp_path):
         save_archive(split, tmp_path / "arc", {})

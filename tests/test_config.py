@@ -114,3 +114,54 @@ def test_values_taken_as_written_keep_their_meaning(tmp_path):
     assert cfg.evaluation.per_window is True
     assert cfg.evaluation.reference == {"rmse": 15.0}
     assert load_config(preset="desk").ensemble.members == 5
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("preprocessing", "window_length", 2 ** 31),
+    ("preprocessing", "stride", 1e308),
+    ("preprocessing", "stride", 2 ** 63),
+    ("preprocessing", "rul_cap", 2 ** 31),
+    ("training", "batch_size", 2 ** 31),
+    ("training", "max_epochs", 2 ** 31),
+    ("training", "early_stop_start", 2 ** 31),
+    ("training", "patience", 2 ** 31),
+    ("ensemble", "members", 2 ** 31),
+    ("architecture", "recurrent_layers", [8, 2 ** 31]),
+    ("architecture", "dense_layers", [2 ** 31, 2]),
+])
+def test_size_at_2_31_or_above_refused(tmp_path, section, field, value):
+    # numpy would take it as an int64 only to overflow, or fail casting it
+    with pytest.raises(ValueError, match=f"{section}.{field} must be below"):
+        _load(tmp_path, {section: {field: value}})
+
+
+@pytest.mark.parametrize("base_seed, members", [
+    (-1, 1), (2 ** 64, 1), (2 ** 64 - 2, 3), (1e308, 1)])
+def test_base_seed_outside_the_seed_range_refused(tmp_path, base_seed,
+                                                  members):
+    # seeds are taken mod 2**64: s and s + 2**64 would train the same
+    # members and record different seeds
+    with pytest.raises(ValueError, match="ensemble.base_seed"):
+        _load(tmp_path, {"ensemble": {"base_seed": base_seed,
+                                      "members": members}})
+
+
+@pytest.mark.parametrize("sensors", [[0], [-1], [22], [1e308], [3, 2 ** 63]])
+def test_dropped_sensor_outside_1_to_21_refused(tmp_path, sensors):
+    with pytest.raises(ValueError, match="preprocessing.dropped_sensors"):
+        _load(tmp_path, {"preprocessing": {"dropped_sensors": sensors}})
+
+
+def test_largest_sizes_and_seeds_accepted(tmp_path):
+    top = 2 ** 31 - 1
+    cfg = _load(tmp_path, {
+        "preprocessing": {"window_length": top, "stride": top,
+                          "rul_cap": top, "dropped_sensors": [1, 21]},
+        "architecture": {"recurrent_layers": [top], "dense_layers": [top, 2]},
+        "training": {"batch_size": top, "max_epochs": top,
+                     "early_stop_start": top, "patience": top},
+        "ensemble": {"members": 3, "base_seed": 2 ** 64 - 3}})
+    assert cfg.preprocessing.stride == top
+    assert cfg.ensemble.base_seed == 2 ** 64 - 3
+    cfg = _load(tmp_path, {"ensemble": {"base_seed": 0}})
+    assert cfg.ensemble.base_seed == 0

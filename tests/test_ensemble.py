@@ -1,5 +1,6 @@
 """Ensemble aggregation, uncertainty split, member training, profiles."""
 
+import dataclasses
 import logging
 import multiprocessing
 import warnings
@@ -16,14 +17,14 @@ from hypothesis.extra.numpy import arrays
 from conftest import toy_prep
 from gradcheck import as_windows, forward, window
 from rulens import ensemble, network
-from rulens.cmapss import NormStats, UnitSeries, build_windows
+from rulens.cmapss import NormStats, UnitSeries, WindowView, build_windows
 from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, aggregate,
                              dataset_uncertainty_profile, decompose_uncertainty,
                              member_mean, read_out, train_ensemble)
 from rulens.errors import DataIntegrityError, DivergenceError
-from rulens.network import (Architecture, forward_stacked, init_params,
-                            train_pnn)
+from rulens.network import (Architecture, Stack, forward_stacked, grad,
+                            init_params, train_pnn)
 
 ARCH = Architecture(2, (3,), (2,))
 # ARCH's 2 features, under names a UnitSeries cannot hold: its names start
@@ -43,6 +44,15 @@ def _initial_model(arch, n_members, prep):
     return EnsembleModel(arch, np.stack([init_params(arch, seed=k)
                                          for k in range(n_members)]),
                          range(n_members), 0, prep)
+
+
+def _arrays(result) -> list[np.ndarray]:
+    """Every array in a nest of tuples, lists and dataclasses, in order."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    return [a for part in result for a in _arrays(part)]
 
 
 def _member_stack(*pairs):
@@ -514,8 +524,8 @@ class TestWorkers:
     @pytest.mark.parametrize("per_window", [False, True])
     def test_read_out_leaves_the_vectors_as_they_were(
             self, monkeypatch, profile_model, per_window):
-        # the step loop negates gate columns of model.vectors itself, not of
-        # a copy, and restores them, in this process and in the workers
+        # the passes get model.vectors itself, not a copy, and leave it as
+        # it was, in this process and in the workers
         model = self._five_members(profile_model)
         before = model.vectors.tobytes()
         units = [_make_unit(1, 9, seed=6), _make_unit(3, 12, seed=8)]
@@ -536,6 +546,41 @@ class TestWorkers:
         assert runs[0] == runs[1]
         # recorded in this process only: the serial run's passes
         assert passed and all(passed)
+
+    def test_a_read_only_matrix_reads_as_a_writable_one(self, monkeypatch,
+                                                        profile_model):
+        # grad, both forward passes and the read-out, in this process and
+        # in workers, only read the parameters: a read-only matrix gives
+        # the bytes of a writable copy and comes back as it was
+        writable = self._five_members(profile_model)
+        frozen = writable.vectors.copy()
+        frozen.setflags(write=False)
+        before = frozen.tobytes()
+        arch = writable.architecture
+        units = [_make_unit(1, 9, seed=6), _make_unit(3, 12, seed=8)]
+        x = np.random.default_rng(3).normal(size=(10, 5, 4))
+        y = x.sum(axis=-1)
+
+        def outputs(vectors):
+            model = replace(writable, vectors=vectors)
+            assert model.vectors is vectors
+            results = [
+                grad(Stack(arch, vectors), x, y, {}),
+                forward_stacked(arch, vectors, [u.features for u in units]),
+                network.forward_windows(arch, vectors, WindowView(
+                    units[1].features, 5, np.arange(0, 8, 2)))]
+            for layout in (self._serial, self._pairs):
+                with monkeypatch.context() as m:
+                    layout(m)
+                    results += [
+                        read_out(model, units, [[4, 6, 8], [4, 6, 8, 10]],
+                                 window=5),
+                        read_out(model, units, [np.arange(len(u))
+                                                for u in units])]
+            return [a.tobytes() for a in _arrays(results)]
+
+        assert outputs(frozen) == outputs(writable.vectors)
+        assert frozen.tobytes() == before and not frozen.flags.writeable
 
     def test_read_out_chunks_hold_at_least_read_chunk_members(
             self, monkeypatch, profile_model):
@@ -737,21 +782,19 @@ class TestDatasetUncertaintyProfile:
         seen = []
         real = ensemble.forward_windows
 
-        def recording(arch, vectors, rows, length, hop):
-            # window j of a pass reads rows j * hop to j * hop + length - 1
-            n = (len(rows) - length) // hop + 1
-            seen.extend(rows[j * hop:j * hop + length] for j in range(n))
-            return real(arch, vectors, rows, length, hop)
+        def recording(arch, vectors, windows):
+            seen.extend(window(windows, j) for j in range(len(windows)))
+            return real(arch, vectors, windows)
 
         # in this process: a record made in a forked worker is lost
         TestWorkers._serial(monkeypatch)
         monkeypatch.setattr(ensemble, "forward_windows", recording)
         ids, cycles, _ = dataset_uncertainty_profile(profile_model, units,
                                                      per_window=True)
-        windows = build_windows(units, 5, 2, 128)
+        windows, _ = build_windows(units, 5, 2, 128)
         assert len(seen) == len(ids) == len(windows) == 7
         for k, seq in enumerate(seen):
-            assert np.array_equal(seq, window(windows.inputs, k))
+            assert np.array_equal(seq, window(windows, k))
         assert list(zip(ids.tolist(), cycles.tolist())) == \
             [(1, 5), (1, 7), (1, 9), (3, 5), (3, 7), (3, 9), (3, 11)]
 

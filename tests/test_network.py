@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from gradcheck import (GaussianSeqPrediction, batch_forward, batch_loss,
                        as_windows, finite_diff_check, forward,
                        gaussian_nll, member_grad)
-from rulens.cmapss import UnitSeries, build_windows, make_rul_targets
+from rulens.cmapss import (UnitSeries, WindowView, build_windows,
+                           make_rul_targets)
 from rulens.config import TrainingConfig
 from rulens import network
 from rulens.errors import DivergenceError
@@ -280,7 +281,7 @@ class TestNegatedGates:
         x = np.random.default_rng(4).normal(size=(T, M, B, 3))
         tape = {}
         network._run(arch, vectors, x, np.full(T, B), tape)
-        assert vectors.tobytes() == before      # the negation is undone
+        assert vectors.tobytes() == before      # read, never written
         arrays = arch.unflatten(vectors)
         saturated = np.zeros(2, dtype=int)      # gates at 0.0, at 1.0
         for k, hidden in enumerate(arch.recurrent_layers):
@@ -313,21 +314,23 @@ class TestNegatedGates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, losses = grad(Stack(arch, vectors), x, y, {})
-            means, varis = network.forward_windows(arch, vectors, rows, 5, 2)
+            means, varis = network.forward_windows(
+                arch, vectors, WindowView(rows, 5, np.array([0, 2, 4])))
         assert np.isfinite(losses).all()
         assert means.shape == varis.shape == (2, 3)
 
     def test_forward_windows_refuses_rows_that_are_not_its_windows(self):
         arch = Architecture(3, (4,), (2,))
         vectors = init_params(arch, seed=0)[None]
-        for rows, length, hop in ((np.zeros((4, 3)), 5, 1),
-                                  (np.zeros((8, 3)), 5, 2),
-                                  (np.zeros((5, 3)), 5, 0)):
-            with pytest.raises(ValueError, match="not windows"):
-                network.forward_windows(arch, vectors, rows, length, hop)
+        for n_rows, starts in ((4, [0]), (8, [0, 2, 4]), (8, [0, 1, 3]),
+                               (8, [2, 0]), (8, [1, 1]), (8, [-1, 1]),
+                               (8, [])):
+            with pytest.raises(ValueError, match="not evenly spaced"):
+                network.forward_windows(arch, vectors, WindowView(
+                    np.zeros((n_rows, 3)), 5, np.array(starts, np.int64)))
         with pytest.raises(ValueError, match="non-finite"):
-            network.forward_windows(arch, vectors, np.full((5, 3), np.nan),
-                                    5, 1)
+            network.forward_windows(arch, vectors, WindowView(
+                np.full((5, 3), np.nan), 5, np.array([0])))
 
 
 def random_small_net(rng):
@@ -751,11 +754,10 @@ class TestTrainLoop:
         spans = [(u, s) for u in units for s in range(len(u) - 5)]
         x = np.stack([u.features[s:s + 6] for u, s in spans])
         y = np.stack([make_rul_targets(u, 7)[s:s + 6] for u, s in spans])
-        assert x.shape == (15, 6, 5) and len(windows) == 15
+        assert x.shape == (15, 6, 5) and len(windows[0]) == 15
         arch = Architecture(5, (3,), (2,))
         cfg = TrainingConfig(max_epochs=3, batch_size=4)
-        [(vector, hist)] = train_pnn(arch, (windows.inputs, windows.targets),
-                                     cfg, [7])
+        [(vector, hist)] = train_pnn(arch, windows, cfg, [7])
         [(direct, hist2)] = train_pnn(arch, as_windows(x, y), cfg, [7])
         assert vector.tobytes() == direct.tobytes()
         assert hist.epoch_losses == hist2.epoch_losses
