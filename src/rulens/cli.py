@@ -133,6 +133,10 @@ def _clear_checkpoint(ckpt_dir: Path) -> None:
 
 
 def cmd_train(args) -> int:
+    """Train the members, or with --resume keep each finished one whose
+    inputs are unchanged: the command decides which members train and
+    writes each one's file as it comes back, in member order, then the
+    ensemble manifest."""
     config = _load_run_config(args)
     split, _ = cmapss.load_archive(args.archive)
     prep = split.prep
@@ -143,6 +147,7 @@ def cmd_train(args) -> int:
     arch = _arch_for(config, len(prep.norm_stats.feature_names))
     n_members = config.ensemble.members
     base_seed = config.ensemble.base_seed
+    seeds = range(base_seed, base_seed + n_members)
     data_fingerprint = prep.fingerprint
     ckpt_dir = _out_dir(args, config, "checkpoint")
 
@@ -156,17 +161,19 @@ def cmd_train(args) -> int:
     print(f"training {n_members} members (seeds {base_seed}.."
           f"{base_seed + n_members - 1}) on {len(windows)} windows, "
           f"architecture {arch.to_dict()}")
+    vectors = np.empty((n_members, arch.n_params()))
 
-    def reuse(k: int, seed: int):
-        """A finished member, if everything that determined it is unchanged."""
+    def reuse(k: int, seed: int) -> bool:
+        """Member k's finished vector into vectors, if everything that
+        determined it is unchanged."""
         path = member_path(ckpt_dir, k)
         if not path.is_file():
-            return None
+            return False
         try:
             vector, manifest = load_member(path)
         except (DataIntegrityError, OSError) as exc:
             logger.warning("member %d: cannot resume (%s); retraining", k, exc)
-            return None
+            return False
         expected = member_provenance(seed, arch, config.training,
                                      data_fingerprint)
         stale = sorted(key for key, value in expected.items()
@@ -174,21 +181,22 @@ def cmd_train(args) -> int:
         if stale:
             logger.warning("member %d: checkpoint differs in %s; retraining",
                            k, ", ".join(stale))
-            return None
+            return False
         print(f"member {k}: reusing finished checkpoint")
-        return vector
+        vectors[k] = vector
+        return True
 
     def save(k: int, vector, history) -> None:
-        save_member(member_path(ckpt_dir, k), arch, base_seed + k, vector,
+        save_member(member_path(ckpt_dir, k), arch, seeds[k], vector,
                     history, config.training, data_fingerprint)
+        vectors[k] = vector
         print(f"member {k}: best loss {history.best_loss:.5f} at epoch "
               f"{history.best_epoch}, stopped ({history.stop_reason}) "
               f"after {history.stop_epoch} epochs")
 
-    vectors, _ = train_ensemble(
-        arch, (windows, targets), config.training, n_members,
-        base_seed, resume=reuse if args.resume else None, progress=save)
-    seeds = range(base_seed, base_seed + n_members)
+    jobs = [(k, seed) for k, seed in enumerate(seeds)
+            if not (args.resume and reuse(k, seed))]
+    train_ensemble(arch, (windows, targets), config.training, jobs, save)
     model = EnsembleModel(arch, vectors, seeds, base_seed, prep)
     fingerprint = write_ensemble_manifest(ckpt_dir, model, config.training,
                                           config.resolved())

@@ -158,20 +158,6 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, cpus)
 
 
-def _train_stack(arch: Architecture, train_windows: tuple,
-                 train_cfg: TrainingConfig, jobs: list[tuple[int, int]]
-                 ) -> list[tuple[np.ndarray, TrainHistory] | DivergenceError]:
-    """Members k with seeds s, (k, s) in jobs, trained as one stack; a
-    divergence names its member."""
-    results = train_pnn(arch, train_windows, train_cfg,
-                        [seed for _, seed in jobs])
-    return [DivergenceError(f"member {k} (seed {seed}) diverged: {result}",
-                            sample_index=result.sample_index,
-                            epoch=result.epoch, member=k)
-            if isinstance(result, DivergenceError) else result
-            for (k, seed), result in zip(jobs, results)]
-
-
 # In a pool worker, the parent's job function, inherited through fork.
 _worker_job = None
 
@@ -214,53 +200,39 @@ def _pool_results(job: Callable, args: list) -> Iterator[Iterator]:
 def train_ensemble(arch: Architecture,
                    train_windows: tuple,
                    train_cfg: TrainingConfig,
-                   n_members: int,
-                   base_seed: int,
-                   resume: Callable[[int, int], np.ndarray | None] | None = None,
-                   progress: Callable[[int, np.ndarray, TrainHistory], None]
-                   | None = None,
-                   ) -> tuple[np.ndarray, list[TrainHistory | None]]:
-    """Train n_members networks with seeds base_seed + k, k = 0..M-1.
+                   jobs: Sequence[tuple[int, int]],
+                   done: Callable[[int, np.ndarray, TrainHistory], None]
+                   ) -> None:
+    """Train member k with seed s for each (k, s) in jobs.
 
     train_windows is the (windows, targets) train_pnn takes; a member
-    depends only on its seed, the data and the BLAS thread count.
-    resume(k, seed) is asked for every member first and may return its
-    finished vector, used as it is (history None). The others train
-    in forked worker processes, one per CPU this process may run on and at
-    most one per stack, or in this process when that is one (`taskset -c
-    0` gives the serial run). Where the members outnumber those workers,
-    they train in stacks of STACK_SIZE consecutive members, otherwise one
-    to a worker; neither the stacks nor the worker count change a bit.
-    progress(k, vector, history) sees each newly trained member in member
-    order as soon as it and those before it are done, so a caller can
-    persist it. The first diverging member raises DivergenceError naming
-    the member, after the members before it have gone to progress, and an
-    error or interrupt stops every worker. Returns (vectors, histories),
-    both in member order: vectors [M, n_params] holds member k in row k.
+    depends only on its seed, the data and the BLAS thread count. The
+    members train in forked worker processes, one per CPU this process may
+    run on and at most one per stack, or in this process when that is one
+    (`taskset -c 0` gives the serial run). Where the jobs outnumber those
+    workers, they train in stacks of STACK_SIZE consecutive jobs, otherwise
+    one to a worker; neither the stacks nor the worker count change a bit.
+    done(k, vector, history) sees each member in jobs order as soon as it
+    and those before it are done. The first diverging member raises
+    DivergenceError naming the member and its seed, after the members
+    before it have gone to done, and an error or interrupt stops every
+    worker. Which members train, and what becomes of each, is the caller's:
+    the train command reuses finished members itself and saves the rest
+    in done.
     """
-    if n_members < 1:
-        raise ValueError("n_members must be >= 1")
-    vectors = np.empty((n_members, arch.n_params()))
-    histories: list[TrainHistory | None] = [None] * n_members
-    jobs = []
-    for k, seed in enumerate(range(base_seed, base_seed + n_members)):
-        done = resume(k, seed) if resume is not None else None
-        if done is None:
-            jobs.append((k, seed))
-        else:
-            vectors[k] = done
     size = STACK_SIZE if _worker_count(len(jobs)) < len(jobs) else 1
     stacks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
-    train = functools.partial(_train_stack, arch, train_windows, train_cfg)
-    with _pool_results(train, stacks) as results:
+    train = functools.partial(train_pnn, arch, train_windows, train_cfg)
+    with _pool_results(train, [[seed for _, seed in stack]
+                               for stack in stacks]) as results:
         for stack, stack_results in zip(stacks, results):
-            for (k, _), result in zip(stack, stack_results):
+            for (k, seed), result in zip(stack, stack_results):
                 if isinstance(result, DivergenceError):
-                    raise result
-                vectors[k], histories[k] = result
-                if progress is not None:
-                    progress(k, *result)
-    return vectors, histories
+                    raise DivergenceError(
+                        f"member {k} (seed {seed}) diverged: {result}",
+                        sample_index=result.sample_index,
+                        epoch=result.epoch, member=k)
+                done(k, *result)
 
 
 def _member_readings(arch: Architecture, vectors: np.ndarray, passes: list,

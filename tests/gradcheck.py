@@ -1,6 +1,7 @@
 """Test oracles for rulens.network: a single-sequence forward, the
 Gaussian NLL, and the finite-difference check on the hand-derived gradients;
-and the window helpers that turn arrays into what training reads.
+the window helpers that turn arrays into what training reads; and
+train_members, which gathers what train_ensemble hands back.
 
 Shared by the network, ensemble, inference and gradient tests and
 acceptance criteria 1 and 5; they check the library, they are not part of
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rulens.cmapss import WindowView
+from rulens.ensemble import train_ensemble
 from rulens.network import (Architecture, Stack, _nll_terms, forward_stacked,
                             grad)
 
@@ -129,3 +131,24 @@ def gather(view: WindowView, idx, rows: np.ndarray | None = None
     """Windows idx of a WindowView (over rows, as window takes them),
     stacked into a new array."""
     return np.stack([window(view, i, rows) for i in np.arange(len(view))[idx]])
+
+
+def train_members(arch: Architecture, train_windows: tuple, cfg,
+                  n_members: int, base_seed: int, skip=(), done=None
+                  ) -> tuple[np.ndarray, list]:
+    """train_ensemble over members k < n_members with seeds base_seed + k,
+    except those in skip -> (vectors [n_members, n_params], histories),
+    both in member order: a skipped member's row stays zero and its
+    history None. done, if given, also sees each result as it comes."""
+    vectors = np.zeros((n_members, arch.n_params()))
+    histories = [None] * n_members
+
+    def collect(k, vector, history):
+        vectors[k], histories[k] = vector, history
+        if done is not None:
+            done(k, vector, history)
+
+    train_ensemble(arch, train_windows, cfg,
+                   [(k, base_seed + k) for k in range(n_members)
+                    if k not in skip], collect)
+    return vectors, histories

@@ -17,9 +17,9 @@ import yaml
 
 from conftest import cmapss_dir, fd001_files, needs_fd001, run_cli
 from rulens.config import TrainingConfig
-from rulens.ensemble import aggregate, decompose_uncertainty, train_ensemble
+from rulens.ensemble import aggregate, decompose_uncertainty
 from rulens.metrics import interval_bounds, nasa_score, nmpiw, picp
-from gradcheck import as_windows, finite_diff_check
+from gradcheck import as_windows, finite_diff_check, train_members
 from rulens.network import Architecture, forward_stacked, init_params
 
 
@@ -165,8 +165,8 @@ class TestCriterion5SyntheticCalibration:
 
         arch = Architecture(2, (12,), (2,))
         cfg = TrainingConfig(max_epochs=30, early_stop_start=20, patience=3)
-        vectors, _ = train_ensemble(arch, as_windows(x_train, y_train), cfg,
-                                    n_members=5, base_seed=902)
+        vectors, _ = train_members(arch, as_windows(x_train, y_train), cfg,
+                                   n_members=5, base_seed=902)
 
         preds = forward_stacked(arch, vectors, list(x_test))
         means = np.stack([m for m, _ in preds], axis=1)

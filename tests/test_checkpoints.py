@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcheck import as_windows
+from gradcheck import as_windows, train_members
 from rulens.checkpoints import (ensemble_fingerprint, load_ensemble,
                                 load_member, member_path, save_member,
                                 write_ensemble_manifest)
@@ -17,7 +17,7 @@ from rulens.cmapss import (NormStats, Preprocessing, apply_norm, drop_sensors,
                            window_starts)
 from rulens.config import TrainingConfig
 from rulens.ensemble import (EnsembleModel, dataset_uncertainty_profile,
-                             read_out, train_ensemble)
+                             read_out)
 from rulens.errors import DataIntegrityError
 from rulens.network import TRAINING_BITS, Architecture, init_params, train_pnn
 from rulens.synthetic import make_synthetic_units
@@ -44,8 +44,8 @@ def small_ensemble():
     stats = NormStats(mean=np.array([0.0, 1.0]), std=np.array([1.0, 2.0]),
                       feature_names=("setting_1", "sensor_2"),
                       constant_features=("setting_1",))
-    vectors, hists = train_ensemble(ARCH, _toy_data(), CFG, n_members=3,
-                                    base_seed=100)
+    vectors, hists = train_members(ARCH, _toy_data(), CFG, n_members=3,
+                                   base_seed=100)
     prep = Preprocessing(stats, window_length=5, stride=1, rul_cap=128,
                          dropped_sensors=(1, 5))
     return EnsembleModel(ARCH, vectors, range(100, 103), 100, prep), hists

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on a small synthetic run."""
 
 import json
+import multiprocessing
 import os
 import runpy
 import shutil
@@ -165,6 +166,8 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "member 0: reusing finished checkpoint" in out
         assert "member 2: reusing finished checkpoint" in out
+        # every member file is asked for before any member trains
+        assert out.index("member 2: reusing") < out.index("member 1: best")
         for name in ("ensemble.json",):
             assert (ckpt / name).read_bytes() == (keep / name).read_bytes()
         for name in ("member_000.ckpt", "member_001.ckpt", "member_002.ckpt"):
@@ -469,6 +472,47 @@ class TestTrain:
         assert proc.returncode == -signal.SIGINT
         assert not left
         assert not (out / "ensemble.json").exists()
+
+    @pytest.mark.parametrize("failure", [OSError("no space left on device"),
+                                         KeyboardInterrupt()])
+    def test_save_failing_mid_run_leaves_a_resumable_checkpoint(
+            self, trained_run, tmp_path, monkeypatch, capsys, failure):
+        """A save that fails at member 1, with the members training in two
+        workers, stops every worker and leaves member 0's file as it was
+        written; `train --resume` then reuses it and writes the bytes of
+        an uninterrupted run."""
+        monkeypatch.setattr(ensemble, "_worker_count", lambda n: min(n, 2))
+        real = cli.save_member
+
+        def failing(path, *args):
+            if path.name == "member_001.ckpt":
+                raise failure
+            return real(path, *args)
+
+        out = tmp_path / "ck"
+        argv = ["train", "--config", trained_run["config"],
+                "--archive", trained_run["archive"], "--out", out]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "save_member", failing)
+            if isinstance(failure, KeyboardInterrupt):
+                with pytest.raises(KeyboardInterrupt):
+                    run_cli(*argv)
+            else:
+                assert run_cli(*argv) == 1
+        assert multiprocessing.active_children() == []
+        assert [p.name for p in (out / "members").iterdir()] == \
+            ["member_000.ckpt"]
+        assert not (out / "ensemble.json").exists()
+        capsys.readouterr()
+        assert run_cli(*argv, "--resume") == 0
+        assert "member 0: reusing finished checkpoint" in \
+            capsys.readouterr().out
+
+        def files(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        assert files(out) == files(trained_run["checkpoint"])
 
 
 def _config_with(config: Path, tmp_path: Path, **training) -> Path:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import toy_prep
-from gradcheck import as_windows, forward, window
+from gradcheck import as_windows, forward, train_members, window
 from rulens import ensemble, network
 from rulens.cmapss import NormStats, UnitSeries, WindowView, build_windows
 from rulens.config import TrainingConfig
@@ -206,8 +206,8 @@ class TestTrainEnsemble:
     def test_member_seeds_are_base_plus_index(self):
         data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
-        vectors, _ = train_ensemble(ARCH, data, cfg, n_members=15,
-                                    base_seed=237)
+        vectors, _ = train_members(ARCH, data, cfg, n_members=15,
+                                   base_seed=237)
         # row k is what train_pnn gives seed 237 + k
         alone = [v for v, _ in train_pnn(ARCH, data, cfg, range(237, 252))]
         assert vectors.tobytes() == np.stack(alone).tobytes()
@@ -215,8 +215,8 @@ class TestTrainEnsemble:
     def test_single_member_degenerates_to_train_pnn(self):
         data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=3, batch_size=8)
-        vectors, hists = train_ensemble(ARCH, data, cfg, n_members=1,
-                                        base_seed=41)
+        vectors, hists = train_members(ARCH, data, cfg, n_members=1,
+                                       base_seed=41)
         [(solo, solo_hist)] = train_pnn(ARCH, data, cfg, [41])
         assert vectors.shape == (1, ARCH.n_params())
         assert vectors[0].tobytes() == solo.tobytes()
@@ -225,8 +225,8 @@ class TestTrainEnsemble:
     def test_repeat_runs_bit_identical(self):
         data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
-        a, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=7)
-        b, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=7)
+        a, _ = train_members(ARCH, data, cfg, n_members=3, base_seed=7)
+        b, _ = train_members(ARCH, data, cfg, n_members=3, base_seed=7)
         assert a.tobytes() == b.tobytes()
 
     def test_each_member_matches_train_pnn_alone(self):
@@ -234,29 +234,22 @@ class TestTrainEnsemble:
         # members trained before it
         data = as_windows(*_toy_data())
         cfg = TrainingConfig(max_epochs=2, batch_size=8)
-        vectors, hists = train_ensemble(ARCH, data, cfg, n_members=4,
-                                        base_seed=3)
+        vectors, hists = train_members(ARCH, data, cfg, n_members=4,
+                                       base_seed=3)
         for k in (3, 1):
             [(solo, solo_hist)] = train_pnn(ARCH, data, cfg, [3 + k])
             assert vectors[k].tobytes() == solo.tobytes()
             assert hists[k].epoch_losses == solo_hist.epoch_losses
 
-    def test_resume_hook_skips_finished_members(self):
+    def test_trains_only_the_jobs_it_is_given(self):
         data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
-        done = init_params(ARCH, seed=51)
-        asked, trained = [], []
-
-        def resume(k, seed):
-            asked.append((k, seed))
-            return done if k == 1 else None
-
-        vectors, hists = train_ensemble(
-            ARCH, data, cfg, n_members=3, base_seed=50, resume=resume,
-            progress=lambda k, v, h: trained.append(k))
-        assert asked == [(0, 50), (1, 51), (2, 52)]
+        trained = []
+        vectors, hists = train_members(
+            ARCH, data, cfg, n_members=3, base_seed=50, skip={1},
+            done=lambda k, v, h: trained.append(k))
         assert trained == [0, 2]
-        assert vectors[1].tobytes() == done.tobytes() and hists[1] is None
+        assert not vectors[1].any() and hists[1] is None
         assert hists[0].stop_epoch == hists[2].stop_epoch == 1
 
     def test_divergence_names_member(self):
@@ -265,8 +258,8 @@ class TestTrainEnsemble:
         y[1] = 1e200
         cfg = TrainingConfig(max_epochs=1, batch_size=4)
         with pytest.raises(DivergenceError) as err:
-            train_ensemble(ARCH, as_windows(x, y), cfg, n_members=2,
-                           base_seed=0)
+            train_members(ARCH, as_windows(x, y), cfg, n_members=2,
+                          base_seed=0)
         assert err.value.member == 0
         assert "member 0" in str(err.value)
 
@@ -280,7 +273,7 @@ class TestTrainEnsemble:
 
     def test_second_member_of_a_stack_diverges(self, monkeypatch):
         # one worker, so seeds 12 and 13 train as one stack. Member 0 still
-        # reaches progress, the error is the one member 1 gives alone, and
+        # reaches done, the error is the one member 1 gives alone, and
         # the stack raises no warning that the members alone do not
         monkeypatch.setattr(ensemble, "_worker_count", lambda n: min(n, 1))
         data = self._one_diverges()
@@ -301,8 +294,8 @@ class TestTrainEnsemble:
 
         def train():
             with pytest.raises(DivergenceError) as err:
-                train_ensemble(ARCH, data, cfg, n_members=2, base_seed=12,
-                               progress=lambda k, v, h: seen.append((k, v, h)))
+                train_ensemble(ARCH, data, cfg, [(0, 12), (1, 13)],
+                               lambda k, v, h: seen.append((k, v, h)))
             return err.value
 
         error, stack_warnings = warned(train)
@@ -336,21 +329,14 @@ class TestTrainEnsemble:
         data = as_windows(*_toy_data(n=8))
         cfg = TrainingConfig(max_epochs=1, batch_size=8)
         seen = []
-        vectors, _ = train_ensemble(
+        vectors, _ = train_members(
             ARCH, data, cfg, n_members=3, base_seed=9,
-            progress=lambda k, v, h: seen.append((k, v.tobytes(),
-                                                  h.stop_epoch)))
+            done=lambda k, v, h: seen.append((k, v.tobytes(), h.stop_epoch)))
         assert seen == [(k, vectors[k].tobytes(), 1) for k in range(3)]
-
-    def test_argument_guards(self):
-        data = as_windows(*_toy_data(n=4))
-        cfg = TrainingConfig(max_epochs=1)
-        with pytest.raises(ValueError):
-            train_ensemble(ARCH, data, cfg, n_members=0, base_seed=0)
 
 
 class TestWorkers:
-    """Members that resume does not supply train in forked workers, one per
+    """The members train_ensemble is given train in forked workers, one per
     allowed CPU (ensemble._worker_count), in stacks of two where they
     outnumber the workers; the windowed read-out runs the members in one
     contiguous row chunk per worker, of at least READ_CHUNK_MEMBERS members.
@@ -383,9 +369,9 @@ class TestWorkers:
         with monkeypatch.context() as m:
             layout(m)
             data = kwargs.pop("data", as_windows(*_toy_data()))
-            return train_ensemble(ARCH, data,
-                                  TrainingConfig(max_epochs=3, batch_size=8),
-                                  **kwargs)
+            return train_members(ARCH, data,
+                                 TrainingConfig(max_epochs=3, batch_size=8),
+                                 **kwargs)
 
     def test_worker_count_never_changes_bits(self, monkeypatch):
         # stacks (0, 1) and (2) in this process, the same stacks in two
@@ -404,32 +390,29 @@ class TestWorkers:
         stacks = []
         real = ensemble._pool_results
         monkeypatch.setattr(ensemble, "_pool_results", lambda train, jobs: (
-            stacks.append([[k for k, _ in stack] for stack in jobs])
-            or real(train, jobs)))
+            stacks.append(jobs) or real(train, jobs)))
         for layout in (self._serial, self._pairs, self._parallel):
             self._train(monkeypatch, layout, n_members=3, base_seed=17)
-        assert stacks == [[[0, 1], [2]], [[0, 1], [2]], [[0], [1], [2]]]
+        assert stacks == [[[17, 18], [19]], [[17, 18], [19]],
+                          [[17], [18], [19]]]
 
     def test_progress_in_member_order_from_workers(self, monkeypatch):
         seen = []
-        done = init_params(ARCH, seed=41)
         vectors, hists = self._train(
-            monkeypatch, self._pairs, n_members=4, base_seed=40,
-            resume=lambda k, seed: done if k == 1 else None,
-            progress=lambda k, v, h: seen.append((k, v, h)))
+            monkeypatch, self._pairs, n_members=4, base_seed=40, skip={1},
+            done=lambda k, v, h: seen.append((k, v, h)))
         assert [k for k, _, _ in seen] == [0, 2, 3]
         assert all(v.tobytes() == vectors[k].tobytes() and h is hists[k]
                    for k, v, h in seen)
-        assert vectors[1].tobytes() == done.tobytes() and hists[1] is None
+        assert hists[1] is None
 
     def test_divergence_in_a_worker_names_member(self, monkeypatch):
-        # member 0 is resumed, so the stacks (1, 2) and (3, 4) diverge in
+        # member 0 is left out, so the stacks (1, 2) and (3, 4) diverge in
         # two workers; the parent raises member 1's error as the serial run
         # does
         x, y = _toy_data(n=8)
         y = y.copy()
         y[1] = 1e200
-        done = init_params(ARCH, seed=1)
         errors, pools = [], []
         real = multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_context",
@@ -437,8 +420,7 @@ class TestWorkers:
         for layout in (self._serial, self._pairs):
             with pytest.raises(DivergenceError) as err:
                 self._train(monkeypatch, layout, data=as_windows(x, y),
-                            n_members=5, base_seed=0,
-                            resume=lambda k, s: done if k == 0 else None)
+                            n_members=5, base_seed=0, skip={0})
             errors.append(err.value)
         serial, parallel = errors
         assert pools == ["fork"]
@@ -637,7 +619,7 @@ class TestWorkers:
 def tiny_model():
     data = as_windows(*_toy_data())
     cfg = TrainingConfig(max_epochs=2, batch_size=8)
-    vectors, _ = train_ensemble(ARCH, data, cfg, n_members=3, base_seed=11)
+    vectors, _ = train_members(ARCH, data, cfg, n_members=3, base_seed=11)
     return EnsembleModel(ARCH, vectors, range(11, 14), 11, TOY_PREP)
 
 
@@ -727,8 +709,8 @@ def profile_model():
     x = rng.normal(size=(16, 5, 4))
     y = x.sum(axis=-1)
     cfg = TrainingConfig(max_epochs=1, batch_size=8)
-    vectors, _ = train_ensemble(arch, as_windows(x, y), cfg, n_members=2,
-                                base_seed=1)
+    vectors, _ = train_members(arch, as_windows(x, y), cfg, n_members=2,
+                               base_seed=1)
     prep = toy_prep(_make_unit(0, 1, seed=0).feature_names, window_length=5,
                     stride=2)
     return EnsembleModel(arch, vectors, (1, 2), 1, prep)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_prep
-from gradcheck import as_windows
+from gradcheck import as_windows, train_members
 from rulens.cmapss import UnitSeries
 from rulens.config import TrainingConfig
-from rulens.ensemble import EnsembleModel, train_ensemble
+from rulens.ensemble import EnsembleModel
 from rulens.metrics import (SCORE_CONSTANTS, interval_bounds,
                             kde, nasa_score, nmpiw, normal_quantile, picp,
                             report_from_predictions, report_to_dict,
@@ -320,9 +320,9 @@ def eval_model():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(16, 6, 4))
     y = np.abs(x.sum(axis=-1)) + 50.0
-    vectors, _ = train_ensemble(arch, as_windows(x, y),
-                                TrainingConfig(max_epochs=1, batch_size=8),
-                                n_members=2, base_seed=3)
+    vectors, _ = train_members(arch, as_windows(x, y),
+                               TrainingConfig(max_epochs=1, batch_size=8),
+                               n_members=2, base_seed=3)
     return EnsembleModel(arch, vectors, (3, 4), 3,
                          toy_prep(_test_unit(0, 1, None, 0).feature_names))
 
